@@ -242,9 +242,16 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
 def _run_grid_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     f1 = XOR2 if config.model == "grid-xor" else AND2
     rows: list[ResultRow] = []
-    summary = [f"{config.model}: exact DP to depth {min(config.depth, grid_mod.DEFAULT_DEPTH_CAP)}"]
+    dp_depth = min(config.depth, grid_mod.DEFAULT_DEPTH_CAP)
+    summary = [f"{config.model}: exact DP to depth {dp_depth}"]
+    if dp_depth < config.depth:
+        note = (
+            f"requested depth {config.depth} exceeds the exact-DP cap; "
+            f"exact and MC rows reach depth {dp_depth} only"
+        )
+        print(f"warning: {note}", file=sys.stderr)
+        summary.append(note)
     for delta in config.deltas():
-        dp_depth = min(config.depth, grid_mod.DEFAULT_DEPTH_CAP)
         dists = grid_mod.grid_exact_distribution(f1, IDENTITY, float(delta), dp_depth)
         for dist in dists:
             rows.append(_exact_row(config.model, delta, dist.level, dist.level + 1, "tv_exact", dist.tv(), config.seed))
@@ -579,7 +586,14 @@ def _cmd_mc_chain(args) -> int:
     return 0
 
 
+def _require(ok: bool, field: str, message: str) -> None:
+    if not ok:
+        raise ConfigError(f"field {field}: {message}")
+
+
 def _cmd_grid_exact(args) -> int:
+    _require(args.depth >= 1, "depth", "must be >= 1")
+    _require(0.0 <= args.delta < 0.5, "delta", f"{args.delta} out of range [0, 1/2)")
     model = "grid-xor" if args.gate == "xor" else "grid-and"
     f1 = GRID_GATES[args.gate]
     dists = grid_mod.grid_exact_distribution(f1, IDENTITY, args.delta, args.depth)
@@ -615,6 +629,8 @@ def _cmd_grid_and_couple(args) -> int:
 
 
 def _cmd_grid_xor(args) -> int:
+    _require(args.k >= 1, "k", "must be >= 1")
+    _require(0.0 <= args.delta < 0.5, "delta", f"{args.delta} out of range [0, 1/2)")
     h, idx = xorcode_mod.build_Hk(args.k)
     lucas = [xorcode_mod.binom_parity(args.k, j) for j in range(args.k + 1)]
     col_ok = all(h.get(j, 0) == lucas[j] for j in range(args.k + 1))

@@ -7,9 +7,11 @@ gate f1.  The boundary nodes j = 0 and j = k have a single parent and
 apply the one-input gate f2.
 
 Besides forward simulation, the module contains an exact forward dynamic
-program over all 2^(k+1) level words, which serves as the desk-scale
-oracle for the grid impossibility results, and a Monte Carlo TV
-estimator for cross-checking it.
+program over all 2^(k+1) level words, which serves as the oracle for the
+grid impossibility results, and a Monte Carlo TV estimator for
+cross-checking it.  The DP applies each level's kernel one node at a
+time (a transfer-matrix sweep), at O(k 2^k) cost per level; depths up to
+DEFAULT_DEPTH_CAP = 20 run by default.
 
 Level words are encoded with node j at bit j (node 0 least significant).
 """
@@ -34,7 +36,7 @@ __all__ = [
 TAG_GRID = 6
 TAG_GRID_MC = 7
 
-DEFAULT_DEPTH_CAP = 12
+DEFAULT_DEPTH_CAP = 20
 
 
 def _check_gates(f1: Gate, f2: Gate) -> None:
@@ -130,10 +132,11 @@ def grid_exact_distribution(
 ) -> list[GridDistribution]:
     """Exact forward DP of the conditional pair over full level words.
 
-    Conditioned on the previous level word, the next level's nodes are
-    independent Bernoullis with explicit per-node probabilities, so each
-    transition is a product-form stochastic kernel.  State space grows as
-    2^(k+1); depths beyond ``depth_cap`` are refused.
+    Given the previous word x, node 0 of level k is Bernoulli in x_0, node
+    j in (x_(j-1), x_j) and node k in x_(k-1), so the kernel is applied
+    node by node: attach y_0, then attach y_j and sum out x_(j-1) for each
+    j.  This costs O(k 2^k) per level.  The returned levels hold about
+    2 * 2^(depth+2) float64 values; deeper than ``depth_cap`` is refused.
     """
     _check_gates(f1, f2)
     d = as_delta(delta, noiseless_ok=True)
@@ -141,33 +144,25 @@ def grid_exact_distribution(
         raise ValueError("depth must be >= 1")
     if depth > depth_cap:
         raise BudgetExceededError(
-            f"depth {depth} exceeds the exact-DP cap {depth_cap}; "
-            "raise depth_cap explicitly if you accept the cost"
+            f"depth {depth} exceeds the exact-DP cap {depth_cap}; its levels would need about "
+            f"{2 * 8 * 2 ** (depth + 2) / 2**20:.0f} MiB; raise depth_cap to accept the cost"
         )
     p2, p11 = _node_success_probs(f1, f2, d)
-    dists = [GridDistribution(0, np.array([0.0, 1.0]), np.array([1.0, 0.0]))]
+    # first[x_0, y_0]; inner/last[x_j, x_(j-1), y_j, 1] with a length-1 x_j axis for node k
+    first = np.stack([1.0 - p2, p2], axis=-1)
+    inner = np.stack([1.0 - p11, p11], axis=-1).transpose(1, 0, 2)[..., None]
+    last = first[None, :, :, None]
+    pair = np.array([[0.0, 1.0], [1.0, 0.0]])  # rows: root 1, root 0
+    dists = [GridDistribution(0, pair[0], pair[1])]
     for k in range(1, depth + 1):
-        prev = dists[-1]
-        n_prev = 1 << k
-        words = np.arange(n_prev, dtype=np.int64)
-        bits = (words[:, None] >> np.arange(k)) & 1  # (n_prev, k)
-        probs = np.empty((n_prev, k + 1))
-        probs[:, 0] = p2[bits[:, 0]]
-        probs[:, k] = p2[bits[:, k - 1]]
-        if k >= 2:
-            probs[:, 1:k] = p11[bits[:, :-1], bits[:, 1:]]
-        next_plus = np.zeros(1 << (k + 1))
-        next_minus = np.zeros(1 << (k + 1))
-        chunk = 256
-        for start in range(0, n_prev, chunk):
-            stop = min(start + chunk, n_prev)
-            block = np.ones((stop - start, 1))
-            for j in range(k + 1):
-                pj = probs[start:stop, j : j + 1]
-                block = np.concatenate([block * (1.0 - pj), block * pj], axis=1)
-            next_plus += prev.plus[start:stop] @ block
-            next_minus += prev.minus[start:stop] @ block
-        dists.append(GridDistribution(k, next_plus, next_minus))
+        # axes (root, x_(j+1..k-1), x_j, y_j..y_0): y_0 fastest, as in the word encoding
+        w = pair.reshape(2, -1, 2, 1) * first
+        for j in range(1, k + 1):
+            f = inner if j < k else last
+            w = w.reshape(2, -1, len(f), 2, 1, 1 << j)
+            w = w[:, :, :, 0] * f[:, 0] + w[:, :, :, 1] * f[:, 1]
+        pair = w.reshape(2, -1)
+        dists.append(GridDistribution(k, pair[0], pair[1]))
     return dists
 
 

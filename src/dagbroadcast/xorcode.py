@@ -71,6 +71,9 @@ class BitMatrix:
     nrows: int
     ncols: int
     rows: list[int] = field(default_factory=list)
+    # columns() cache and the rows it was transposed from
+    _cols: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    _cols_of: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -96,12 +99,27 @@ class BitMatrix:
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise IndexError("bit index out of range")
 
+    def columns(self) -> tuple[int, ...]:
+        """Every column as a bit-packed int over rows, transposed in one pass.
+
+        The result is cached and recomputed whenever ``rows`` differs from
+        the rows it was built from.
+        """
+        if self._cols_of != self.rows:
+            cols = [0] * self.ncols
+            for r, row in enumerate(self.rows):
+                while row:
+                    low = row & -row
+                    cols[low.bit_length() - 1] |= 1 << r
+                    row ^= low
+            self._cols, self._cols_of = tuple(cols), list(self.rows)
+        return self._cols
+
     def column(self, c: int) -> int:
         """Column c as a bit-packed int over rows."""
-        out = 0
-        for r, row in enumerate(self.rows):
-            out |= ((row >> c) & 1) << r
-        return out
+        if not 0 <= c < self.ncols:
+            raise IndexError("column index out of range")
+        return self.columns()[c]
 
     def mul_vector(self, vec: int) -> int:
         """Matrix-vector product over GF(2); vec is bit-packed over columns."""
@@ -117,17 +135,27 @@ class BitMatrix:
         )
 
 
+def _reduce(vec: int, basis: dict[int, int]) -> int:
+    """Reduce vec against a basis keyed by lowest set bit; returns the remainder.
+
+    A nonzero remainder is independent of the basis and has a lowest set
+    bit that no basis vector owns.
+    """
+    while vec:
+        pivot = basis.get(vec & -vec)
+        if pivot is None:
+            return vec
+        vec ^= pivot
+    return 0
+
+
 def _rank_of_rows(rows: Iterable[int]) -> int:
     """Rank over GF(2) of bit-packed row vectors."""
-    basis: dict[int, int] = {}  # lowest set bit -> reduced vector
+    basis: dict[int, int] = {}
     for row in rows:
-        while row:
-            low = row & -row
-            if low in basis:
-                row ^= basis[low]
-            else:
-                basis[low] = row
-                break
+        row = _reduce(row, basis)
+        if row:
+            basis[row & -row] = row
     return len(basis)
 
 
@@ -269,18 +297,29 @@ def erasure_ml_fails(h: BitMatrix, idx: EdgeIndex, erased: Iterable[int]) -> boo
     the root itself is never observed).  Recovery fails exactly when some
     null-space vector has root coordinate 1 and support inside the erased
     set, i.e. when the root column is in the span of the erased columns.
+    The erased columns are reduced into a basis, then the root column
+    against it; once the basis spans all rows the root is in the span.
     """
-    cols = [h.column(c) for c in set(erased)]
-    base = _rank_of_rows(cols)
-    with_root = _rank_of_rows(cols + [h.column(0)])
-    return with_root == base
+    erased = list(erased)
+    for c in (min(erased, default=1), max(erased, default=1)):
+        if not 1 <= c < h.ncols:
+            raise ValueError(f"erased index {c} outside the edge columns 1..{h.ncols - 1}")
+    cols = h.columns()
+    basis: dict[int, int] = {}
+    for c in erased:
+        vec = _reduce(cols[c], basis)
+        if vec:
+            basis[vec & -vec] = vec
+            if len(basis) == h.nrows:
+                return True
+    return _reduce(h.column(0), basis) == 0
 
 
 def sample_erasure_pattern(idx: EdgeIndex, delta, seed: int, trial: int = 0) -> list[int]:
     """Edge columns erased i.i.d. with probability 2*delta."""
     d = as_delta(delta, noiseless_ok=True)
     u = uniforms(derive_seed(seed, TAG_ERASE, trial), idx.n_edges)
-    return [i + 1 for i in range(idx.n_edges) if u[i] < 2.0 * d]
+    return (np.flatnonzero(u < 2.0 * d) + 1).tolist()
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,37 @@ def grid_joint_by_enumeration(
     return dist
 
 
+def grid_dense_dp(
+    f1: Gate, f2: Gate, delta: float, depth: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Root-1 and root-0 level-word distributions for levels 0..depth by
+    multiplying with each level's dense 2^k x 2^(k+1) transition matrix.
+
+    Costs O(4^k) per level, so keep depth <= 11.  Word encoding matches
+    the package: node j at bit j.
+    """
+    def weight(flip: int) -> float:
+        return delta if flip else 1.0 - delta
+
+    # P(node = 1): p2[b] for a boundary node, p11[a][b] for left/right parents a, b
+    p2 = np.array([sum(weight(z) * f2(b ^ z) for z in (0, 1)) for b in (0, 1)])
+    p11 = np.array([
+        [sum(weight(z1) * weight(z2) * f1(a ^ z1, b ^ z2) for z1 in (0, 1) for z2 in (0, 1)) for b in (0, 1)]
+        for a in (0, 1)
+    ])
+    plus, minus = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    out = [(plus, minus)]
+    for k in range(1, depth + 1):
+        bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+        probs = [p2[bits[:, 0]]] + [p11[bits[:, j - 1], bits[:, j]] for j in range(1, k)] + [p2[bits[:, k - 1]]]
+        block = np.ones((1 << k, 1))
+        for pj in probs:  # node j's bit lands above the bits of nodes 0..j-1
+            block = np.concatenate([block * (1.0 - pj[:, None]), block * pj[:, None]], axis=1)
+        plus, minus = plus @ block, minus @ block
+        out.append((plus, minus))
+    return out
+
+
 def xor_grid_bits_by_recursion(
     depth: int, root: int, noise: dict[tuple[int, int, int], int]
 ) -> list[int]:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dagbroadcast import grid as grid_mod
 from dagbroadcast.model import LayerSchedule
 from dagbroadcast.sigma import exact_chain, tv
 from dagbroadcast.cli import (
@@ -142,6 +143,16 @@ class TestRunDrivers:
         assert erasure[0].k == 4
         assert "erasure failure frequency" in summary
 
+    def test_grid_depth_beyond_cap_is_reported(self, monkeypatch, capsys):
+        monkeypatch.setattr(grid_mod, "DEFAULT_DEPTH_CAP", 4)
+        cfg = ExperimentConfig(model="grid-xor", delta_start=0.2, delta_stop=0.2, depth=6, trials=50)
+        rows, summary = run(cfg)
+        err = capsys.readouterr().err
+        for text in (summary, err):
+            assert "requested depth 6" in text and "reach depth 4" in text
+        assert max(r.k for r in rows if r.metric != "erasure_fail") == 4
+        assert [r.k for r in rows if r.metric == "erasure_fail"] == [6]
+
     def test_percolation_rows(self):
         cfg = ExperimentConfig(
             model="percolation", delta_start=0.9, delta_stop=0.9, depth=30, trials=100
@@ -226,6 +237,24 @@ class TestMain:
     def test_grid_exact_command(self, capsys):
         assert main(["grid-exact", "--gate", "xor", "--delta", "0.2", "--depth", "3"]) == 0
         assert "tv=" in capsys.readouterr().out
+
+    def test_grid_exact_at_power_of_two_depth(self, capsys):
+        assert main(["grid-exact", "--gate", "xor", "--delta", "0.1", "--depth", "16"]) == 0
+        assert "k=16 tv=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["grid-exact", "--gate", "and", "--delta", "0.1", "--depth", "0"], "depth"),
+            (["grid-exact", "--gate", "and", "--delta", "0.6"], "delta"),
+            (["grid-xor", "--k", "0", "--delta", "0.1"], "k"),
+        ],
+    )
+    def test_grid_bad_argument_exit_code(self, argv, field, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"field {field}:" in err and "Traceback" not in err
 
     def test_grid_and_couple_command(self, capsys):
         assert main(["grid-and-couple", "--delta", "0.35", "--depth", "20", "--trials", "300"]) == 0

@@ -10,9 +10,11 @@ from dagbroadcast.grid import (
     grid_mc_tv_estimate,
     grid_propagate,
 )
-from oracles import grid_joint_by_enumeration
+from oracles import grid_dense_dp, grid_joint_by_enumeration
 
 NOT = Gate("NOT", 1, (1, 0))
+# left parent AND NOT right parent: the one gate here that tells its inputs apart
+ANDN = Gate("ANDN", 2, (0, 1, 0, 0))
 
 
 class TestGridPropagate:
@@ -71,6 +73,15 @@ class TestExactDp:
                 oracle = grid_joint_by_enumeration(f1, f2, delta, depth, root)
                 np.testing.assert_allclose(vec, oracle, atol=1e-12)
 
+    @pytest.mark.parametrize("f1", [AND2, OR2, XOR2, ANDN])
+    @pytest.mark.parametrize("f2", [IDENTITY, NOT])
+    @pytest.mark.parametrize("delta", [0.0, 0.13, 0.3])
+    def test_matches_dense_oracle(self, f1, f2, delta):
+        dists = grid_exact_distribution(f1, f2, delta, 10)
+        for dist, (plus, minus) in zip(dists, grid_dense_dp(f1, f2, delta, 10), strict=True):
+            np.testing.assert_allclose(dist.plus, plus, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(dist.minus, minus, rtol=0, atol=1e-13)
+
     def test_level_one_tv_closed_form(self):
         # both level-1 nodes are boundary nodes: two independent noisy
         # copies of the root, so TV = (1 - delta)^2 - delta^2 = 1 - 2 delta
@@ -92,10 +103,10 @@ class TestExactDp:
             assert d.minus[0] == pytest.approx(1.0)
 
     def test_depth_cap(self):
-        with pytest.raises(BudgetExceededError):
-            grid_exact_distribution(AND2, IDENTITY, 0.1, 13)
-        dists = grid_exact_distribution(AND2, IDENTITY, 0.1, 13, depth_cap=13)
-        assert dists[-1].level == 13
+        with pytest.raises(BudgetExceededError, match="128 MiB"):
+            grid_exact_distribution(AND2, IDENTITY, 0.1, 21)
+        dists = grid_exact_distribution(AND2, IDENTITY, 0.1, 21, depth_cap=21)
+        assert dists[-1].level == 21
 
     def test_xor_grid_tv_decays(self):
         dists = grid_exact_distribution(XOR2, IDENTITY, 0.2, 10)

@@ -65,6 +65,17 @@ class TestBitMatrix:
                 dense[:, c], [(packed >> r) & 1 for r in range(3)]
             )
 
+    def test_columns_follow_later_edits(self):
+        m = BitMatrix(3, 4, [0b1010, 0b0111, 0b1100])
+        assert m.column(0) == 0b010
+        m.set(0, 0, 1)
+        assert m.column(0) == 0b011
+        assert m.columns()[0] == 0b011
+        m.rows[2] ^= 0b0001
+        assert m.column(0) == 0b111
+        with pytest.raises(IndexError):
+            m.column(4)
+
     def test_mul_vector(self):
         m = BitMatrix(2, 3, [0b011, 0b110])
         assert m.mul_vector(0b001) == 0b01
@@ -226,6 +237,28 @@ class TestErasure:
             )
             assert erasure_ml_fails(h, idx, pattern) == in_span
 
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_span_test_matches_rank_equality(self, k):
+        h, idx = build_Hk(k)
+        rng = np.random.default_rng(200 + k)
+        outcomes = set()
+        for _ in range(100):
+            rate = rng.uniform(0.0, 0.3)
+            pattern = [c for c in range(1, h.ncols) if rng.random() < rate]
+            erased = [h.column(c) for c in pattern]
+            base = f2_rank(BitMatrix(len(erased), h.nrows, erased))
+            with_root = f2_rank(BitMatrix(len(erased) + 1, h.nrows, erased + [h.column(0)]))
+            fails = erasure_ml_fails(h, idx, pattern)
+            assert fails == (with_root == base)
+            outcomes.add(fails)
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("bad", [0, -1, 73])
+    def test_erased_index_range_checked(self, bad):
+        h, idx = build_Hk(8)  # 73 columns: the root and 72 edges
+        with pytest.raises(ValueError, match=f"erased index {bad} "):
+            erasure_ml_fails(h, idx, [3, bad, 5])
+
     def test_pattern_sampling_rate(self):
         idx = EdgeIndex.build(20)
         delta = 0.15
@@ -250,6 +283,18 @@ class TestErasure:
         exact = grid_exact_distribution(XOR2, IDENTITY, delta, k)[k].ml_error()
         est = erasure_mc_error_bound(k, delta, 2000, seed=2)
         assert est.ci_low <= exact + 1e-9
+
+    @pytest.mark.parametrize("delta", [0.05, 0.1])
+    def test_bound_below_exact_ml_error_at_power_of_two(self, delta):
+        # at k = 16 the weight-3 certificate applies, and the exact DP and
+        # the erasure bound can be compared there
+        exact = grid_exact_distribution(XOR2, IDENTITY, delta, 16)[16].ml_error()
+        est = erasure_mc_error_bound(16, delta, 2000, seed=16)
+        assert est.ci_low <= exact
+
+    def test_mc_bound_pinned(self):
+        # guards the random stream and the span test together
+        assert erasure_mc_error_bound(12, 0.05, 400, 7).failure_freq == 0.3525
 
 
 class TestExport:

@@ -68,11 +68,29 @@ CSV_HEADER = [
     "trials",
 ]
 
+DEFAULT_BUDGET = 4096
+
 GRID_GATES = {"and": AND2, "or": OR2, "xor": XOR2, "nand": NAND2}
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _require(ok: bool, field: str, message: str) -> None:
+    if not ok:
+        raise ConfigError(f"field {field}: {message}")
+
+
+def _require_delta(value: float, field: str) -> None:
+    _require(0.0 <= value < 0.5, field, f"{value} out of range [0, 1/2)")
+
+
+def _parse_schedule(text: str) -> LayerSchedule:
+    try:
+        return LayerSchedule.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"field schedule: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -92,7 +110,7 @@ class ExperimentConfig:
     trials: int = 0
     seed: int = 0
     out: str = ""
-    budget: int = 4096
+    budget: int = DEFAULT_BUDGET
     tv_epsilon: float = 0.01
     d: int = 3
 
@@ -117,10 +135,7 @@ class ExperimentConfig:
             raise ConfigError("field budget: must be >= 1")
         if self.d < 1:
             raise ConfigError("field d: must be >= 1")
-        try:
-            LayerSchedule.parse(self.schedule)
-        except ValueError as exc:
-            raise ConfigError(f"field schedule: {exc}") from exc
+        _parse_schedule(self.schedule)
 
     def deltas(self) -> np.ndarray:
         if self.delta_count == 1:
@@ -209,8 +224,10 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
     schedule = LayerSchedule.parse(config.schedule)
     rows: list[ResultRow] = []
     finals: list[tuple[float, float]] = []
+    dropped = 0.0
     for delta in config.deltas():
         chain = sigma_mod.exact_chain(model, float(delta), schedule, config.depth, config.budget)
+        dropped = max(dropped, chain[-1].dropped)
         report_levels = [
             d for d in chain[1:] if model == "maj3" or d.level % 2 == 0
         ]
@@ -222,7 +239,10 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
                 _exact_row(config.model, delta, dist.level, dist.L, "mi_bits", sigma_mod.mutual_information(dist), config.seed)
             )
         finals.append((float(delta), sigma_mod.tv(report_levels[-1])))
-    summary = [f"{config.model}: exact chain to depth {config.depth}, schedule {config.schedule}"]
+    summary = [
+        f"{config.model}: exact chain to depth {config.depth}, schedule {config.schedule}",
+        f"banded kernels: TV within {dropped:.3g} of the untruncated chain at every level",
+    ]
     crossing = next((d for d, t in finals if t < config.tv_epsilon), None)
     if crossing is not None:
         below = [d for d, t in finals if t >= config.tv_epsilon and d < crossing]
@@ -391,7 +411,7 @@ def threshold_bisect(
     cutoff: float = 0.01,
     delta_lo: float = 0.05,
     delta_hi: float = 0.45,
-    budget: int = 4096,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[float, float]:
     """Bisect delta on the criterion "final-level exact TV < cutoff".
 
@@ -439,7 +459,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed (default: NBL_SEED or 0)")
     parser.add_argument("--out", default="", help="CSV output path")
     parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; results are thread-count independent")
-    parser.add_argument("--budget", type=int, default=4096, help="max layer size for exact kernels")
+    parser.add_argument("--budget", type=int, default=None, help=f"max layer size for exact kernels (default {DEFAULT_BUDGET})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -527,7 +547,12 @@ def _seed_of(args: argparse.Namespace) -> int:
     return args.seed if args.seed is not None else _default_seed()
 
 
+def _budget_of(args: argparse.Namespace) -> int:
+    return args.budget if args.budget is not None else DEFAULT_BUDGET
+
+
 def _cmd_fixed_points(args) -> int:
+    _require_delta(args.delta, "delta")
     report = sigma_mod.fixed_points(args.model, args.delta)
     print(f"model={report.model} delta={report.delta:g} lipschitz={report.lipschitz:.6f}")
     for pt in report.points:
@@ -545,7 +570,7 @@ def _cmd_single_delta(args, model_name: str) -> int:
         schedule=args.schedule,
         seed=_seed_of(args),
         out=args.out,
-        budget=args.budget,
+        budget=_budget_of(args),
     )
     _, summary = run(config)
     print(summary)
@@ -553,7 +578,10 @@ def _cmd_single_delta(args, model_name: str) -> int:
 
 
 def _cmd_mc_chain(args) -> int:
-    schedule = LayerSchedule.parse(args.schedule)
+    _require(args.trials >= 1, "trials", "must be >= 1")
+    _require(args.depth >= 1, "depth", "must be >= 1")
+    _require_delta(args.delta, "delta")
+    schedule = _parse_schedule(args.schedule)
     stats = sigma_mod.coupled_mc(args.model, args.delta, schedule, args.depth, args.trials, _seed_of(args))
     print(
         f"coupled chains: model={args.model} delta={args.delta:g} trials={args.trials} "
@@ -586,14 +614,9 @@ def _cmd_mc_chain(args) -> int:
     return 0
 
 
-def _require(ok: bool, field: str, message: str) -> None:
-    if not ok:
-        raise ConfigError(f"field {field}: {message}")
-
-
 def _cmd_grid_exact(args) -> int:
     _require(args.depth >= 1, "depth", "must be >= 1")
-    _require(0.0 <= args.delta < 0.5, "delta", f"{args.delta} out of range [0, 1/2)")
+    _require_delta(args.delta, "delta")
     model = "grid-xor" if args.gate == "xor" else "grid-and"
     f1 = GRID_GATES[args.gate]
     dists = grid_mod.grid_exact_distribution(f1, IDENTITY, args.delta, args.depth)
@@ -630,7 +653,7 @@ def _cmd_grid_and_couple(args) -> int:
 
 def _cmd_grid_xor(args) -> int:
     _require(args.k >= 1, "k", "must be >= 1")
-    _require(0.0 <= args.delta < 0.5, "delta", f"{args.delta} out of range [0, 1/2)")
+    _require_delta(args.delta, "delta")
     h, idx = xorcode_mod.build_Hk(args.k)
     lucas = [xorcode_mod.binom_parity(args.k, j) for j in range(args.k + 1)]
     col_ok = all(h.get(j, 0) == lucas[j] for j in range(args.k + 1))
@@ -704,7 +727,8 @@ def _cmd_sweep(args) -> int:
         overrides["seed"] = args.seed
     if args.out:
         overrides["out"] = args.out
-    overrides["budget"] = args.budget
+    if args.budget is not None:
+        overrides["budget"] = args.budget
     config = replace(config, **overrides)
     if config.seed == 0 and args.seed is None:
         config = replace(config, seed=_default_seed())
@@ -714,7 +738,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bisect(args) -> int:
-    schedule = LayerSchedule.parse(args.schedule)
+    schedule = _parse_schedule(args.schedule)
+    _require(args.depth >= 1, "depth", "must be >= 1")
+    _require_delta(args.delta_lo, "delta_lo")
+    _require_delta(args.delta_hi, "delta_hi")
     lo, hi = threshold_bisect(
         args.model,
         schedule,
@@ -723,7 +750,7 @@ def _cmd_bisect(args) -> int:
         cutoff=args.cutoff,
         delta_lo=args.delta_lo,
         delta_hi=args.delta_hi,
-        budget=args.budget,
+        budget=_budget_of(args),
     )
     print(f"bracket: [{lo:.6f}, {hi:.6f}] (width {hi - lo:.2g})")
     return 0

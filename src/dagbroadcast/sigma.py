@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -45,8 +46,8 @@ __all__ = [
     "g_andor",
     "g_derivative",
     "fixed_points",
-    "bisect_fixed_point",
     "lipschitz",
+    "BinomialKernel",
     "binomial_pmf_table",
     "exact_step",
     "exact_chain",
@@ -89,22 +90,35 @@ def _check_model(model: str) -> str:
 # g-curves
 
 
+# P(gate = 1) when each input bit is 1 with probability m.  The constants
+# are integers so the same code evaluates floats, arrays and Fractions.
+
+
+def _maj3_gate(m):
+    return m ** 2 * (3 - 2 * m)
+
+
+def _and_gate(m):
+    return m ** 2
+
+
+def _or_gate(m):
+    return 1 - (1 - m) ** 2
+
+
 def g_majority(sigma, delta):
     """Conditional mean map for the degree-3 majority model."""
-    m = convolve(np.asarray(sigma, dtype=float), delta)
-    return m ** 2 * (3.0 - 2.0 * m)
+    return _maj3_gate(convolve(np.asarray(sigma, dtype=float), delta))
 
 
 def g_and(sigma, delta):
     """AND-stage map: probability both noisy inputs are 1."""
-    m = convolve(np.asarray(sigma, dtype=float), delta)
-    return m ** 2
+    return _and_gate(convolve(np.asarray(sigma, dtype=float), delta))
 
 
 def g_or(sigma, delta):
     """OR-stage map: probability at least one noisy input is 1."""
-    m = convolve(np.asarray(sigma, dtype=float), delta)
-    return 1.0 - (1.0 - m) ** 2
+    return _or_gate(convolve(np.asarray(sigma, dtype=float), delta))
 
 
 def g_andor(sigma, delta):
@@ -124,10 +138,20 @@ def g_derivative(model: str, sigma, delta):
     return 4.0 * (1.0 - 2.0 * d) ** 2 * inner * (1.0 - convolve(s, d))
 
 
-def _g_for(model: str, delta: float):
+def _stage_g(model: str, delta: float, k: int | None = None):
+    """g-curve of the step into level k, or of one whole period if k is None.
+
+    maj3 applies g_majority at every level.  andor2 applies the OR stage
+    entering odd levels and the AND stage entering even levels, so its
+    period map, the one whose fixed points matter, is g_andor.
+    """
     if model == MODEL_MAJ3:
-        return lambda s: g_majority(s, delta)
-    return lambda s: g_andor(s, delta)
+        g = g_majority
+    elif k is None:
+        g = g_andor
+    else:
+        g = g_or if k % 2 == 1 else g_and
+    return lambda s: g(s, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -148,48 +172,35 @@ class FixedPointReport:
     lipschitz: float
 
 
-def bisect_fixed_point(g, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 200) -> float:
-    """Locate a root of g(x) - x in [lo, hi] by bisection.
+def _exact_residual(model: str, delta: float, x: float) -> Fraction:
+    """g(x) - x of the period map in exact rational arithmetic."""
+    d, s = Fraction(delta), Fraction(x)
 
-    The bracket must have a sign change.  This is the generic fallback for
-    gates without closed-form fixed points, and the cross-check oracle for
-    the ones that have them.
+    def noisy(v):
+        return v * (1 - d) + d * (1 - v)
+
+    if model == MODEL_MAJ3:
+        return _maj3_gate(noisy(s)) - s
+    return _and_gate(noisy(_or_gate(noisy(s)))) - s
+
+
+def _cross_check(model: str, delta: float, value: float, tol: float = 1e-10) -> None:
+    """Verify that a root of g(x) - x lies within ``tol`` of a closed form.
+
+    The bracket [value - tol, value + tol] isolates the root from its
+    neighbours, and the residual's sign at its ends is exact, since g is a
+    polynomial in x and delta.  Near the critical delta |g' - 1| falls to
+    1e-10, so float rounding of g(x) - x alone would move a float
+    bisection's root by up to 1e-7.
     """
-    f_lo = g(lo) - lo
-    f_hi = g(hi) - hi
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise ValueError("bracket does not contain a sign change")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = g(mid) - mid
-        if f_mid == 0.0 or hi - lo < tol:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def _cross_check(g, value: float, tol: float = 1e-10) -> None:
-    """Verify a closed-form fixed point against a local bisection."""
-    for h in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
-        lo = max(0.0, value - h)
-        hi = min(1.0, value + h)
-        f_lo = g(lo) - lo
-        f_hi = g(hi) - hi
-        if (f_lo > 0) != (f_hi > 0) or f_lo == 0.0 or f_hi == 0.0:
-            root = bisect_fixed_point(g, lo, hi)
-            if abs(root - value) > tol:
-                raise ArithmeticError(
-                    f"closed-form fixed point {value} disagrees with bisection {root}"
-                )
-            return
-    raise ArithmeticError(f"no bisection bracket found around fixed point {value}")
+    lo = max(0.0, value - tol)
+    hi = min(1.0, value + tol)
+    f_lo = _exact_residual(model, delta, lo)
+    f_hi = _exact_residual(model, delta, hi)
+    if f_lo != 0 and f_hi != 0 and (f_lo > 0) == (f_hi > 0):
+        raise ArithmeticError(
+            f"no root of g(x) - x within {tol:g} of closed-form fixed point {value}"
+        )
 
 
 def lipschitz(model: str, delta) -> float:
@@ -204,7 +215,7 @@ def lipschitz(model: str, delta) -> float:
 
 
 def fixed_points(model: str, delta) -> FixedPointReport:
-    """Closed-form fixed points of g, cross-validated by bisection.
+    """Closed-form fixed points of g, each checked to lie within 1e-10 of a root.
 
     Below the critical delta the map has three fixed points, above it a
     single one.  Exactly at the critical value the roots merge; that case
@@ -212,7 +223,7 @@ def fixed_points(model: str, delta) -> FixedPointReport:
     """
     model = _check_model(model)
     d = as_delta(delta, noiseless_ok=True)
-    g = _g_for(model, d)
+    g = _stage_g(model, d)
 
     if model == MODEL_MAJ3:
         if abs(d - DELTA_MAJ) < 1e-12:
@@ -240,7 +251,7 @@ def fixed_points(model: str, delta) -> FixedPointReport:
     for v in values:
         if abs(g(v) - v) >= 1e-12:
             raise ArithmeticError(f"fixed-point residual too large at {v}")
-        _cross_check(g, v)
+        _cross_check(model, d, v)
         slope = float(np.abs(g_derivative(model, v, d)))
         points.append(FixedPoint(value=float(v), stable=slope < 1.0))
     return FixedPointReport(model, d, tuple(points), lipschitz(model, d))
@@ -249,19 +260,29 @@ def fixed_points(model: str, delta) -> FixedPointReport:
 # ---------------------------------------------------------------------------
 # Exact chain
 
+# Kernel rows are computed only on their Hoeffding window n*p +- t, with
+# t = ceil(sqrt(n * ln(2 / BAND_EPS) / 2)), which holds all but at most
+# BAND_EPS of a row's mass.  Rows are stored in dense blocks of BLOCK_ROWS.
+BAND_EPS = 1e-20
+BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class SigmaDistribution:
     """Root-conditional distributions of the level-k one-count.
 
     ``plus[m]`` is P(one-count = m | root = 1), ``minus`` the same for
-    root = 0, over m in {0, ..., L}.
+    root = 0, over m in {0, ..., L}.  ``dropped`` bounds the L1 distance
+    of each from the untruncated chain's, so TV is exact to within
+    ``dropped`` and ML error to within half of it; it is 0.0 when no
+    kernel row on the way was truncated.
     """
 
     level: int
     L: int
     plus: np.ndarray
     minus: np.ndarray
+    dropped: float = 0.0
 
     def __post_init__(self) -> None:
         for vec in (self.plus, self.minus):
@@ -271,37 +292,107 @@ class SigmaDistribution:
                 raise ValueError("distribution must be normalized and nonnegative")
 
 
-def binomial_pmf_table(n: int, p: np.ndarray) -> np.ndarray:
-    """Rows of Binomial(n, p_i) pmfs, computed in log space.
+@dataclass(frozen=True)
+class BinomialKernel:
+    """Banded table of Binomial(n, p_i) pmf rows.
 
-    Log-gamma keeps the computation stable for n in the thousands; rows
-    are renormalized when accumulated drift exceeds 1e-12.
+    Rows ``i*BLOCK_ROWS`` onwards form ``blocks[i]``, which holds their
+    pmf on columns ``starts[i]`` to ``starts[i] + blocks[i].shape[1] - 1``
+    and 0 elsewhere.  ``drop[i]`` is a certified upper bound on the mass
+    row i has outside its block's columns.
+    """
+
+    n: int
+    blocks: tuple[np.ndarray, ...]
+    starts: tuple[int, ...]
+    drop: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Number of table entries computed."""
+        return sum(block.size for block in self.blocks)
+
+    def toarray(self) -> np.ndarray:
+        table = np.zeros((len(self.drop), self.n + 1))
+        for r0, block, c0 in self._placed():
+            table[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
+        return table
+
+    def apply(self, pair: np.ndarray) -> np.ndarray:
+        """``pair @ toarray()`` for a (2, rows) pair, one matmul per block."""
+        out = np.zeros((pair.shape[0], self.n + 1))
+        for r0, block, c0 in self._placed():
+            out[:, c0:c0 + block.shape[1]] += pair[:, r0:r0 + block.shape[0]] @ block
+        return out
+
+    def _placed(self):
+        return zip(range(0, len(self.drop), BLOCK_ROWS), self.blocks, self.starts)
+
+
+def binomial_pmf_table(n: int, p: np.ndarray) -> BinomialKernel:
+    """Rows of Binomial(n, p_i) pmfs, computed in log space on their bands.
+
+    Row i is computed on its Hoeffding window n*p_i +- t (see BAND_EPS);
+    each block of BLOCK_ROWS rows spans the union of its rows' windows.
+    The mass a row has outside its block is bounded by Hoeffding's
+    inequality at the block edges and reported in ``drop``.  When 2t >= n
+    every row is computed in full and the table is dense with zero drop.
+    p <= 0 and p >= 1 rows are exact point masses.  Log-gamma keeps the
+    computation stable for n in the thousands; rows are renormalized when
+    accumulated drift exceeds 1e-12.
     """
     p = np.asarray(p, dtype=float)
     k = np.arange(n + 1, dtype=float)
     log_comb = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     safe = np.clip(p, 1e-300, 1.0 - 1e-16)
-    with np.errstate(divide="ignore"):
-        log_pmf = log_comb[None, :] + k[None, :] * np.log(safe)[:, None]
-        log_pmf += (n - k)[None, :] * np.log1p(-safe)[:, None]
-    pmf = np.exp(log_pmf)
-    pmf[p <= 0.0] = 0.0
-    pmf[p <= 0.0, 0] = 1.0
-    pmf[p >= 1.0] = 0.0
-    pmf[p >= 1.0, n] = 1.0
-    sums = pmf.sum(axis=1)
-    drift = np.abs(sums - 1.0)
-    if drift.max() > 1e-12:
-        pmf = pmf / sums[:, None]
-    return pmf
+    log_p, log_q = np.log(safe), np.log1p(-safe)
+    mean = n * p
+    t = math.ceil(math.sqrt(n * math.log(2.0 / BAND_EPS) / 2.0))
+    if 2 * t >= n:
+        t = n  # the windows cover at least half of each row: compute rows in full
+    lo = np.clip(np.floor(mean - t), 0, n).astype(np.int64)
+    hi = np.clip(np.ceil(mean + t), 0, n).astype(np.int64)
+    blocks, starts = [], []
+    edge_lo, edge_hi = np.empty_like(lo), np.empty_like(hi)
+    for r0 in range(0, len(p), BLOCK_ROWS):
+        rows = slice(r0, r0 + BLOCK_ROWS)
+        c0, c1 = int(lo[rows].min()), int(hi[rows].max()) + 1
+        block = np.multiply.outer(log_p[rows], k[c0:c1])
+        block += log_comb[c0:c1]
+        block += np.multiply.outer(log_q[rows], n - k[c0:c1])
+        blocks.append(np.exp(block, out=block))
+        starts.append(c0)
+        edge_lo[rows], edge_hi[rows] = c0, c1
+    # Hoeffding: P(X <= np - s) and P(X >= np + s) are each <= exp(-2 s^2 / n)
+    drop = np.where(edge_lo > 0, np.exp(-2.0 * (mean - edge_lo + 1) ** 2 / n), 0.0)
+    drop += np.where(edge_hi <= n, np.exp(-2.0 * (edge_hi - mean) ** 2 / n), 0.0)
+    for i in np.flatnonzero((p <= 0.0) | (p >= 1.0)):
+        b, r = divmod(i, BLOCK_ROWS)
+        blocks[b][r] = 0.0
+        blocks[b][r, (0 if p[i] <= 0.0 else n) - starts[b]] = 1.0
+        drop[i] = 0.0
+    sums = [block.sum(axis=1) for block in blocks]
+    if max(np.abs(row_sums - 1.0).max() for row_sums in sums) > 1e-12:
+        for block, row_sums in zip(blocks, sums):
+            block /= row_sums[:, None]
+    return BinomialKernel(n, tuple(blocks), tuple(starts), drop)
 
 
-def _renorm(vec: np.ndarray) -> np.ndarray:
+def _renorm(pair: np.ndarray) -> np.ndarray:
     """Remove float round-off drift; refuse anything beyond round-off scale."""
-    total = vec.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ArithmeticError(f"probability mass drifted to {total}")
-    return vec / total
+    totals = pair.sum(axis=-1, keepdims=True)
+    if np.abs(totals - 1.0).max() > 1e-9:
+        raise ArithmeticError(f"probability mass drifted to {totals.ravel()}")
+    return pair / totals
+
+
+def _advance(dist: SigmaDistribution, kernel: BinomialKernel) -> SigmaDistribution:
+    """Apply one transition kernel to the conditional pair."""
+    pair = _renorm(kernel.apply(np.stack((dist.plus, dist.minus))))
+    # truncation changes each conditional by <= max drop in L1, and
+    # renormalizing it afterwards by as much again
+    dropped = dist.dropped + 2.0 * float(kernel.drop.max())
+    return SigmaDistribution(dist.level + 1, kernel.n, pair[0], pair[1], dropped)
 
 
 def exact_step(dist: SigmaDistribution, g, L_next: int) -> SigmaDistribution:
@@ -310,22 +401,7 @@ def exact_step(dist: SigmaDistribution, g, L_next: int) -> SigmaDistribution:
     ``g`` maps an array of sigma values to next-level Bernoulli means.
     """
     sig = np.arange(dist.L + 1, dtype=float) / dist.L
-    kernel = binomial_pmf_table(L_next, np.asarray(g(sig), dtype=float))
-    return SigmaDistribution(
-        level=dist.level + 1,
-        L=L_next,
-        plus=_renorm(dist.plus @ kernel),
-        minus=_renorm(dist.minus @ kernel),
-    )
-
-
-def _stage_g(model: str, delta: float, k: int):
-    """g-curve used for the step into level k."""
-    if model == MODEL_MAJ3:
-        return lambda s: g_majority(s, delta)
-    if k % 2 == 1:
-        return lambda s: g_or(s, delta)
-    return lambda s: g_and(s, delta)
+    return _advance(dist, binomial_pmf_table(L_next, np.asarray(g(sig), dtype=float)))
 
 
 def exact_chain(
@@ -339,8 +415,11 @@ def exact_chain(
 
     For ``andor2`` the OR stage is applied entering odd levels and the
     AND stage entering even levels; meaningful comparisons for that model
-    should be made at even levels.  Kernels are cached per (stage, layer
-    sizes), so constant schedules pay the O(L^2) kernel cost once.
+    should be made at even levels.  Kernels are banded (see
+    ``binomial_pmf_table``), and each level's ``dropped`` carries the
+    certified bound on what the bands left out.  One kernel per stage is
+    kept and reused while the layer sizes repeat, so constant schedules
+    pay the kernel cost once and memory holds O(1) kernels.
     """
     model = _check_model(model)
     d = as_delta(delta, noiseless_ok=True)
@@ -349,7 +428,7 @@ def exact_chain(
     dists = [
         SigmaDistribution(0, 1, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     ]
-    kernel_cache: dict[tuple[int, int, int], np.ndarray] = {}
+    kernels: dict[int, tuple[tuple[int, int], BinomialKernel]] = {}
     for k in range(1, depth + 1):
         L_next = schedule.size(k)
         if L_next > budget:
@@ -357,18 +436,13 @@ def exact_chain(
                 f"layer size {L_next} at level {k} exceeds budget {budget}"
             )
         prev = dists[-1]
-        stage = 0 if model == MODEL_MAJ3 else (k % 2 + 1)
-        key = (stage, prev.L, L_next)
-        kernel = kernel_cache.get(key)
-        if kernel is None:
+        stage = 0 if model == MODEL_MAJ3 else k % 2 + 1
+        sizes, kernel = kernels.get(stage, (None, None))
+        if sizes != (prev.L, L_next):
             sig = np.arange(prev.L + 1, dtype=float) / prev.L
             kernel = binomial_pmf_table(L_next, _stage_g(model, d, k)(sig))
-            kernel_cache[key] = kernel
-        dists.append(
-            SigmaDistribution(
-                k, L_next, _renorm(prev.plus @ kernel), _renorm(prev.minus @ kernel)
-            )
-        )
+            kernels[stage] = ((prev.L, L_next), kernel)
+        dists.append(_advance(prev, kernel))
     return dists
 
 
@@ -393,11 +467,13 @@ def ml_rule(dist: SigmaDistribution) -> np.ndarray:
 
 def mutual_information(dist: SigmaDistribution) -> float:
     """I(root; one-count) in bits under the uniform root prior."""
-    mix = 0.5 * (dist.plus + dist.minus)
+    # plus + minus rather than their half, which underflows to 0 where one
+    # of them is the smallest subnormal and the other 0
+    both = dist.plus + dist.minus
     total = 0.0
     for vec in (dist.plus, dist.minus):
         mask = vec > 0
-        total += 0.5 * float(np.sum(vec[mask] * np.log2(vec[mask] / mix[mask])))
+        total += 0.5 * float(np.sum(vec[mask] * np.log2(2.0 * vec[mask] / both[mask])))
     return max(0.0, total)
 
 

@@ -8,8 +8,10 @@ tests compare two independent routes to the same numbers.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import gammaln
 
-from dagbroadcast.model import Gate
+from dagbroadcast.model import Gate, LayerSchedule
+from dagbroadcast.sigma import g_and, g_majority, g_or
 
 
 def grid_joint_by_enumeration(
@@ -77,6 +79,48 @@ def grid_dense_dp(
         for pj in probs:  # node j's bit lands above the bits of nodes 0..j-1
             block = np.concatenate([block * (1.0 - pj[:, None]), block * pj[:, None]], axis=1)
         plus, minus = plus @ block, minus @ block
+        out.append((plus, minus))
+    return out
+
+
+def _dense_pmf_table(n: int, p: np.ndarray) -> np.ndarray:
+    """Dense (len(p), n + 1) table of Binomial(n, p_i) pmfs in log space."""
+    k = np.arange(n + 1, dtype=float)
+    log_comb = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    safe = np.clip(p, 1e-300, 1.0 - 1e-16)
+    log_pmf = log_comb[None, :] + k[None, :] * np.log(safe)[:, None]
+    log_pmf += (n - k)[None, :] * np.log1p(-safe)[:, None]
+    pmf = np.exp(log_pmf)
+    pmf[p <= 0.0] = 0.0
+    pmf[p <= 0.0, 0] = 1.0
+    pmf[p >= 1.0] = 0.0
+    pmf[p >= 1.0, n] = 1.0
+    sums = pmf.sum(axis=1)
+    if np.abs(sums - 1.0).max() > 1e-12:
+        pmf = pmf / sums[:, None]
+    return pmf
+
+
+def dense_chain(
+    model: str, delta: float, schedule: LayerSchedule, depth: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Root-1 and root-0 one-count distributions for levels 0..depth from
+    full (L_prev + 1) x (L + 1) kernels, applied by two mat-vecs per level.
+
+    maj3 applies g_majority at every level; andor2 applies g_or entering
+    odd levels and g_and entering even ones.
+    """
+    plus, minus = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    out = [(plus, minus)]
+    kernels: dict[tuple, np.ndarray] = {}
+    for k in range(1, depth + 1):
+        g = g_majority if model == "maj3" else (g_or if k % 2 == 1 else g_and)
+        L_prev, L = len(plus) - 1, schedule.size(k)
+        key = (g, L_prev, L)
+        if key not in kernels:
+            kernels[key] = _dense_pmf_table(L, g(np.arange(L_prev + 1) / L_prev, delta))
+        plus, minus = plus @ kernels[key], minus @ kernels[key]
+        plus, minus = plus / plus.sum(), minus / minus.sum()
         out.append((plus, minus))
     return out
 

@@ -54,8 +54,8 @@ def test_criterion_2_andor_threshold(capsys):
 
 
 def test_criterion_3_fixed_point_residuals(capsys):
-    # fixed_points() itself enforces |g(v) - v| < 1e-12 and agreement with
-    # bisection to 1e-10, raising on any violation
+    # fixed_points() itself enforces |g(v) - v| < 1e-12 and a root of
+    # g(x) - x within 1e-10, raising on any violation
     regimes = [
         ("maj3", np.linspace(0.002, DELTA_MAJ - 0.002, 100)),
         ("maj3", np.linspace(DELTA_MAJ + 0.002, 0.498, 100)),

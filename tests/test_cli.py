@@ -210,6 +210,13 @@ class TestThresholdBisect:
         assert threshold_bisect("maj3", sched, 10, cutoff=0.0) == (0.45, 0.45)
 
 
+def _assert_config_error(argv, field, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"field {field}:" in err and "Traceback" not in err
+
+
 class TestMain:
     def test_fixed_points_command(self, capsys):
         assert main(["fixed-points", "--model", "maj3", "--delta", "0.1"]) == 0
@@ -251,10 +258,22 @@ class TestMain:
         ],
     )
     def test_grid_bad_argument_exit_code(self, argv, field, capsys):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert f"field {field}:" in err and "Traceback" not in err
+        _assert_config_error(argv, field, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["bisect", "--model", "maj3", "--schedule", "foo"], "schedule"),
+            (["mc-chain", "--model", "maj3", "--delta", "0.1", "--trials", "0"], "trials"),
+            (["mc-chain", "--model", "maj3", "--delta", "0.6"], "delta"),
+            (["mc-chain", "--model", "maj3", "--delta", "0.1", "--depth", "0"], "depth"),
+            (["bisect", "--model", "maj3", "--depth", "0"], "depth"),
+            (["bisect", "--model", "andor2", "--delta-hi", "0.7"], "delta_hi"),
+            (["fixed-points", "--model", "maj3", "--delta", "0.7"], "delta"),
+        ],
+    )
+    def test_sigma_bad_argument_exit_code(self, argv, field, capsys):
+        _assert_config_error(argv, field, capsys)
 
     def test_grid_and_couple_command(self, capsys):
         assert main(["grid-and-couple", "--delta", "0.35", "--depth", "20", "--trials", "300"]) == 0
@@ -302,6 +321,13 @@ class TestMain:
         cfg_path.write_text("model=mystery\n")
         assert main(["sweep", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_sweep_keeps_config_budget(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("model=random-dag-maj3\nschedule=const:64\ndepth=3\nbudget=10\n")
+        assert main(["sweep", "--config", str(cfg_path)]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(cfg_path), "--budget", "64"]) == 0
 
     def test_budget_exit_code(self, capsys):
         code = main(["exact-chain", "--model", "maj3", "--delta", "0.2",

@@ -33,6 +33,9 @@ from dagbroadcast.sigma import (
     tv,
 )
 from dagbroadcast.model import sample_random_dag
+from dagbroadcast import sigma as sigma_mod
+
+from oracles import dense_chain
 
 
 def make_dist(level, plus, minus):
@@ -120,6 +123,15 @@ class TestFixedPoints:
             for p in fixed_points(model, float(d)).points:
                 assert abs(g(p.value, float(d)) - p.value) < 1e-12
 
+    @pytest.mark.parametrize("model, critical", [("maj3", DELTA_MAJ), ("andor2", DELTA_ANDOR)])
+    @pytest.mark.parametrize("offset", [-1e-8, -1e-9, -1e-10, 1e-10, 1e-9, 1e-8])
+    def test_near_critical(self, model, critical, offset):
+        report = fixed_points(model, critical + offset)
+        assert len(report.points) == (3 if offset < 0 else 1)
+        g = g_majority if model == "maj3" else g_andor
+        for p in report.points:
+            assert abs(g(p.value, critical + offset) - p.value) < 1e-12
+
     def test_stability_flags(self):
         report = fixed_points("maj3", 0.1)
         assert [p.stable for p in report.points] == [True, False, True]
@@ -147,21 +159,70 @@ class TestLipschitz:
 
 class TestBinomialPmf:
     def test_rows_normalized(self):
-        table = binomial_pmf_table(50, np.linspace(0, 1, 23))
+        table = binomial_pmf_table(50, np.linspace(0, 1, 23)).toarray()
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_scipy(self):
         from scipy.stats import binom
 
         p = np.array([0.0, 0.17, 0.5, 0.93, 1.0])
-        table = binomial_pmf_table(40, p)
+        table = binomial_pmf_table(40, p).toarray()
         for i, pi in enumerate(p):
             np.testing.assert_allclose(table[i], binom.pmf(np.arange(41), 40, pi), atol=1e-12)
 
     def test_large_n_stable(self):
-        table = binomial_pmf_table(5000, np.array([0.01, 0.99]))
+        table = binomial_pmf_table(5000, np.array([0.01, 0.99])).toarray()
         assert np.isfinite(table).all()
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [200, 1000, 4096])
+    def test_row_drop_bounds_missing_mass(self, n):
+        from scipy.stats import binom
+
+        p = np.concatenate([np.linspace(0, 1, 300), g_majority(np.linspace(0, 1, 300), 0.1)])
+        kernel = binomial_pmf_table(n, p)
+        table = kernel.toarray()
+        assert kernel.size < table.size
+        exact = binom.pmf(np.arange(n + 1)[None, :], n, p[:, None])
+        missing = np.where(table == 0.0, exact, 0.0).sum(axis=1)
+        assert (kernel.drop >= missing).all()
+        assert kernel.drop.max() <= sigma_mod.BAND_EPS
+
+    def test_apply_matches_dense_product(self):
+        kernel = binomial_pmf_table(700, g_or(np.linspace(0, 1, 301), 0.07))
+        pair = np.random.default_rng(0).random((2, 301))
+        np.testing.assert_allclose(kernel.apply(pair), pair @ kernel.toarray(), rtol=1e-13, atol=1e-16)
+
+
+def _window(L: int) -> int:
+    return math.ceil(math.sqrt(L * math.log(2 / sigma_mod.BAND_EPS) / 2))
+
+
+class TestBandedChain:
+    @pytest.mark.parametrize("model", ["maj3", "andor2"])
+    @pytest.mark.parametrize("spec, depth", [("const:64", 100), ("const:512", 100), ("linear", 200), ("log:10", 100)])
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.16, 0.18, 0.3])
+    def test_matches_dense_oracle(self, model, spec, depth, delta):
+        schedule = LayerSchedule.parse(spec)
+        chain = exact_chain(model, delta, schedule, depth)
+        oracle = dense_chain(model, delta, schedule, depth)
+        for dist, (plus, minus) in zip(chain, oracle):
+            err = max(np.abs(dist.plus - plus).sum(), np.abs(dist.minus - minus).sum())
+            assert err <= dist.dropped + 1e-13
+            assert abs(tv(dist) - 0.5 * np.abs(plus - minus).sum()) <= dist.dropped + 1e-13
+            if all(schedule.size(k) + 1 <= 2 * _window(schedule.size(k)) + 1 for k in range(1, dist.level + 1)):
+                assert dist.dropped == 0.0
+
+    def test_one_kernel_build_per_stage_on_constant_schedules(self, monkeypatch):
+        calls = []
+        build = sigma_mod.binomial_pmf_table
+        monkeypatch.setattr(sigma_mod, "binomial_pmf_table", lambda n, p: calls.append(n) or build(n, p))
+        exact_chain("maj3", 0.1, LayerSchedule.constant(300), 40)
+        assert len(calls) == 2
+        calls.clear()
+        # OR from 1 to 300, AND from 300 to 300, OR from 300 to 300
+        exact_chain("andor2", 0.1, LayerSchedule.constant(300), 40)
+        assert len(calls) == 3
 
 
 class TestExactChain:
@@ -248,6 +309,13 @@ class TestFunctionals:
         assert mutual_information(same) == 0
         disjoint = make_dist(1, [0, 1], [1, 0])
         assert mutual_information(disjoint) == pytest.approx(1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_mutual_information_finite_with_subnormal_mass(self):
+        # level 1 holds 5e-324 where the other conditional is 0
+        chain = exact_chain("maj3", 0.1, LayerSchedule.constant(1024), 50)
+        for dist in chain[1:]:
+            assert 0.0 <= mutual_information(dist) <= 1.0 + 1e-12
 
     def test_mutual_information_binary(self):
         d = make_dist(1, [0.972, 0.028], [0.028, 0.972])

@@ -1,11 +1,15 @@
 """Experiment orchestration and command-line interface.
 
 Configurations are flat key=value text files (CLI flags override file
-values).  Results are written as CSV with a fixed, sorted schema so that
-reruns with the same config and seed produce byte-identical output.
+values).  Every subcommand that writes rows turns its flags into one
+ExperimentConfig and hands it to ``run``, the only code that builds rows
+and writes a CSV.  Results are written as CSV with a fixed, sorted schema
+so that reruns with the same config and seed produce byte-identical
+output.
 
 Exit codes: 0 success, 2 configuration error, 3 budget exceeded.
-The environment variable NBL_SEED provides the default master seed.
+The master seed is --seed, else the config file's seed, else the
+environment variable NBL_SEED, else 0.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +29,8 @@ from . import coupling as coupling_mod
 from . import grid as grid_mod
 from . import sigma as sigma_mod
 from . import xorcode as xorcode_mod
-from .model import AND2, IDENTITY, NAND2, OR2, XOR2, BudgetExceededError, Gate, LayerSchedule
+from .model import AND2, IDENTITY, NAND2, OR2, XOR2, BudgetExceededError, LayerSchedule
+from .stats import wilson_interval
 
 __all__ = [
     "ConfigError",
@@ -35,15 +40,6 @@ __all__ = [
     "threshold_bisect",
     "main",
 ]
-
-MODELS = (
-    "random-dag-maj3",
-    "random-dag-andor2",
-    "grid-and",
-    "grid-xor",
-    "percolation",
-    "bounds",
-)
 
 METRICS = (
     "tv_exact",
@@ -82,8 +78,12 @@ def _require(ok: bool, field: str, message: str) -> None:
         raise ConfigError(f"field {field}: {message}")
 
 
-def _require_delta(value: float, field: str) -> None:
-    _require(0.0 <= value < 0.5, field, f"{value} out of range [0, 1/2)")
+def _require_delta(value: float, field: str, model: str = "") -> None:
+    """Crossover probabilities lie in (0, 1/2); percolation's p lies in [0, 1]."""
+    if model == "percolation":
+        _require(0.0 <= value <= 1.0, field, f"{value} out of range [0, 1]")
+    else:
+        _require(0.0 < value < 0.5, field, f"{value} out of range (0, 1/2)")
 
 
 def _parse_schedule(text: str) -> LayerSchedule:
@@ -98,7 +98,8 @@ class ExperimentConfig:
     """One experiment: model, parameter sweep, sizes, seed, output path.
 
     For the ``percolation`` model the delta fields carry the edge-open
-    probability p (and may therefore exceed 1/2).
+    probability p (and may therefore exceed 1/2).  ``trials > 0`` adds the
+    model's Monte Carlo rows to its exact ones.
     """
 
     model: str = "random-dag-maj3"
@@ -120,13 +121,7 @@ class ExperimentConfig:
         if self.delta_count < 1:
             raise ConfigError("field delta_count: must be >= 1")
         for name in ("delta_start", "delta_stop"):
-            v = getattr(self, name)
-            if self.model == "percolation":
-                ok = 0.0 <= v <= 1.0
-            else:
-                ok = 0.0 < v < 0.5
-            if not ok:
-                raise ConfigError(f"field {name}: {v} out of range")
+            _require_delta(getattr(self, name), name, self.model)
         if self.depth < 1:
             raise ConfigError("field depth: must be >= 1")
         if self.trials < 0:
@@ -148,34 +143,43 @@ class ExperimentConfig:
 
     @staticmethod
     def from_text(text: str) -> "ExperimentConfig":
-        kwargs = {}
-        types = {
-            f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
-            for f in fields(ExperimentConfig)
-        }
-        casts = {"float": float, "int": int, "str": str}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in types:
-                raise ConfigError(f"line {lineno}: unknown field {key!r}")
-            try:
-                kwargs[key] = casts[types[key]](value.strip())
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: field {key}: {exc}") from exc
-        cfg = ExperimentConfig(**kwargs)
+        cfg = ExperimentConfig(**_fields_of_text(text))
         cfg.validate()
         return cfg
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return ExperimentConfig.from_text(fh.read())
+        return ExperimentConfig.from_text(_read_text(path))
+
+
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _fields_of_text(text: str) -> dict:
+    """The typed field values a config text sets, without defaults."""
+    kwargs = {}
+    types = {
+        f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
+        for f in fields(ExperimentConfig)
+    }
+    casts = {"float": float, "int": int, "str": str}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in types:
+            raise ConfigError(f"line {lineno}: unknown field {key!r}")
+        try:
+            kwargs[key] = casts[types[key]](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: field {key}: {exc}") from exc
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -202,6 +206,11 @@ def _exact_row(model, delta, k, L_k, metric, value, seed):
     return ResultRow(model, float(delta), k, L_k, metric, float(value), float(value), float(value), seed, 0)
 
 
+def _wilson_row(model, delta, k, L_k, metric, successes, trials, seed):
+    lo, hi = wilson_interval(successes, trials)
+    return ResultRow(model, float(delta), k, L_k, metric, successes / trials, lo, hi, seed, trials)
+
+
 def rows_to_csv(rows: list[ResultRow]) -> str:
     """Serialize rows deterministically (sorted, LF endings, repr floats)."""
     ordered = sorted(rows, key=lambda r: (r.model, r.delta, r.k, r.metric))
@@ -220,10 +229,17 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 
 def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
-    model = "maj3" if config.model == "random-dag-maj3" else "andor2"
+    """Exact chain rows, plus coupled-chain rows P(T > k) when trials > 0.
+
+    The coupled chains share their uniforms, so once sigma+ = sigma- they
+    stay equal: the fraction of unequal pairs at level k estimates P(T > k),
+    an upper bound on TV(k).
+    """
+    model = config.model.removeprefix("random-dag-")
     schedule = LayerSchedule.parse(config.schedule)
     rows: list[ResultRow] = []
     finals: list[tuple[float, float]] = []
+    coupled: list[str] = []
     dropped = 0.0
     for delta in config.deltas():
         chain = sigma_mod.exact_chain(model, float(delta), schedule, config.depth, config.budget)
@@ -239,6 +255,19 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
                 _exact_row(config.model, delta, dist.level, dist.L, "mi_bits", sigma_mod.mutual_information(dist), config.seed)
             )
         finals.append((float(delta), sigma_mod.tv(report_levels[-1])))
+        if config.trials > 0:
+            stats = sigma_mod.coupled_mc(model, float(delta), schedule, config.depth, config.trials, config.seed)
+            coupled.append(
+                f"coupled chains: model={model} delta={float(delta):g} trials={config.trials} "
+                f"monotone_fraction={stats.monotone_fraction:.6f}"
+            )
+            for k, p, gap, sem in zip(stats.levels, stats.prob_unequal, stats.mean_gap, stats.sem_gap):
+                k = int(k)
+                unequal = round(p * config.trials)
+                rows.append(
+                    _wilson_row(config.model, delta, k, schedule.size(k), "coalesce_prob", unequal, config.trials, config.seed)
+                )
+                coupled.append(f"  k={k:3d} P(unequal)={p:.4f} E[gap]={gap:.6f} (sem {sem:.2g})")
     summary = [
         f"{config.model}: exact chain to depth {config.depth}, schedule {config.schedule}",
         f"banded kernels: TV within {dropped:.3g} of the untruncated chain at every level",
@@ -256,11 +285,11 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
             summary.append(f"final-level TV already below {config.tv_epsilon} at delta={crossing:g}")
     else:
         summary.append(f"no crossing: final-level TV stays >= {config.tv_epsilon} on the sweep")
-    return rows, summary
+    return rows, summary + coupled
 
 
 def _run_grid_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
-    f1 = XOR2 if config.model == "grid-xor" else AND2
+    f1 = GRID_GATES[config.model.removeprefix("grid-")]
     rows: list[ResultRow] = []
     dp_depth = min(config.depth, grid_mod.DEFAULT_DEPTH_CAP)
     summary = [f"{config.model}: exact DP to depth {dp_depth}"]
@@ -274,8 +303,10 @@ def _run_grid_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str
     for delta in config.deltas():
         dists = grid_mod.grid_exact_distribution(f1, IDENTITY, float(delta), dp_depth)
         for dist in dists:
-            rows.append(_exact_row(config.model, delta, dist.level, dist.level + 1, "tv_exact", dist.tv(), config.seed))
-            rows.append(_exact_row(config.model, delta, dist.level, dist.level + 1, "ml_error", dist.ml_error(), config.seed))
+            tv, ml = dist.tv(), dist.ml_error()
+            rows.append(_exact_row(config.model, delta, dist.level, dist.level + 1, "tv_exact", tv, config.seed))
+            rows.append(_exact_row(config.model, delta, dist.level, dist.level + 1, "ml_error", ml, config.seed))
+            summary.append(f"  k={dist.level:2d} tv={tv:.8f} ml_error={ml:.8f}")
         if config.trials > 0:
             for est in grid_mod.grid_mc_tv_estimate(f1, IDENTITY, float(delta), dp_depth, config.trials, config.seed):
                 rows.append(
@@ -292,6 +323,7 @@ def _run_grid_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str
                         config.trials,
                     )
                 )
+                summary.append(f"  k={est.level:2d} tv_mc={est.tv:.6f} (+/- 3*{est.dev:.6f})")
         if config.model == "grid-xor" and config.trials > 0:
             est = xorcode_mod.erasure_mc_error_bound(config.depth, float(delta), config.trials, config.seed)
             rows.append(
@@ -349,16 +381,12 @@ def _run_percolation(config: ExperimentConfig) -> tuple[list[ResultRow], list[st
     trials = config.trials or 500
     for p in config.deltas():
         est = coupling_mod.estimate_alpha(float(p), config.depth, trials, config.seed)
-        surv = est.surviving / trials
-        from .stats import wilson_interval
-
-        lo, hi = wilson_interval(est.surviving, trials)
         rows.append(
-            ResultRow("percolation", float(p), config.depth, config.depth + 1, "bound_value", surv, lo, hi, config.seed, trials)
+            _wilson_row("percolation", p, config.depth, config.depth + 1, "bound_value", est.surviving, trials, config.seed)
         )
         if est.surviving:
             summary.append(
-                f"p={float(p):g}: survival {surv:.3f}, alpha estimate {est.alpha:.4f} "
+                f"p={float(p):g}: survival {est.surviving / trials:.3f}, alpha estimate {est.alpha:.4f} "
                 f"(+/- {est.std:.4f} across {est.surviving} surviving runs)"
             )
         else:
@@ -369,29 +397,39 @@ def _run_percolation(config: ExperimentConfig) -> tuple[list[ResultRow], list[st
 def _run_bounds(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     schedule = LayerSchedule.parse(config.schedule)
     rows: list[ResultRow] = []
-    for delta in config.deltas():
-        for k in range(config.depth + 1):
-            val = bounds_mod.evans_schulman(schedule.size(k), float(delta), config.d, k)
-            rows.append(_exact_row("bounds", delta, k, schedule.size(k), "bound_value", val, config.seed))
     summary = [
         f"bounds: d={config.d}, delta_es={bounds_mod.delta_es(config.d):.5f}, "
         f"bond_bound={bounds_mod.bond_bound(config.d):.5f}"
     ]
+    for delta in config.deltas():
+        for k in range(config.depth + 1):
+            val = bounds_mod.evans_schulman(schedule.size(k), float(delta), config.d, k)
+            rows.append(_exact_row("bounds", delta, k, schedule.size(k), "bound_value", val, config.seed))
+        if config.depth >= 2:
+            thr = bounds_mod.slow_growth_threshold(config.depth, config.d, float(delta))
+            summary.append(f"slow-growth threshold at k={config.depth}: {thr:.4f} (L_k={schedule.size(config.depth)})")
     return rows, summary
+
+
+_DRIVERS = {
+    "random-dag-maj3": _run_dag_model,
+    "random-dag-andor2": _run_dag_model,
+    "grid-and": _run_grid_model,
+    "grid-or": _run_grid_model,
+    "grid-xor": _run_grid_model,
+    "grid-nand": _run_grid_model,
+    "grid-and-couple": _run_coupling_model,
+    "percolation": _run_percolation,
+    "bounds": _run_bounds,
+}
+
+MODELS = tuple(_DRIVERS)
 
 
 def run(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     """Execute a config, write CSV if requested, return rows and summary."""
     config.validate()
-    driver = {
-        "random-dag-maj3": _run_dag_model,
-        "random-dag-andor2": _run_dag_model,
-        "grid-and": _run_grid_model,
-        "grid-xor": _run_grid_model,
-        "percolation": _run_percolation,
-        "bounds": _run_bounds,
-    }[config.model]
-    rows, summary_lines = driver(config)
+    rows, summary_lines = _DRIVERS[config.model](config)
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(rows_to_csv(rows))
@@ -420,7 +458,8 @@ def threshold_bisect(
     the andor2 model the TV is read at the last even level.  Returns
     (lo, hi) with criterion False at lo and True at hi; if the criterion
     holds nowhere the bracket collapses to the upper end, and if it holds
-    everywhere to the lower end.
+    everywhere to the lower end.  The loop also stops once lo and hi are
+    adjacent floats, so a tol below the float spacing still terminates.
     """
 
     def criterion(delta: float) -> bool:
@@ -437,6 +476,8 @@ def threshold_bisect(
     lo, hi = delta_lo, delta_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if criterion(mid):
             hi = mid
         else:
@@ -448,17 +489,9 @@ def threshold_bisect(
 # Command-line interface
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("NBL_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default: NBL_SEED or 0)")
-    parser.add_argument("--out", default="", help="CSV output path")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; results are thread-count independent")
+    parser.add_argument("--seed", type=int, default=None, help="master seed (default: the config file's, else NBL_SEED, else 0)")
+    parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--budget", type=int, default=None, help=f"max layer size for exact kernels (default {DEFAULT_BUDGET})")
 
 
@@ -478,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default="const:64")
     p.add_argument("--depth", type=int, default=50)
 
-    p = sub.add_parser("mc-chain", help="coupled Monte Carlo of the annealed chain")
+    p = sub.add_parser("mc-chain", help="exact chain plus the coupled Monte Carlo bound P(T > k)")
     _add_common(p)
     p.add_argument("--model", choices=["maj3", "andor2"], required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -543,12 +576,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed_of(args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else _default_seed()
+def _env_seed() -> int:
+    text = os.environ.get("NBL_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"field seed: NBL_SEED={text!r} is not an integer") from None
 
 
-def _budget_of(args: argparse.Namespace) -> int:
-    return args.budget if args.budget is not None else DEFAULT_BUDGET
+# Row subcommands that only run Monte Carlo, so they need at least one trial.
+_MC_ONLY = ("mc-chain", "grid-and-couple", "percolation")
+
+# Fields a row subcommand's flags set directly; argparse names each flag's
+# value after its field.
+_FLAG_FIELDS = ("delta_start", "delta_stop", "delta_count", "depth", "schedule", "trials", "seed", "out", "budget", "d")
+
+
+def _config_of(args: argparse.Namespace) -> ExperimentConfig:
+    """The one config a row subcommand runs: flag > config file > NBL_SEED > default."""
+    if args.command == "sweep":
+        values = _fields_of_text(_read_text(args.config)) if args.config else {}
+        if args.model is not None:
+            values["model"] = args.model
+    else:
+        if args.command in ("exact-chain", "mc-chain"):
+            model = f"random-dag-{args.model}"
+        elif args.command == "grid-exact":
+            model = f"grid-{args.gate}"
+        else:
+            model = args.command
+        flag = "p" if model == "percolation" else "delta"
+        delta = getattr(args, flag)
+        _require_delta(delta, flag, model)
+        if args.command in _MC_ONLY:
+            _require(args.trials >= 1, "trials", "must be >= 1")
+        values = {"model": model, "delta_start": delta, "delta_stop": delta}
+    for name in _FLAG_FIELDS:
+        value = getattr(args, name, None)
+        if value is not None:
+            values[name] = value
+    if "seed" not in values:
+        values["seed"] = _env_seed()
+    return ExperimentConfig(**values)
+
+
+def _cmd_rows(args) -> int:
+    _, summary = run(_config_of(args))
+    print(summary)
+    return 0
 
 
 def _cmd_fixed_points(args) -> int:
@@ -558,96 +633,6 @@ def _cmd_fixed_points(args) -> int:
     for pt in report.points:
         kind = "stable" if pt.stable else "unstable"
         print(f"  fixed point {pt.value:.10f} ({kind})")
-    return 0
-
-
-def _cmd_single_delta(args, model_name: str) -> int:
-    config = ExperimentConfig(
-        model=model_name,
-        delta_start=args.delta,
-        delta_stop=args.delta,
-        depth=args.depth,
-        schedule=args.schedule,
-        seed=_seed_of(args),
-        out=args.out,
-        budget=_budget_of(args),
-    )
-    _, summary = run(config)
-    print(summary)
-    return 0
-
-
-def _cmd_mc_chain(args) -> int:
-    _require(args.trials >= 1, "trials", "must be >= 1")
-    _require(args.depth >= 1, "depth", "must be >= 1")
-    _require_delta(args.delta, "delta")
-    schedule = _parse_schedule(args.schedule)
-    stats = sigma_mod.coupled_mc(args.model, args.delta, schedule, args.depth, args.trials, _seed_of(args))
-    print(
-        f"coupled chains: model={args.model} delta={args.delta:g} trials={args.trials} "
-        f"monotone_fraction={stats.monotone_fraction:.6f}"
-    )
-    rows = []
-    for i, k in enumerate(stats.levels):
-        print(
-            f"  k={int(k):3d} P(unequal)={stats.prob_unequal[i]:.4f} "
-            f"E[gap]={stats.mean_gap[i]:.6f} (sem {stats.sem_gap[i]:.2g})"
-        )
-        model_name = "random-dag-maj3" if args.model == "maj3" else "random-dag-andor2"
-        rows.append(
-            ResultRow(
-                model_name,
-                args.delta,
-                int(k),
-                schedule.size(int(k)),
-                "tv_mc",
-                float(stats.prob_unequal[i]),
-                max(0.0, float(stats.prob_unequal[i]) - 3 / math.sqrt(args.trials)),
-                min(1.0, float(stats.prob_unequal[i]) + 3 / math.sqrt(args.trials)),
-                _seed_of(args),
-                args.trials,
-            )
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rows_to_csv(rows))
-    return 0
-
-
-def _cmd_grid_exact(args) -> int:
-    _require(args.depth >= 1, "depth", "must be >= 1")
-    _require_delta(args.delta, "delta")
-    model = "grid-xor" if args.gate == "xor" else "grid-and"
-    f1 = GRID_GATES[args.gate]
-    dists = grid_mod.grid_exact_distribution(f1, IDENTITY, args.delta, args.depth)
-    rows = []
-    for dist in dists:
-        print(f"  k={dist.level:2d} tv={dist.tv():.8f} ml_error={dist.ml_error():.8f}")
-        rows.append(_exact_row(model, args.delta, dist.level, dist.level + 1, "tv_exact", dist.tv(), _seed_of(args)))
-    if args.trials > 0:
-        for est in grid_mod.grid_mc_tv_estimate(f1, IDENTITY, args.delta, args.depth, args.trials, _seed_of(args)):
-            print(f"  k={est.level:2d} tv_mc={est.tv:.6f} (+/- 3*{est.dev:.6f})")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rows_to_csv(rows))
-    return 0
-
-
-def _cmd_grid_and_couple(args) -> int:
-    config = ExperimentConfig(
-        model="grid-and",
-        delta_start=args.delta,
-        delta_stop=args.delta,
-        depth=args.depth,
-        trials=args.trials,
-        seed=_seed_of(args),
-        out=args.out,
-    )
-    rows, summary = _run_coupling_model(config)
-    print("\n".join(summary))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rows_to_csv(rows))
     return 0
 
 
@@ -661,7 +646,8 @@ def _cmd_grid_xor(args) -> int:
     if args.k >= 2 and args.k & (args.k - 1) == 0:
         print(f"weight-3 certificate annihilated: {xorcode_mod.check_omega(args.k)}")
     if args.trials > 0:
-        est = xorcode_mod.erasure_mc_error_bound(args.k, args.delta, args.trials, _seed_of(args))
+        seed = _env_seed() if args.seed is None else args.seed
+        est = xorcode_mod.erasure_mc_error_bound(args.k, args.delta, args.trials, seed)
         print(
             f"erasure failure frequency {est.failure_freq:.4f} "
             f"(ML error lower bound {est.error_bound:.4f}, CI [{est.ci_low:.4f}, {est.ci_high:.4f}])"
@@ -670,70 +656,6 @@ def _cmd_grid_xor(args) -> int:
         with open(args.export_h, "w", encoding="utf-8", newline="") as fh:
             fh.write(xorcode_mod.export_parity_check(h))
         print(f"wrote parity-check matrix to {args.export_h}")
-    return 0
-
-
-def _cmd_percolation(args) -> int:
-    config = ExperimentConfig(
-        model="percolation",
-        delta_start=args.p,
-        delta_stop=args.p,
-        depth=args.depth,
-        trials=args.trials,
-        seed=_seed_of(args),
-        out=args.out,
-    )
-    _, summary = run(config)
-    print(summary)
-    return 0
-
-
-def _cmd_bounds(args) -> int:
-    config = ExperimentConfig(
-        model="bounds",
-        delta_start=args.delta,
-        delta_stop=args.delta,
-        depth=args.depth,
-        schedule=args.schedule,
-        seed=_seed_of(args),
-        out=args.out,
-        d=args.d,
-    )
-    _, summary = run(config)
-    print(summary)
-    schedule = LayerSchedule.parse(args.schedule)
-    if args.depth >= 2:
-        thr = bounds_mod.slow_growth_threshold(args.depth, args.d, args.delta)
-        print(f"slow-growth threshold at k={args.depth}: {thr:.4f} (L_k={schedule.size(args.depth)})")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for field_name, arg_name in [
-        ("model", "model"),
-        ("delta_start", "delta_start"),
-        ("delta_stop", "delta_stop"),
-        ("delta_count", "delta_count"),
-        ("depth", "depth"),
-        ("schedule", "schedule"),
-        ("trials", "trials"),
-    ]:
-        value = getattr(args, arg_name)
-        if value is not None:
-            overrides[field_name] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out:
-        overrides["out"] = args.out
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    config = replace(config, **overrides)
-    if config.seed == 0 and args.seed is None:
-        config = replace(config, seed=_default_seed())
-    _, summary = run(config)
-    print(summary)
     return 0
 
 
@@ -750,38 +672,30 @@ def _cmd_bisect(args) -> int:
         cutoff=args.cutoff,
         delta_lo=args.delta_lo,
         delta_hi=args.delta_hi,
-        budget=_budget_of(args),
+        budget=DEFAULT_BUDGET if args.budget is None else args.budget,
     )
     print(f"bracket: [{lo:.6f}, {hi:.6f}] (width {hi - lo:.2g})")
     return 0
 
 
+_COMMANDS = {
+    "fixed-points": _cmd_fixed_points,
+    "exact-chain": _cmd_rows,
+    "mc-chain": _cmd_rows,
+    "grid-exact": _cmd_rows,
+    "grid-and-couple": _cmd_rows,
+    "grid-xor": _cmd_grid_xor,
+    "percolation": _cmd_rows,
+    "bounds": _cmd_rows,
+    "sweep": _cmd_rows,
+    "bisect": _cmd_bisect,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "fixed-points":
-            return _cmd_fixed_points(args)
-        if args.command == "exact-chain":
-            model_name = "random-dag-maj3" if args.model == "maj3" else "random-dag-andor2"
-            return _cmd_single_delta(args, model_name)
-        if args.command == "mc-chain":
-            return _cmd_mc_chain(args)
-        if args.command == "grid-exact":
-            return _cmd_grid_exact(args)
-        if args.command == "grid-and-couple":
-            return _cmd_grid_and_couple(args)
-        if args.command == "grid-xor":
-            return _cmd_grid_xor(args)
-        if args.command == "percolation":
-            return _cmd_percolation(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "bisect":
-            return _cmd_bisect(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

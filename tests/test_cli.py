@@ -1,6 +1,7 @@
 """Tests for configs, CSV serialization, experiment drivers, and the CLI."""
 
 import csv
+import math
 import subprocess
 import sys
 
@@ -352,3 +353,169 @@ class TestMain:
         )
         assert proc.returncode == 0
         assert "delta_es" in proc.stdout
+
+
+class TestOneDriverPath:
+    """Every row subcommand is one ExperimentConfig handed to run."""
+
+    def test_dag_model_coupled_rows(self):
+        from dagbroadcast.sigma import coupled_mc
+        from dagbroadcast.stats import wilson_interval
+
+        cfg = ExperimentConfig(
+            model="random-dag-andor2", delta_start=0.1, delta_stop=0.1, depth=5,
+            schedule="const:8", trials=40, seed=3,
+        )
+        rows, summary = run(cfg)
+        coupled = sorted((r for r in rows if r.metric == "coalesce_prob"), key=lambda r: r.k)
+        stats = coupled_mc("andor2", 0.1, LayerSchedule.parse("const:8"), 5, 40, 3)
+        assert [r.k for r in coupled] == [1, 2, 3, 4, 5]
+        assert [r.value for r in coupled] == list(stats.prob_unequal)
+        for r in coupled:
+            assert (r.ci_low, r.ci_high) == wilson_interval(round(r.value * 40), 40)
+            assert r.trials == 40 and r.L_k == 8
+        assert "monotone_fraction=" in summary and "P(unequal)=" in summary
+
+    @pytest.mark.parametrize(
+        "argv, config, label",
+        [
+            (["exact-chain", "--model", "maj3", "--delta", "0.2", "--depth", "6", "--schedule", "const:8"],
+             "model=random-dag-maj3\ndelta_start=0.2\ndelta_stop=0.2\ndepth=6\nschedule=const:8\n",
+             "random-dag-maj3"),
+            (["mc-chain", "--model", "andor2", "--delta", "0.2", "--depth", "6", "--schedule", "const:8",
+              "--trials", "30"],
+             "model=random-dag-andor2\ndelta_start=0.2\ndelta_stop=0.2\ndepth=6\nschedule=const:8\ntrials=30\n",
+             "random-dag-andor2"),
+            (["grid-exact", "--gate", "and", "--delta", "0.2", "--depth", "4", "--trials", "30"],
+             "model=grid-and\ndelta_start=0.2\ndelta_stop=0.2\ndepth=4\ntrials=30\n", "grid-and"),
+            (["grid-exact", "--gate", "or", "--delta", "0.2", "--depth", "4", "--trials", "30"],
+             "model=grid-or\ndelta_start=0.2\ndelta_stop=0.2\ndepth=4\ntrials=30\n", "grid-or"),
+            (["grid-exact", "--gate", "xor", "--delta", "0.2", "--depth", "4", "--trials", "30"],
+             "model=grid-xor\ndelta_start=0.2\ndelta_stop=0.2\ndepth=4\ntrials=30\n", "grid-xor"),
+            (["grid-exact", "--gate", "nand", "--delta", "0.2", "--depth", "4"],
+             "model=grid-nand\ndelta_start=0.2\ndelta_stop=0.2\ndepth=4\n", "grid-nand"),
+            (["grid-and-couple", "--delta", "0.2", "--depth", "10", "--trials", "30"],
+             "model=grid-and-couple\ndelta_start=0.2\ndelta_stop=0.2\ndepth=10\ntrials=30\n", "grid-and"),
+            (["percolation", "--p", "0.8", "--depth", "10", "--trials", "30"],
+             "model=percolation\ndelta_start=0.8\ndelta_stop=0.8\ndepth=10\ntrials=30\n", "percolation"),
+            (["bounds", "--delta", "0.2", "--depth", "5", "--d", "2"],
+             "model=bounds\ndelta_start=0.2\ndelta_stop=0.2\ndepth=5\nschedule=const:16\nd=2\n", "bounds"),
+        ],
+    )
+    def test_subcommand_csv_equals_sweep(self, argv, config, label, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(config + "seed=9\n")
+        direct, swept = tmp_path / "direct.csv", tmp_path / "swept.csv"
+        assert main([*argv, "--seed", "9", "--out", str(direct)]) == 0
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(swept)]) == 0
+        assert direct.read_bytes() == swept.read_bytes()
+        with open(direct, newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        assert recs and {r["model"] for r in recs} == {label}
+
+    def test_grid_exact_depth_beyond_cap_warns(self, capsys):
+        assert main(["grid-exact", "--gate", "and", "--delta", "0.1", "--depth", "21"]) == 0
+        captured = capsys.readouterr()
+        assert "requested depth 21" in captured.err and "reach depth 20" in captured.out
+        assert "k=20 tv=" in captured.out and "k=21" not in captured.out
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("delta", ["0", "0.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact-chain", "--model", "maj3"],
+            ["mc-chain", "--model", "maj3"],
+            ["grid-exact", "--gate", "or"],
+            ["grid-and-couple"],
+            ["bounds"],
+            ["fixed-points", "--model", "andor2"],
+        ],
+    )
+    def test_delta_out_of_range(self, argv, delta, capsys):
+        _assert_config_error([*argv, "--delta", delta], "delta", capsys)
+
+    def test_sweep_delta_names_config_field(self, tmp_path, capsys):
+        _assert_config_error(["sweep", "--model", "grid-and", "--delta-start", "0"], "delta_start", capsys)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("model=grid-xor\ndelta_start=0.5\n")
+        _assert_config_error(["sweep", "--config", str(cfg_path)], "delta_start", capsys)
+
+    def test_bisect_zero_delta(self, capsys):
+        _assert_config_error(["bisect", "--model", "maj3", "--delta-lo", "0"], "delta_lo", capsys)
+
+    def test_percolation_p_out_of_range(self, capsys):
+        _assert_config_error(["percolation", "--p", "1.5"], "p", capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact-chain", "--model", "maj3", "--delta", "0.1"],
+            ["grid-and-couple", "--delta", "0.1"],
+            ["percolation", "--p", "0.5"],
+            ["bounds", "--delta", "0.1"],
+            ["sweep", "--model", "bounds"],
+        ],
+    )
+    def test_zero_depth(self, argv, capsys):
+        _assert_config_error([*argv, "--depth", "0"], "depth", capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc-chain", "--model", "andor2", "--delta", "0.1"],
+            ["grid-and-couple", "--delta", "0.1"],
+            ["percolation", "--p", "0.5"],
+        ],
+    )
+    def test_monte_carlo_only_needs_trials(self, argv, capsys):
+        _assert_config_error([*argv, "--trials", "0"], "trials", capsys)
+
+    def test_bad_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("NBL_SEED", "abc")
+        _assert_config_error(["bounds", "--delta", "0.3"], "seed", capsys)
+
+    def test_seed_order(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NBL_SEED", "77")
+        cfg_path = tmp_path / "exp.cfg"
+        out = tmp_path / "rows.csv"
+
+        def seeds(argv):
+            assert main([*argv, "--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                return {r["seed"] for r in csv.DictReader(fh)}
+
+        cfg_path.write_text("model=bounds\ndelta_start=0.3\ndelta_stop=0.3\ndepth=2\nseed=0\n")
+        assert seeds(["sweep", "--config", str(cfg_path)]) == {"0"}
+        assert seeds(["sweep", "--config", str(cfg_path), "--seed", "5"]) == {"5"}
+        cfg_path.write_text("model=bounds\ndelta_start=0.3\ndelta_stop=0.3\ndepth=2\n")
+        assert seeds(["sweep", "--config", str(cfg_path)]) == {"77"}
+        monkeypatch.delenv("NBL_SEED")
+        assert seeds(["sweep", "--config", str(cfg_path)]) == {"0"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact-chain", "--model", "maj3", "--delta", "0.2"],
+            ["mc-chain", "--model", "maj3", "--delta", "0.2"],
+            ["sweep", "--model", "random-dag-andor2"],
+            ["bisect", "--model", "maj3"],
+        ],
+    )
+    def test_budget_exceeded(self, argv, capsys):
+        assert main([*argv, "--schedule", "const:9000", "--depth", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and "Traceback" not in err
+
+    def test_threads_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--delta", "0.3", "--threads", "2"])
+        assert exc.value.code == 2
+
+
+class TestBisectTermination:
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_tol_below_float_spacing(self, tol):
+        lo, hi = threshold_bisect("maj3", LayerSchedule.parse("const:4"), 3, tol=tol)
+        assert hi == math.nextafter(lo, 1)

@@ -3,85 +3,8 @@
 Exact sufficient-statistic analysis, grid dynamic programs, coupling
 and percolation diagnostics, GF(2) erasure certificates, and
 closed-form impossibility bounds, plus a reproducible experiment CLI.
+Import the submodules directly, e.g. ``from dagbroadcast.sigma import
+exact_chain``.
 """
-
-from .model import (
-    AND2,
-    IDENTITY,
-    MAJ3,
-    NAND2,
-    OR2,
-    XOR2,
-    BudgetExceededError,
-    CrossoverProb,
-    DagRealization,
-    Gate,
-    LayerSchedule,
-    Trajectory,
-    bsc_sample,
-    convolve,
-    gate_output_prob,
-    propagate,
-    propagate_many,
-    sample_random_dag,
-)
-from .sigma import (
-    DELTA_ANDOR,
-    DELTA_MAJ,
-    MODEL_ANDOR2,
-    MODEL_MAJ3,
-    CoupledChainStats,
-    DegenerateThresholdError,
-    FixedPointReport,
-    SigmaDistribution,
-    almost_sure_limit_check,
-    biased_rule,
-    coupled_mc,
-    exact_chain,
-    exact_step,
-    fixed_points,
-    g_andor,
-    g_majority,
-    lipschitz,
-    majority_rule,
-    ml_error,
-    ml_rule,
-    mutual_information,
-    quenched_error_estimate,
-    tv,
-)
-from .grid import GridDistribution, grid_exact_distribution, grid_mc_tv_estimate, grid_propagate
-from .coupling import (
-    CouplingOutcome,
-    PercolationRun,
-    bond_percolation_run,
-    coupled_and,
-    coupled_channel_step,
-    coupled_grid_run,
-    coupling_tv_bound,
-    estimate_alpha,
-    estimate_delta_perc,
-)
-from .xorcode import (
-    BitMatrix,
-    EdgeIndex,
-    binom_parity,
-    build_Hk,
-    check_omega,
-    erasure_mc_error_bound,
-    erasure_ml_fails,
-    export_parity_check,
-    f2_rank,
-    f2_solve,
-)
-from .bounds import (
-    bond_bound,
-    delta_es,
-    evans_schulman,
-    schedule_qualifies,
-    site_percolation_iterate,
-    site_percolation_mc,
-    slow_growth_threshold,
-)
 
 __version__ = "0.1.0"

@@ -1,34 +1,23 @@
-"""Closed-form impossibility bounds and percolation-style recursions.
+"""Closed-form impossibility bounds.
 
 These are the cheap outer bounds that any broadcast scheme must obey:
 the mutual-information contraction bound, its critical crossover value
-delta_ES(d), the weaker bond-percolation value, the slow-layer-growth
-impossibility threshold, and the site-percolation mean recursion used to
-analyze the critical case.
+delta_ES(d), the weaker bond-percolation value, and the slow-layer-growth
+impossibility threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-from .model import LayerSchedule, as_delta, sample_random_dag
-from .rng import derive_seed, uniforms
+from .model import as_delta
 
 __all__ = [
     "evans_schulman",
     "delta_es",
     "bond_bound",
     "slow_growth_threshold",
-    "schedule_qualifies",
-    "site_percolation_iterate",
-    "site_percolation_mc",
-    "SitePercolationEstimate",
 ]
-
-TAG_SITE = 11
 
 
 def evans_schulman(L_k: int, delta, d: int, k: int) -> float:
@@ -61,85 +50,3 @@ def slow_growth_threshold(k: int, d: int, delta) -> float:
     if k < 2:
         raise ValueError("k must be >= 2")
     return math.log(k) / (d * math.log(1.0 / (2.0 * dv)))
-
-
-def schedule_qualifies(
-    schedule: LayerSchedule, d: int, delta, K: int, k_max: int = 10_000
-) -> bool:
-    """Check L_k <= slow_growth_threshold(k) for all K <= k <= k_max.
-
-    The condition is asymptotic; k_max bounds the finite check window.
-    """
-    return all(
-        schedule.size(k) <= slow_growth_threshold(k, d, delta)
-        for k in range(max(K, 2), k_max + 1)
-    )
-
-
-def site_percolation_iterate(delta, d: int, steps: int, x0: float = 1.0) -> np.ndarray:
-    """Iterate the mean open-fraction recursion x <- (1-2d)^2 (1-(1-x)^d).
-
-    Returns the trajectory including x0, length steps + 1.
-    """
-    dv = as_delta(delta, noiseless_ok=True)
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError("x0 must lie in [0, 1]")
-    factor = (1.0 - 2.0 * dv) ** 2
-    out = np.empty(steps + 1)
-    out[0] = x0
-    x = x0
-    for i in range(1, steps + 1):
-        x = factor * (1.0 - (1.0 - x) ** d)
-        out[i] = x
-    return out
-
-
-@dataclass(frozen=True)
-class SitePercolationEstimate:
-    """Monte Carlo site percolation on sampled broadcast DAGs.
-
-    ``lambda_mean[k]`` estimates the expected fraction of level-k nodes
-    that are open and connected to the root by an open path;
-    ``p_hat[k]`` estimates the probability such a node exists at all.
-    """
-
-    levels: np.ndarray
-    lambda_mean: np.ndarray
-    p_hat: np.ndarray
-    trials: int
-
-
-def site_percolation_mc(
-    d: int,
-    delta,
-    schedule: LayerSchedule,
-    depth: int,
-    trials: int,
-    seed: int,
-) -> SitePercolationEstimate:
-    """Simulate site percolation with open probability (1-2 delta)^2.
-
-    Each trial samples a fresh DAG realization; every non-root node is
-    open independently with probability (1-2 delta)^2, and a node is
-    counted when it is open and has an open connected parent.
-    """
-    dv = as_delta(delta)
-    p_open = (1.0 - 2.0 * dv) ** 2
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    lam = np.zeros(depth + 1)
-    phat = np.zeros(depth + 1)
-    lam[0] = 1.0
-    phat[0] = 1.0
-    for t in range(trials):
-        dag = sample_random_dag(derive_seed(seed, TAG_SITE, t, 0), d, schedule, depth)
-        connected = np.array([True])
-        for k in range(1, depth + 1):
-            lk = dag.layer_sizes[k]
-            u = uniforms(derive_seed(seed, TAG_SITE, t, k), lk)
-            open_nodes = u < p_open
-            parent_ok = connected[dag.parents[k - 1]].any(axis=1)
-            connected = open_nodes & parent_ok
-            lam[k] += connected.mean() / trials
-            phat[k] += float(connected.any()) / trials
-    return SitePercolationEstimate(np.arange(depth + 1), lam, phat, trials)

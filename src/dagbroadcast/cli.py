@@ -99,7 +99,8 @@ class ExperimentConfig:
 
     For the ``percolation`` model the delta fields carry the edge-open
     probability p (and may therefore exceed 1/2).  ``trials > 0`` adds the
-    model's Monte Carlo rows to its exact ones.
+    model's Monte Carlo rows to its exact ones; ``grid-and-couple`` and
+    ``percolation`` are Monte Carlo only and need ``trials >= 1``.
     """
 
     model: str = "random-dag-maj3"
@@ -126,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError("field depth: must be >= 1")
         if self.trials < 0:
             raise ConfigError("field trials: must be >= 0")
+        if self.model in _MC_MODELS and self.trials < 1:
+            raise ConfigError(f"field trials: must be >= 1 for the Monte Carlo model {self.model}")
         if self.budget < 1:
             raise ConfigError("field budget: must be >= 1")
         if self.d < 1:
@@ -137,24 +140,13 @@ class ExperimentConfig:
             return np.array([self.delta_start])
         return np.linspace(self.delta_start, self.delta_stop, self.delta_count)
 
-    def to_text(self) -> str:
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "ExperimentConfig":
-        cfg = ExperimentConfig(**_fields_of_text(text))
-        cfg.validate()
-        return cfg
-
-    @staticmethod
-    def from_file(path: str) -> "ExperimentConfig":
-        return ExperimentConfig.from_text(_read_text(path))
-
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"field config: {exc}") from None
 
 
 def _fields_of_text(text: str) -> dict:
@@ -350,9 +342,8 @@ def _run_grid_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str
 def _run_coupling_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     rows: list[ResultRow] = []
     summary: list[str] = []
-    trials = config.trials or 1000
     for delta in config.deltas():
-        bound = coupling_mod.coupling_tv_bound(float(delta), config.depth, trials, config.seed)
+        bound = coupling_mod.coupling_tv_bound(float(delta), config.depth, config.trials, config.seed)
         for k in bound.levels:
             rows.append(
                 ResultRow(
@@ -365,12 +356,12 @@ def _run_coupling_model(config: ExperimentConfig) -> tuple[list[ResultRow], list
                     float(bound.ci_low[k]),
                     float(bound.ci_high[k]),
                     config.seed,
-                    trials,
+                    config.trials,
                 )
             )
         frac = float(bound.bound[-1])
         summary.append(
-            f"delta={float(delta):g}: P(T > {config.depth}) = {frac:.4f} over {trials} coupled runs"
+            f"delta={float(delta):g}: P(T > {config.depth}) = {frac:.4f} over {config.trials} coupled runs"
         )
     return rows, summary
 
@@ -378,15 +369,14 @@ def _run_coupling_model(config: ExperimentConfig) -> tuple[list[ResultRow], list
 def _run_percolation(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     rows: list[ResultRow] = []
     summary: list[str] = []
-    trials = config.trials or 500
     for p in config.deltas():
-        est = coupling_mod.estimate_alpha(float(p), config.depth, trials, config.seed)
+        est = coupling_mod.estimate_alpha(float(p), config.depth, config.trials, config.seed)
         rows.append(
-            _wilson_row("percolation", p, config.depth, config.depth + 1, "bound_value", est.surviving, trials, config.seed)
+            _wilson_row("percolation", p, config.depth, config.depth + 1, "bound_value", est.surviving, config.trials, config.seed)
         )
         if est.surviving:
             summary.append(
-                f"p={float(p):g}: survival {est.surviving / trials:.3f}, alpha estimate {est.alpha:.4f} "
+                f"p={float(p):g}: survival {est.surviving / config.trials:.3f}, alpha estimate {est.alpha:.4f} "
                 f"(+/- {est.std:.4f} across {est.surviving} surviving runs)"
             )
         else:
@@ -424,6 +414,9 @@ _DRIVERS = {
 }
 
 MODELS = tuple(_DRIVERS)
+
+# Models that only run Monte Carlo, so they need at least one trial.
+_MC_MODELS = ("grid-and-couple", "percolation")
 
 
 def run(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
@@ -489,71 +482,70 @@ def threshold_bisect(
 # Command-line interface
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default: the config file's, else NBL_SEED, else 0)")
-    parser.add_argument("--out", default=None, help="CSV output path")
-    parser.add_argument("--budget", type=int, default=None, help=f"max layer size for exact kernels (default {DEFAULT_BUDGET})")
+# Flags several subcommands share; each subcommand takes only those it reads.
+_SHARED_FLAGS = {
+    "--seed": {"type": int, "help": "master seed (default: the config file's, else NBL_SEED, else 0)"},
+    "--out": {"help": "CSV output path"},
+    "--budget": {"type": int, "help": f"max layer size for exact kernels (default {DEFAULT_BUDGET})"},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dagbroadcast", description="Noisy broadcast on DAGs and grids: exact analysis and Monte Carlo.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fixed-points", help="closed-form fixed points of the g-curve")
-    _add_common(p)
+    def add(name: str, description: str, *shared: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=description)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
+
+    p = add("fixed-points", "closed-form fixed points of the g-curve")
     p.add_argument("--model", choices=["maj3", "andor2"], required=True)
     p.add_argument("--delta", type=float, required=True)
 
-    p = sub.add_parser("exact-chain", help="exact conditional chain for one delta")
-    _add_common(p)
+    p = add("exact-chain", "exact conditional chain for one delta", "--seed", "--out", "--budget")
     p.add_argument("--model", choices=["maj3", "andor2"], required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--schedule", default="const:64")
     p.add_argument("--depth", type=int, default=50)
 
-    p = sub.add_parser("mc-chain", help="exact chain plus the coupled Monte Carlo bound P(T > k)")
-    _add_common(p)
+    p = add("mc-chain", "exact chain plus the coupled Monte Carlo bound P(T > k)", "--seed", "--out", "--budget")
     p.add_argument("--model", choices=["maj3", "andor2"], required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--schedule", default="const:64")
     p.add_argument("--depth", type=int, default=30)
     p.add_argument("--trials", type=int, default=1000)
 
-    p = sub.add_parser("grid-exact", help="exact 2D grid DP for a gate")
-    _add_common(p)
+    p = add("grid-exact", "exact 2D grid DP for a gate", "--seed", "--out")
     p.add_argument("--gate", choices=sorted(GRID_GATES), required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--trials", type=int, default=0, help="also run the MC cross-check with this many trials")
 
-    p = sub.add_parser("grid-and-couple", help="coupled AND-grid coalescence bound")
-    _add_common(p)
+    p = add("grid-and-couple", "coupled AND-grid coalescence bound", "--seed", "--out")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--depth", type=int, default=200)
     p.add_argument("--trials", type=int, default=1000)
 
-    p = sub.add_parser("grid-xor", help="XOR-grid parity-check certificates and erasure MC")
-    _add_common(p)
+    p = add("grid-xor", "XOR-grid parity-check certificates and erasure MC", "--seed")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--export-h", default="", help="write the parity-check matrix to this path")
 
-    p = sub.add_parser("percolation", help="oriented bond percolation diagnostics")
-    _add_common(p)
+    p = add("percolation", "oriented bond percolation diagnostics", "--seed", "--out")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--depth", type=int, default=300)
     p.add_argument("--trials", type=int, default=500)
 
-    p = sub.add_parser("bounds", help="closed-form impossibility bounds")
-    _add_common(p)
+    p = add("bounds", "closed-form impossibility bounds", "--seed", "--out")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--schedule", default="const:16")
 
-    p = sub.add_parser("sweep", help="run a config file (flags override fields)")
-    _add_common(p)
+    p = add("sweep", "run a config file (flags override fields)", "--seed", "--out", "--budget")
     p.add_argument("--config", default="")
     p.add_argument("--model", choices=MODELS)
     p.add_argument("--delta-start", type=float)
@@ -563,8 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule")
     p.add_argument("--trials", type=int)
 
-    p = sub.add_parser("bisect", help="bisect the reconstruction threshold")
-    _add_common(p)
+    p = add("bisect", "bisect the reconstruction threshold", "--budget")
     p.add_argument("--model", choices=["maj3", "andor2"], required=True)
     p.add_argument("--schedule", default="const:128")
     p.add_argument("--depth", type=int, default=150)
@@ -583,9 +574,6 @@ def _env_seed() -> int:
     except ValueError:
         raise ConfigError(f"field seed: NBL_SEED={text!r} is not an integer") from None
 
-
-# Row subcommands that only run Monte Carlo, so they need at least one trial.
-_MC_ONLY = ("mc-chain", "grid-and-couple", "percolation")
 
 # Fields a row subcommand's flags set directly; argparse names each flag's
 # value after its field.
@@ -608,7 +596,7 @@ def _config_of(args: argparse.Namespace) -> ExperimentConfig:
         flag = "p" if model == "percolation" else "delta"
         delta = getattr(args, flag)
         _require_delta(delta, flag, model)
-        if args.command in _MC_ONLY:
+        if args.command == "mc-chain":
             _require(args.trials >= 1, "trials", "must be >= 1")
         values = {"model": model, "delta_start": delta, "delta_stop": delta}
     for name in _FLAG_FIELDS:

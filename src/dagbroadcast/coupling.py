@@ -39,20 +39,11 @@ __all__ = [
     "SYM_0C",
     "SYM_1U",
     "SYM_1C",
-    "CouplingOutcome",
     "CouplingTvBound",
-    "PercolationRun",
     "AlphaEstimate",
-    "decode_symbol",
-    "encode_pair",
-    "coupled_channel_step",
-    "coupled_and",
-    "coupled_grid_run",
     "coupled_grid_runs",
     "coupling_tv_bound",
-    "bond_percolation_run",
     "estimate_alpha",
-    "estimate_delta_perc",
 ]
 
 SYM_0C = 0  # (0, 0)
@@ -62,45 +53,9 @@ SYM_1C = 2  # (1, 1)
 TAG_COUPLE = 8
 TAG_PERC = 9
 
-_DECODE = {SYM_0C: (0, 0), SYM_1U: (0, 1), SYM_1C: (1, 1)}
-
-# Coupled-AND table: entry [a][b] for symbols a, b.  Equals min(a, b)
-# under the 0c < 1u < 1c encoding; kept explicit so tests can verify it
-# against coordinate-wise AND of the decoded pairs.
-_AND_TABLE = (
-    (SYM_0C, SYM_0C, SYM_0C),
-    (SYM_0C, SYM_1U, SYM_1U),
-    (SYM_0C, SYM_1U, SYM_1C),
-)
-
-
-def decode_symbol(sym: int) -> tuple[int, int]:
-    """Map a coupled symbol to its (minus-run bit, plus-run bit) pair."""
-    return _DECODE[sym]
-
-
-def encode_pair(minus_bit: int, plus_bit: int) -> int:
-    """Inverse of decode_symbol; rejects the unrepresentable pair (1, 0)."""
-    pair = (minus_bit, plus_bit)
-    for sym, p in _DECODE.items():
-        if p == pair:
-            return sym
-    raise ValueError("pair (1, 0) is not representable in the monotone coupling")
-
-
-def coupled_channel_matrix(delta: float) -> np.ndarray:
-    d = as_delta(delta, noiseless_ok=True)
-    return np.array(
-        [
-            [1.0 - d, 0.0, d],
-            [d, 1.0 - 2.0 * d, d],
-            [d, 0.0, 1.0 - d],
-        ]
-    )
-
 
 def _channel_step_array(sym: np.ndarray, delta: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized coupled channel: thresholds chosen to match the matrix rows."""
+    """Vectorized coupled channel: thresholds chosen to match the matrix rows above."""
     # 0c: -> 1c w.p. delta, else 0c.          (never 1u)
     # 1c: -> 0c w.p. delta, else 1c.          (never 1u)
     # 1u: -> 0c w.p. delta, 1c w.p. delta, else stays 1u.
@@ -114,29 +69,6 @@ def _channel_step_array(sym: np.ndarray, delta: float, u: np.ndarray) -> np.ndar
         ),
     )
     return out.astype(np.int8)
-
-
-def coupled_channel_step(sym: int, delta, seed: int, *path: int) -> int:
-    """One coupled-channel transition from a single symbol."""
-    u = uniform_matrix(derive_seed(seed, TAG_COUPLE, *path), (1,))
-    return int(_channel_step_array(np.array([sym], dtype=np.int8), as_delta(delta, noiseless_ok=True), u)[0])
-
-
-def coupled_and(a: int, b: int) -> int:
-    """Symbol-wise AND of two coupled symbols."""
-    return _AND_TABLE[a][b]
-
-
-@dataclass(frozen=True)
-class CouplingOutcome:
-    """Result of one coupled grid run."""
-
-    coalesce_time: int | None  # first 1u-free level, None if not reached
-    unresolved_counts: tuple[int, ...]  # number of 1u symbols per level 0..depth
-
-    @property
-    def coalesced(self) -> bool:
-        return self.coalesce_time is not None
 
 
 def coupled_grid_runs(
@@ -176,16 +108,6 @@ def coupled_grid_runs(
     return times, counts
 
 
-def coupled_grid_run(delta, max_depth: int, seed: int) -> CouplingOutcome:
-    """Single coupled run starting from one unresolved symbol at the root."""
-    times, counts = coupled_grid_runs(delta, max_depth, 1, seed)
-    t = int(times[0])
-    return CouplingOutcome(
-        coalesce_time=None if t < 0 else t,
-        unresolved_counts=tuple(int(c) for c in counts[0]),
-    )
-
-
 @dataclass(frozen=True)
 class CouplingTvBound:
     """Empirical P(T > k) per level with Wilson confidence bands."""
@@ -215,16 +137,6 @@ def coupling_tv_bound(delta, depth: int, trials: int, seed: int) -> CouplingTvBo
 # Oriented bond percolation
 
 
-@dataclass(frozen=True)
-class PercolationRun:
-    """Open-cluster summary of one oriented bond percolation run."""
-
-    survived: bool
-    levels_reached: int
-    rightmost: np.ndarray  # R_k, -1 past extinction
-    leftmost: np.ndarray  # L_k, -1 past extinction
-
-
 def _percolation_reach(p: float, depth: int, trials: int, seed: int):
     """Vectorized reachability; returns (reach mask final, R, L) arrays."""
     reach = np.ones((trials, 1), dtype=bool)
@@ -248,16 +160,6 @@ def _percolation_reach(p: float, depth: int, trials: int, seed: int):
         if not alive.any():
             break
     return reach, right, left
-
-
-def bond_percolation_run(p: float, depth: int, seed: int) -> PercolationRun:
-    """One oriented bond percolation run from the root."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    reach, right, left = _percolation_reach(p, depth, 1, seed)
-    survived = bool(reach[0].any())
-    levels = int((right[0] >= 0).sum() - 1)
-    return PercolationRun(survived, levels, right[0], left[0])
 
 
 @dataclass(frozen=True)
@@ -287,32 +189,3 @@ def estimate_alpha(p: float, depth: int, trials: int, seed: int) -> AlphaEstimat
     kc = ks - ks.mean()
     slopes = (widths * kc).sum(axis=1) / (kc * kc).sum()
     return AlphaEstimate(float(slopes.mean()), float(slopes.std(ddof=1)) if n_alive > 1 else 0.0, n_alive, trials)
-
-
-def estimate_delta_perc(
-    trials: int,
-    depth: int,
-    seed: int,
-    tol: float = 0.01,
-    survival_cutoff: float = 0.05,
-) -> tuple[float, float]:
-    """Bracket the critical open probability by bisection on survival.
-
-    The criterion is "survival frequency at ``depth`` exceeds
-    ``survival_cutoff``"; with finite depth and trials this is a noisy
-    diagnostic, not a rigorous bracket, so treat the result as an
-    estimate with resolution limited by the Monte Carlo error.
-    """
-    lo, hi = 0.0, 1.0
-
-    def survives(p: float) -> bool:
-        reach, _, _ = _percolation_reach(p, depth, trials, derive_seed(seed, int(p * 1e9)))
-        return reach.any(axis=1).mean() > survival_cutoff
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if survives(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi

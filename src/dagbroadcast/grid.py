@@ -6,10 +6,9 @@ k - 1, each through an independent BSC(delta), and applies the two-input
 gate f1.  The boundary nodes j = 0 and j = k have a single parent and
 apply the one-input gate f2.
 
-Besides forward simulation, the module contains an exact forward dynamic
-program over all 2^(k+1) level words, which serves as the oracle for the
-grid impossibility results, and a Monte Carlo TV estimator for
-cross-checking it.  The DP applies each level's kernel one node at a
+The module contains an exact forward dynamic program over all 2^(k+1)
+level words, which serves as the oracle for the grid impossibility
+results, and a Monte Carlo TV estimator for cross-checking it.  The DP applies each level's kernel one node at a
 time (a transfer-matrix sweep), at O(k 2^k) cost per level; depths up to
 DEFAULT_DEPTH_CAP = 20 run by default.
 
@@ -28,7 +27,6 @@ from .rng import derive_seed, uniform_matrix
 __all__ = [
     "GridDistribution",
     "GridTvEstimate",
-    "grid_propagate",
     "grid_exact_distribution",
     "grid_mc_tv_estimate",
 ]
@@ -65,20 +63,6 @@ def _grid_level_step(
         word = noisy_left[..., :-1].astype(np.int64) | (noisy_right[..., 1:].astype(np.int64) << 1)
         out[..., 1:k] = f1_table[word]
     return out
-
-
-def grid_propagate(
-    f1: Gate, f2: Gate, delta, root: int, depth: int, seed: int
-) -> list[np.ndarray]:
-    """Simulate one grid run; returns the bit array of each level 0..depth."""
-    _check_gates(f1, f2)
-    d = as_delta(delta, noiseless_ok=True)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    levels = [np.array([int(root) & 1], dtype=np.uint8)]
-    for k in range(1, depth + 1):
-        levels.append(_grid_level_step(f1, f2, d, levels[-1], k, seed, TAG_GRID))
-    return levels
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,17 @@ inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .rng import derive_seed, uniform_matrix, uniforms
+from .rng import derive_seed, uniform_matrix
+# unused here, but perfbench/test_bench.py checks that the tracer wraps model.uniforms
+from .rng import uniforms  # noqa: F401
 
 __all__ = [
     "BudgetExceededError",
-    "CrossoverProb",
     "Gate",
     "MAJ3",
     "AND2",
@@ -29,18 +30,13 @@ __all__ = [
     "IDENTITY",
     "LayerSchedule",
     "DagRealization",
-    "Trajectory",
     "convolve",
-    "gate_output_prob",
     "sample_random_dag",
-    "bsc_sample",
-    "propagate",
     "propagate_many",
 ]
 
 # Purpose tags keep derived seed streams for different uses disjoint.
 TAG_DAG = 1
-TAG_NOISE = 2
 TAG_TRIAL = 3
 
 
@@ -48,30 +44,9 @@ class BudgetExceededError(RuntimeError):
     """Raised when a computation would exceed a configured size budget."""
 
 
-@dataclass(frozen=True)
-class CrossoverProb:
-    """Channel crossover probability, restricted to the open interval (0, 1/2).
-
-    delta = 0 is allowed only through the ``noiseless`` constructor, which
-    exists for deterministic test fixtures.
-    """
-
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.delta < 0.5):
-            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
-
-    @staticmethod
-    def noiseless() -> "CrossoverProb":
-        obj = object.__new__(CrossoverProb)
-        object.__setattr__(obj, "delta", 0.0)
-        return obj
-
-
-def as_delta(delta: "float | CrossoverProb", noiseless_ok: bool = False) -> float:
-    """Validate and unwrap a crossover probability."""
-    d = delta.delta if isinstance(delta, CrossoverProb) else float(delta)
+def as_delta(delta: float, noiseless_ok: bool = False) -> float:
+    """Validate a crossover probability: (0, 1/2), or [0, 1/2) if ``noiseless_ok``."""
+    d = float(delta)
     lo_ok = (d == 0.0 and noiseless_ok) or d > 0.0
     if not (lo_ok and d < 0.5):
         raise ValueError(f"delta must lie in (0, 1/2), got {d}")
@@ -122,26 +97,12 @@ NAND2 = Gate.from_function("NAND", 2, lambda a, b: 1 - (a & b))
 IDENTITY = Gate.from_function("IDENTITY", 1, lambda a: a)
 
 
-def convolve(sigma: float, delta: "float | CrossoverProb") -> float:
+def convolve(sigma: float, delta: float) -> float:
     """Probability that a Bernoulli(sigma) bit survives a BSC(delta) as 1."""
     d = as_delta(delta, noiseless_ok=True)
     if np.isscalar(sigma) and not 0.0 <= sigma <= 1.0:
         raise ValueError("sigma must lie in [0, 1]")
     return sigma * (1.0 - d) + d * (1.0 - sigma)
-
-
-def gate_output_prob(gate: Gate, p: float) -> float:
-    """P(gate = 1) when inputs are i.i.d. Bernoulli(p)."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    d = gate.arity
-    total = 0.0
-    for w in range(1 << d):
-        if gate.table[w]:
-            ones = w.bit_count()
-            total += p ** ones * (1.0 - p) ** (d - ones)
-    return total
 
 
 @dataclass(frozen=True)
@@ -193,15 +154,6 @@ class LayerSchedule:
             return LayerSchedule.explicit(int(x) for x in rest.split(","))
         raise ValueError(f"unknown schedule spec {spec!r}")
 
-    def to_spec(self) -> str:
-        if self.kind == "const":
-            return f"const:{int(self.param)}"
-        if self.kind == "linear":
-            return "linear"
-        if self.kind == "log":
-            return f"log:{self.param:g}"
-        return "list:" + ",".join(str(s) for s in self.sizes)
-
     def size(self, k: int) -> int:
         if k < 0:
             raise ValueError("level must be >= 0")
@@ -241,25 +193,6 @@ class DagRealization:
                 raise ValueError(f"parent index out of range at level {k}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One realized broadcast: bits per level plus the derived one-fractions."""
-
-    levels: tuple[np.ndarray, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    def sigma(self, k: int) -> float:
-        x = self.levels[k]
-        return float(x.sum()) / len(x)
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([self.sigma(k) for k in range(len(self.levels))])
-
-
 def sample_random_dag(seed: int, d: int, schedule: LayerSchedule, depth: int) -> DagRealization:
     """Sample parent indices i.i.d. uniform with replacement, per node and slot."""
     if depth < 1:
@@ -273,21 +206,6 @@ def sample_random_dag(seed: int, d: int, schedule: LayerSchedule, depth: int) ->
         u = uniform_matrix(level_seed, (sizes[k], d))
         parents.append(np.minimum((u * sizes[k - 1]).astype(np.int64), sizes[k - 1] - 1))
     return DagRealization(depth, d, sizes, tuple(parents), seed)
-
-
-def bsc_sample(input_bit: int, delta: "float | CrossoverProb", seed: int, *path: int) -> tuple[int, bool]:
-    """One BSC(delta) transition via the copy-or-refresh decomposition.
-
-    With probability 1 - 2*delta the input is copied (fresh=False); with
-    probability 2*delta the output is an independent fair bit (fresh=True).
-    The marginal law is flip-with-probability-delta.  The noise draw does
-    not depend on the input bit, so runs with flipped inputs stay coupled.
-    """
-    d = as_delta(delta, noiseless_ok=True)
-    u = uniforms(derive_seed(seed, TAG_NOISE, *path), 2)
-    fresh = bool(u[0] < 2.0 * d)
-    out = int(u[1] < 0.5) if fresh else int(input_bit) & 1
-    return out, fresh
 
 
 def _gate_schedule(gates: "Gate | Sequence[Gate] | Callable[[int], Gate]") -> Callable[[int], Gate]:
@@ -307,48 +225,22 @@ def _apply_gate_vec(gate: Gate, noisy: np.ndarray) -> np.ndarray:
     return np.asarray(gate.table, dtype=np.uint8)[word]
 
 
-def propagate(
-    dag: DagRealization,
-    gates: "Gate | Sequence[Gate] | Callable[[int], Gate]",
-    delta: "float | CrossoverProb",
-    root: int,
-    seed: int,
-) -> Trajectory:
-    """Forward-simulate one broadcast on a fixed DAG realization.
-
-    Edge noise uses the copy-or-refresh BSC decomposition with a draw per
-    (level, node, slot) derived from the seed, so the function is pure and
-    results do not depend on evaluation order.
-    """
-    dval = as_delta(delta, noiseless_ok=True)
-    gate_at = _gate_schedule(gates)
-    levels = [np.array([int(root) & 1], dtype=np.uint8)]
-    for k in range(1, dag.depth + 1):
-        gate = gate_at(k)
-        if gate.arity != dag.d:
-            raise ValueError(f"gate arity {gate.arity} != dag degree {dag.d} at level {k}")
-        par = dag.parents[k - 1]
-        u = uniform_matrix(derive_seed(seed, TAG_NOISE, k), (dag.layer_sizes[k], dag.d, 2))
-        fresh = u[..., 0] < 2.0 * dval
-        fair = (u[..., 1] < 0.5).astype(np.uint8)
-        noisy = np.where(fresh, fair, levels[k - 1][par])
-        levels.append(_apply_gate_vec(gate, noisy).astype(np.uint8))
-    return Trajectory(tuple(levels))
-
-
 def propagate_many(
     dag: DagRealization,
     gates: "Gate | Sequence[Gate] | Callable[[int], Gate]",
-    delta: "float | CrossoverProb",
+    delta: float,
     roots: np.ndarray,
     seed: int,
 ) -> np.ndarray:
     """Simulate many independent broadcasts on one fixed DAG.
 
     ``roots`` is a 1-D bit array, one entry per trial.  Returns the final
-    level's bits with shape (trials, L_depth).  Noise is drawn from one
-    derived counter stream per level, partitioned across trials, so the
-    result is a pure function of (dag, gates, delta, roots, seed).
+    level's bits with shape (trials, L_depth).  Each edge is a BSC(delta)
+    drawn as copy-or-refresh: with probability 2*delta the parent bit is
+    replaced by a fair bit, else copied.  The draws do not depend on the
+    bits, so calls that differ only in ``roots`` are coupled.  Noise comes
+    from one derived counter stream per level, partitioned across trials,
+    so the result is a pure function of (dag, gates, delta, roots, seed).
     """
     dval = as_delta(delta, noiseless_ok=True)
     gate_at = _gate_schedule(gates)

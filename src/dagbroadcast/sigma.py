@@ -18,14 +18,13 @@ Two named models are supported:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
 
-from .model import BudgetExceededError, DagRealization, Gate, LayerSchedule, as_delta, convolve
+from .model import BudgetExceededError, DagRealization, LayerSchedule, as_delta, convolve
 from .rng import derive_seed, uniform_matrix
 from .stats import wilson_interval
 
@@ -49,17 +48,13 @@ __all__ = [
     "lipschitz",
     "BinomialKernel",
     "binomial_pmf_table",
-    "exact_step",
     "exact_chain",
     "tv",
     "ml_error",
-    "ml_rule",
     "mutual_information",
     "majority_rule",
-    "biased_rule",
     "coupled_mc",
     "quenched_error_estimate",
-    "almost_sure_limit_check",
 ]
 
 MODEL_MAJ3 = "maj3"
@@ -72,7 +67,6 @@ DELTA_ANDOR = (3.0 - math.sqrt(7.0)) / 4.0
 _ANDOR_LIP_BRANCH = (9.0 - math.sqrt(33.0)) / 12.0
 
 TAG_COUPLED = 4
-TAG_LIMIT = 5
 
 
 class DegenerateThresholdError(ValueError):
@@ -386,24 +380,6 @@ def _renorm(pair: np.ndarray) -> np.ndarray:
     return pair / totals
 
 
-def _advance(dist: SigmaDistribution, kernel: BinomialKernel) -> SigmaDistribution:
-    """Apply one transition kernel to the conditional pair."""
-    pair = _renorm(kernel.apply(np.stack((dist.plus, dist.minus))))
-    # truncation changes each conditional by <= max drop in L1, and
-    # renormalizing it afterwards by as much again
-    dropped = dist.dropped + 2.0 * float(kernel.drop.max())
-    return SigmaDistribution(dist.level + 1, kernel.n, pair[0], pair[1], dropped)
-
-
-def exact_step(dist: SigmaDistribution, g, L_next: int) -> SigmaDistribution:
-    """One exact transition of the conditional pair.
-
-    ``g`` maps an array of sigma values to next-level Bernoulli means.
-    """
-    sig = np.arange(dist.L + 1, dtype=float) / dist.L
-    return _advance(dist, binomial_pmf_table(L_next, np.asarray(g(sig), dtype=float)))
-
-
 def exact_chain(
     model: str,
     delta,
@@ -442,7 +418,11 @@ def exact_chain(
             sig = np.arange(prev.L + 1, dtype=float) / prev.L
             kernel = binomial_pmf_table(L_next, _stage_g(model, d, k)(sig))
             kernels[stage] = ((prev.L, L_next), kernel)
-        dists.append(_advance(prev, kernel))
+        pair = _renorm(kernel.apply(np.stack((prev.plus, prev.minus))))
+        # truncation changes each conditional by <= max drop in L1, and
+        # renormalizing it afterwards by as much again
+        dropped = prev.dropped + 2.0 * float(kernel.drop.max())
+        dists.append(SigmaDistribution(k, L_next, pair[0], pair[1], dropped))
     return dists
 
 
@@ -460,11 +440,6 @@ def ml_error(dist: SigmaDistribution) -> float:
     return 0.5 * (1.0 - tv(dist))
 
 
-def ml_rule(dist: SigmaDistribution) -> np.ndarray:
-    """Optimal decision per observed one-count; ties resolved to 0."""
-    return (dist.plus > dist.minus).astype(np.int64)
-
-
 def mutual_information(dist: SigmaDistribution) -> float:
     """I(root; one-count) in bits under the uniform root prior."""
     # plus + minus rather than their half, which underflows to 0 where one
@@ -480,11 +455,6 @@ def mutual_information(dist: SigmaDistribution) -> float:
 def majority_rule(sigma: float) -> int:
     """Guess 1 iff at least half the level is ones (boundary inclusive)."""
     return int(sigma >= 0.5)
-
-
-def biased_rule(sigma: float, t: float) -> int:
-    """Guess 1 iff the one-fraction reaches the threshold t."""
-    return int(sigma >= t)
 
 
 # ---------------------------------------------------------------------------
@@ -592,45 +562,3 @@ def quenched_error_estimate(
     errors = int((guesses != roots).sum())
     lo, hi = wilson_interval(errors, trials)
     return QuenchedEstimate(errors / trials, lo, hi, trials)
-
-
-def almost_sure_limit_check(
-    model: str,
-    delta,
-    schedule: LayerSchedule,
-    depth: int,
-    trials: int,
-    seed: int,
-    tol: float = 0.05,
-) -> float:
-    """Fraction of simulated chains ending within ``tol`` of the limit point.
-
-    Above the critical delta the chain has a unique attracting fixed point
-    (1/2 for maj3, t for andor2) and converges to it almost surely.  Below
-    threshold the limit claim does not apply; a warning is issued and the
-    unique-regime target is still used.
-    """
-    model = _check_model(model)
-    d = as_delta(delta)
-    threshold = DELTA_MAJ if model == MODEL_MAJ3 else DELTA_ANDOR
-    if d <= threshold:
-        warnings.warn(
-            "delta is at or below the critical value; the almost-sure limit "
-            "claim does not apply",
-            stacklevel=2,
-        )
-    if model == MODEL_MAJ3:
-        target = 0.5
-        stop = depth
-    else:
-        report = fixed_points(model, d)
-        # t is the unique point above threshold, the middle one below.
-        target = report.points[0].value if len(report.points) == 1 else report.points[1].value
-        stop = depth if depth % 2 == 0 else depth - 1
-    sig = np.ones(trials)
-    for k in range(1, stop + 1):
-        L = schedule.size(k)
-        p = np.asarray(_stage_g(model, d, k)(sig))
-        u = uniform_matrix(derive_seed(seed, TAG_LIMIT, k), (trials, L))
-        sig = (u < p[:, None]).mean(axis=1)
-    return float((np.abs(sig - target) < tol).mean())

@@ -27,7 +27,7 @@ nodes have only one of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -41,9 +41,6 @@ __all__ = [
     "ErasureEstimate",
     "binom_parity",
     "build_Hk",
-    "f2_rank",
-    "f2_solve",
-    "InconsistentSystemError",
     "check_omega",
     "omega_vector",
     "erasure_ml_fails",
@@ -58,10 +55,6 @@ DEFAULT_K_CAP = 64
 
 SLOT_LEFT = 0
 SLOT_RIGHT = 1
-
-
-class InconsistentSystemError(ValueError):
-    """Raised when a GF(2) linear system has no solution."""
 
 
 @dataclass
@@ -128,12 +121,6 @@ class BitMatrix:
             out |= ((row & vec).bit_count() & 1) << r
         return out
 
-    def to_dense(self) -> np.ndarray:
-        return np.array(
-            [[(row >> c) & 1 for c in range(self.ncols)] for row in self.rows],
-            dtype=np.uint8,
-        )
-
 
 def _reduce(vec: int, basis: dict[int, int]) -> int:
     """Reduce vec against a basis keyed by lowest set bit; returns the remainder.
@@ -147,64 +134,6 @@ def _reduce(vec: int, basis: dict[int, int]) -> int:
             return vec
         vec ^= pivot
     return 0
-
-
-def _rank_of_rows(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of bit-packed row vectors."""
-    basis: dict[int, int] = {}
-    for row in rows:
-        row = _reduce(row, basis)
-        if row:
-            basis[row & -row] = row
-    return len(basis)
-
-
-def f2_rank(matrix: BitMatrix) -> int:
-    """Rank of the matrix over GF(2)."""
-    return _rank_of_rows(matrix.rows)
-
-
-def f2_solve(matrix: BitMatrix, rhs: Sequence[int]) -> int:
-    """Solve matrix @ x = rhs over GF(2); free variables are set to 0.
-
-    Returns the solution bit-packed over columns.  Raises
-    InconsistentSystemError when no solution exists.  The returned
-    solution is verified by multiplication before being returned.
-    """
-    if len(rhs) != matrix.nrows:
-        raise ValueError("rhs length must equal nrows")
-    n = matrix.ncols
-    # Augment each row with its rhs bit at position n, then eliminate.
-    work = [matrix.rows[r] | ((int(rhs[r]) & 1) << n) for r in range(matrix.nrows)]
-    pivots: list[tuple[int, int]] = []  # (column, row index in work)
-    row_at = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row_at, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row_at], work[pivot] = work[pivot], work[row_at]
-        for r in range(len(work)):
-            if r != row_at and ((work[r] >> col) & 1):
-                work[r] ^= work[row_at]
-        pivots.append((col, row_at))
-        row_at += 1
-    for r in range(row_at, len(work)):
-        if work[r]:  # all-zero coefficients but rhs bit set
-            raise InconsistentSystemError("system has no solution over GF(2)")
-    x = 0
-    for col, r in pivots:
-        if (work[r] >> n) & 1:
-            x |= 1 << col
-    rhs_packed = 0
-    for r, b in enumerate(rhs):
-        rhs_packed |= (int(b) & 1) << r
-    if matrix.mul_vector(x) != rhs_packed:
-        raise AssertionError("solution failed verification")
-    return x
 
 
 def binom_parity(k: int, j: int) -> int:
@@ -290,7 +219,7 @@ def check_omega(k: int) -> bool:
     return h.mul_vector(omega_vector(k, idx)) == 0
 
 
-def erasure_ml_fails(h: BitMatrix, idx: EdgeIndex, erased: Iterable[int]) -> bool:
+def erasure_ml_fails(h: BitMatrix, erased: Iterable[int]) -> bool:
     """Decide ML failure for an erasure pattern over the edges.
 
     ``erased`` lists erased edge column indices (1-based, root excluded;
@@ -349,7 +278,7 @@ def erasure_mc_error_bound(k: int, delta, trials: int, seed: int) -> ErasureEsti
     failures = 0
     for t in range(trials):
         pattern = sample_erasure_pattern(idx, d, seed, t)
-        if erasure_ml_fails(h, idx, pattern):
+        if erasure_ml_fails(h, pattern):
             failures += 1
     freq = failures / trials
     lo, hi = wilson_interval(failures, trials)

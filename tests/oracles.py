@@ -7,11 +7,28 @@ tests compare two independent routes to the same numbers.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.special import gammaln
 
+from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U
 from dagbroadcast.model import Gate, LayerSchedule
 from dagbroadcast.sigma import g_and, g_majority, g_or
+
+
+def gate_output_prob(gate: Gate, p: float) -> float:
+    """P(gate = 1) when inputs are i.i.d. Bernoulli(p), summed over the truth table."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    d = gate.arity
+    total = 0.0
+    for w in range(1 << d):
+        if gate.table[w]:
+            ones = w.bit_count()
+            total += p ** ones * (1.0 - p) ** (d - ones)
+    return total
 
 
 def grid_joint_by_enumeration(
@@ -147,6 +164,21 @@ def xor_grid_bits_by_recursion(
     return bits
 
 
+def f2_rank(rows: list[int]) -> int:
+    """GF(2) rank of bit-packed rows, by elimination on the highest set bit.
+
+    Fast enough for the parity-check matrices of depth-16 grids, where
+    ``rank_by_span_enumeration`` is not.
+    """
+    basis: list[int] = []  # distinct highest set bits, kept in decreasing order
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis = sorted([*basis, row], reverse=True)
+    return len(basis)
+
+
 def rank_by_span_enumeration(rows: list[int]) -> int:
     """GF(2) rank via explicit row-span enumeration (tiny matrices only)."""
     span = {0}
@@ -258,3 +290,74 @@ def random_block_instance(rng: np.random.Generator, max_cols: int = 10):
         )
         if has_one:
             return b1, b2_rows, n - 1
+
+
+# ---------------------------------------------------------------------------
+# Coupled AND grid on the symbols 0c = (0, 0) < 1u = (0, 1) < 1c = (1, 1)
+
+_DECODE = {SYM_0C: (0, 0), SYM_1U: (0, 1), SYM_1C: (1, 1)}
+
+# Coupled-AND table: entry [a][b] for symbols a, b, written out so tests
+# can check it against coordinate-wise AND of the decoded pairs and
+# against the ``np.minimum`` the coupled grid applies.
+_AND_TABLE = (
+    (SYM_0C, SYM_0C, SYM_0C),
+    (SYM_0C, SYM_1U, SYM_1U),
+    (SYM_0C, SYM_1U, SYM_1C),
+)
+
+
+def decode_symbol(sym: int) -> tuple[int, int]:
+    """Map a coupled symbol to its (minus-run bit, plus-run bit) pair."""
+    return _DECODE[sym]
+
+
+def encode_pair(minus_bit: int, plus_bit: int) -> int:
+    """Inverse of decode_symbol; rejects the unrepresentable pair (1, 0)."""
+    for sym, pair in _DECODE.items():
+        if pair == (minus_bit, plus_bit):
+            return sym
+    raise ValueError("pair (1, 0) is not representable in the monotone coupling")
+
+
+def coupled_and(a: int, b: int) -> int:
+    """Symbol-wise AND of two coupled symbols."""
+    return _AND_TABLE[a][b]
+
+
+def coupled_channel_matrix(delta: float) -> np.ndarray:
+    """Transition matrix of one coupled BSC(delta) edge over (0c, 1u, 1c)."""
+    return np.array(
+        [
+            [1.0 - delta, 0.0, delta],
+            [delta, 1.0 - 2.0 * delta, delta],
+            [delta, 0.0, 1.0 - delta],
+        ]
+    )
+
+
+def coupled_grid_coalesced(delta: float, depth: int) -> list[float]:
+    """P(level k holds no 1u) for k = 0..depth in the coupled AND grid.
+
+    Exact forward law over whole symbol words, each node drawn given its
+    parents: a boundary node through one coupled channel, an interior node
+    as the coupled AND of two independent channels.  Costs 9^(k+1) per
+    level, so keep depth <= 4.
+    """
+    m = coupled_channel_matrix(delta)
+    interior = np.zeros((3, 3, 3))  # [left parent, right parent, node]
+    for x, y, a, b in itertools.product(range(3), repeat=4):
+        interior[x, y, coupled_and(a, b)] += m[x, a] * m[y, b]
+    law = {(SYM_1U,): 1.0}
+    out = [0.0]
+    for k in range(1, depth + 1):
+        new: dict[tuple[int, ...], float] = {}
+        for word, p in law.items():
+            nodes = [m[word[0]], *(interior[word[j - 1], word[j]] for j in range(1, k)), m[word[k - 1]]]
+            for child in itertools.product(range(3), repeat=k + 1):
+                q = p * float(np.prod([node[s] for node, s in zip(nodes, child)]))
+                if q:
+                    new[child] = new.get(child, 0.0) + q
+        law = new
+        out.append(sum(p for word, p in law.items() if SYM_1U not in word))
+    return out

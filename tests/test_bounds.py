@@ -1,21 +1,17 @@
-"""Tests for the closed-form impossibility bounds and site percolation."""
+"""Tests for the closed-form impossibility bounds."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dagbroadcast.model import LayerSchedule
-from dagbroadcast.bounds import (
-    bond_bound,
-    delta_es,
-    evans_schulman,
-    schedule_qualifies,
-    site_percolation_iterate,
-    site_percolation_mc,
-    slow_growth_threshold,
-)
+from dagbroadcast.bounds import bond_bound, delta_es, evans_schulman, slow_growth_threshold
+
+
+def below_threshold(schedule, d, delta, K, k_max=2000):
+    """Whether L_k <= slow_growth_threshold(k) for every K <= k <= k_max."""
+    return all(schedule.size(k) <= slow_growth_threshold(k, d, delta) for k in range(max(K, 2), k_max + 1))
 
 
 class TestClosedForms:
@@ -68,72 +64,12 @@ class TestSlowGrowth:
     def test_constant_one_qualifies_eventually(self):
         sched = LayerSchedule.constant(1)
         # need log(k) >= 3 log(2), i.e. k >= 8
-        assert schedule_qualifies(sched, 3, 0.25, K=8, k_max=2000)
-        assert not schedule_qualifies(sched, 3, 0.25, K=2, k_max=2000)
+        assert below_threshold(sched, 3, 0.25, K=8)
+        assert not below_threshold(sched, 3, 0.25, K=2)
 
     def test_linear_never_qualifies(self):
-        assert not schedule_qualifies(LayerSchedule.linear(), 3, 0.25, K=100, k_max=2000)
+        assert not below_threshold(LayerSchedule.linear(), 3, 0.25, K=100)
 
     def test_tiny_log_schedule_qualifies(self):
         sched = LayerSchedule.logarithmic(0.1)
-        assert schedule_qualifies(sched, 3, 0.25, K=8, k_max=2000)
-
-
-class TestSiteRecursion:
-    def test_trajectory_shape_and_start(self):
-        traj = site_percolation_iterate(0.2, 3, 10, x0=0.7)
-        assert len(traj) == 11
-        assert traj[0] == 0.7
-
-    def test_x0_validated(self):
-        with pytest.raises(ValueError):
-            site_percolation_iterate(0.2, 3, 5, x0=1.5)
-
-    def test_one_step_by_hand(self):
-        traj = site_percolation_iterate(0.1, 3, 1)
-        assert traj[1] == pytest.approx(0.8**2 * 1.0)
-        traj = site_percolation_iterate(0.1, 3, 2, x0=0.5)
-        assert traj[1] == pytest.approx(0.64 * (1 - 0.125))
-
-    def test_supercritical_geometric_decay(self):
-        d, delta = 3, 0.3
-        factor = (1 - 2 * delta) ** 2 * d
-        assert factor < 1
-        traj = site_percolation_iterate(delta, d, 40)
-        for k, x in enumerate(traj):
-            assert x <= factor**k + 1e-12
-
-    def test_critical_harmonic_decay(self):
-        # at the critical point the iterates fall below 2 / ((d-1) k)
-        d = 3
-        delta = delta_es(d)
-        traj = site_percolation_iterate(delta, d, 200)
-        for k in range(1, 201):
-            assert traj[k] <= 2.0 / ((d - 1) * k) + 1e-12
-
-    def test_subcritical_positive_fixed_point(self):
-        traj = site_percolation_iterate(0.05, 3, 300)
-        assert traj[-1] > 0.5
-        assert traj[-1] == pytest.approx(traj[-2], abs=1e-12)
-
-
-class TestSiteMc:
-    def test_matches_mean_recursion_wide_layers(self):
-        d, delta, depth = 3, 0.25, 8
-        est = site_percolation_mc(d, delta, LayerSchedule.constant(200), depth, 60, seed=1)
-        traj = site_percolation_iterate(delta, d, depth)
-        for k in range(depth + 1):
-            assert est.lambda_mean[k] == pytest.approx(traj[k], abs=0.05)
-
-    def test_presence_dominates_mean(self):
-        est = site_percolation_mc(3, 0.3, LayerSchedule.constant(20), 12, 80, seed=2)
-        assert (est.p_hat >= est.lambda_mean - 1e-12).all()
-
-    def test_supercritical_extinction(self):
-        est = site_percolation_mc(3, 0.4, LayerSchedule.constant(30), 30, 80, seed=3)
-        assert est.p_hat[-1] < 0.1
-
-    def test_deterministic(self):
-        a = site_percolation_mc(3, 0.2, LayerSchedule.constant(10), 6, 30, seed=9)
-        b = site_percolation_mc(3, 0.2, LayerSchedule.constant(10), 6, 30, seed=9)
-        np.testing.assert_array_equal(a.lambda_mean, b.lambda_mean)
+        assert below_threshold(sched, 3, 0.25, K=8)

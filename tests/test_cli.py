@@ -4,6 +4,7 @@ import csv
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -15,11 +16,22 @@ from dagbroadcast.cli import (
     ConfigError,
     ExperimentConfig,
     ResultRow,
+    _fields_of_text,
     main,
     rows_to_csv,
     run,
     threshold_bisect,
 )
+
+
+def _sweep_file_error(text, tmp_path, capsys) -> str:
+    """Run ``sweep --config`` on a file holding ``text``; expect one error line and exit 2."""
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and "Traceback" not in err
+    return err
 
 
 class TestExperimentConfig:
@@ -33,26 +45,27 @@ class TestExperimentConfig:
             trials=100,
             seed=7,
         )
-        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+        text = "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
+        assert ExperimentConfig(**_fields_of_text(text)) == cfg
 
-    def test_from_file(self, tmp_path):
+    def test_from_file(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
+        out = tmp_path / "rows.csv"
         path.write_text("model=bounds\ndepth=5\n# a comment\n\ndelta_start=0.3\ndelta_stop=0.3\n")
-        cfg = ExperimentConfig.from_file(str(path))
-        assert cfg.model == "bounds"
-        assert cfg.depth == 5
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        assert {r["model"] for r in recs} == {"bounds"}
+        assert sorted(int(r["k"]) for r in recs) == list(range(6))
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown field"):
-            ExperimentConfig.from_text("wibble=3\n")
+    def test_unknown_field_rejected(self, tmp_path, capsys):
+        assert "unknown field 'wibble'" in _sweep_file_error("wibble=3\n", tmp_path, capsys)
 
-    def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_text("depth=three\n")
+    def test_bad_value_rejected(self, tmp_path, capsys):
+        assert "field depth:" in _sweep_file_error("depth=three\n", tmp_path, capsys)
 
-    def test_missing_equals_rejected(self):
-        with pytest.raises(ConfigError, match="key=value"):
-            ExperimentConfig.from_text("model grid-xor\n")
+    def test_missing_equals_rejected(self, tmp_path, capsys):
+        assert "key=value" in _sweep_file_error("model grid-xor\n", tmp_path, capsys)
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="model"):
@@ -65,9 +78,9 @@ class TestExperimentConfig:
             ExperimentConfig(depth=0).validate()
 
     def test_percolation_allows_large_p(self):
-        ExperimentConfig(model="percolation", delta_start=0.8, delta_stop=0.8).validate()
+        ExperimentConfig(model="percolation", delta_start=0.8, delta_stop=0.8, trials=1).validate()
         with pytest.raises(ConfigError):
-            ExperimentConfig(model="percolation", delta_start=1.2, delta_stop=1.2).validate()
+            ExperimentConfig(model="percolation", delta_start=1.2, delta_stop=1.2, trials=1).validate()
 
     def test_delta_grid(self):
         cfg = ExperimentConfig(delta_start=0.1, delta_stop=0.2, delta_count=3)
@@ -472,6 +485,16 @@ class TestExitCodes:
     def test_monte_carlo_only_needs_trials(self, argv, capsys):
         _assert_config_error([*argv, "--trials", "0"], "trials", capsys)
 
+    @pytest.mark.parametrize("model", ["grid-and-couple", "percolation"])
+    @pytest.mark.parametrize("trials", ["", "trials=0\n"])
+    def test_monte_carlo_only_needs_trials_from_file(self, model, trials, tmp_path, capsys):
+        # the default trials = 0 is refused too, rather than run as 1000 or 500 trials
+        err = _sweep_file_error(f"model={model}\ndelta_start=0.3\ndelta_stop=0.3\ndepth=5\n{trials}", tmp_path, capsys)
+        assert "field trials:" in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        _assert_config_error(["sweep", "--config", str(tmp_path / "missing.cfg")], "config", capsys)
+
     def test_bad_env_seed(self, monkeypatch, capsys):
         monkeypatch.setenv("NBL_SEED", "abc")
         _assert_config_error(["bounds", "--delta", "0.3"], "seed", capsys)
@@ -511,6 +534,44 @@ class TestExitCodes:
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--delta", "0.3", "--threads", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fixed-points", "--model", "maj3", "--delta", "0.1"],
+            ["grid-xor", "--k", "4", "--delta", "0.1"],
+            ["bisect", "--model", "maj3"],
+        ],
+    )
+    def test_out_flag_only_on_row_subcommands(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "rows.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fixed-points", "--model", "maj3", "--delta", "0.1"],
+            ["grid-exact", "--gate", "and", "--delta", "0.1"],
+            ["grid-and-couple", "--delta", "0.1"],
+            ["grid-xor", "--k", "4", "--delta", "0.1"],
+            ["percolation", "--p", "0.5"],
+            ["bounds", "--delta", "0.1"],
+        ],
+    )
+    def test_budget_flag_only_where_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--budget", "64"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["fixed-points", "--model", "maj3", "--delta", "0.1"], ["bisect", "--model", "maj3"]]
+    )
+    def test_seed_flag_only_where_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "3"])
         assert exc.value.code == 2
 
 

@@ -3,24 +3,21 @@
 import numpy as np
 import pytest
 
+from dagbroadcast.cli import ConfigError, ExperimentConfig
 from dagbroadcast.model import AND2, IDENTITY
 from dagbroadcast.grid import grid_exact_distribution
 from dagbroadcast.coupling import (
     SYM_0C,
     SYM_1C,
     SYM_1U,
-    bond_percolation_run,
-    coupled_and,
-    coupled_channel_matrix,
-    coupled_channel_step,
-    coupled_grid_run,
+    _channel_step_array,
+    _percolation_reach,
     coupled_grid_runs,
     coupling_tv_bound,
-    decode_symbol,
-    encode_pair,
     estimate_alpha,
-    estimate_delta_perc,
 )
+from dagbroadcast.rng import uniforms
+from oracles import coupled_and, coupled_channel_matrix, coupled_grid_coalesced, decode_symbol, encode_pair
 
 SYMBOLS = (SYM_0C, SYM_1U, SYM_1C)
 
@@ -42,9 +39,10 @@ class TestSymbols:
                 assert decode_symbol(coupled_and(a, b)) == (am & bm, ap & bp)
 
     def test_and_is_min(self):
+        # coupled_grid_runs applies the AND as np.minimum on the symbol codes
         for a in SYMBOLS:
             for b in SYMBOLS:
-                assert coupled_and(a, b) == min(a, b)
+                assert coupled_and(a, b) == np.minimum(np.int8(a), np.int8(b))
 
 
 class TestCoupledChannel:
@@ -57,6 +55,9 @@ class TestCoupledChannel:
         m = coupled_channel_matrix(0.3)
         assert m[SYM_0C, SYM_1U] == 0
         assert m[SYM_1C, SYM_1U] == 0
+        u = uniforms(5, 10_000)
+        for sym in (SYM_0C, SYM_1C):
+            assert (_channel_step_array(np.full(10_000, sym, dtype=np.int8), 0.3, u) != SYM_1U).all()
 
     def test_marginals_are_bsc(self):
         # each coordinate of the decoded pair flips with probability delta
@@ -74,7 +75,7 @@ class TestCoupledChannel:
         m = coupled_channel_matrix(delta)
         n = 10_000
         for sym in SYMBOLS:
-            outs = np.array([coupled_channel_step(sym, delta, 31, sym, t) for t in range(n)])
+            outs = _channel_step_array(np.full(n, sym, dtype=np.int8), delta, uniforms(31 + sym, n))
             freq = np.bincount(outs, minlength=3) / n
             for out in SYMBOLS:
                 se = np.sqrt(max(m[sym, out] * (1 - m[sym, out]), 1e-4) / n)
@@ -91,10 +92,19 @@ class TestCoupledGrid:
                 assert (counts[i, :t] > 0).all()
 
     def test_single_run_wrapper(self):
-        out = coupled_grid_run(0.3, 30, seed=7)
-        assert out.unresolved_counts[0] == 1
-        if out.coalesced:
-            assert out.unresolved_counts[out.coalesce_time] == 0
+        times, counts = coupled_grid_runs(0.3, 30, 1, seed=7)
+        assert counts.shape == (1, 31) and counts[0, 0] == 1
+        if times[0] >= 0:
+            assert counts[0, times[0]] == 0
+
+    def test_coalescence_matches_exact_law(self):
+        # the channel draws and the np.minimum AND together against the exact law
+        n = 40_000
+        exact = coupled_grid_coalesced(0.2, 4)
+        _, counts = coupled_grid_runs(0.2, 4, n, seed=19)
+        for k in range(1, 5):
+            freq = (counts[:, k] == 0).mean()
+            assert abs(freq - exact[k]) < 4 * np.sqrt(exact[k] * (1 - exact[k]) / n)
 
     def test_noiseless_never_coalesces(self):
         times, counts = coupled_grid_runs(0.0, 10, 50, seed=3)
@@ -128,26 +138,29 @@ class TestCoupledGrid:
 
 class TestPercolation:
     def test_full_open_survives(self):
-        run = bond_percolation_run(1.0, 20, seed=1)
-        assert run.survived
-        assert run.levels_reached == 20
-        np.testing.assert_array_equal(run.rightmost, np.arange(21))
-        np.testing.assert_array_equal(run.leftmost, np.zeros(21, dtype=np.int64))
+        reach, right, left = _percolation_reach(1.0, 20, 3, seed=1)
+        assert reach.all()
+        np.testing.assert_array_equal(right, np.tile(np.arange(21), (3, 1)))
+        np.testing.assert_array_equal(left, np.zeros((3, 21), dtype=np.int64))
+        est = estimate_alpha(1.0, 20, 3, seed=1)
+        assert est.surviving == 3 and est.alpha == 1.0
 
     def test_closed_dies_immediately(self):
-        run = bond_percolation_run(0.0, 10, seed=1)
-        assert not run.survived
-        assert run.levels_reached == 0
-        assert (run.rightmost[1:] == -1).all()
+        reach, right, _ = _percolation_reach(0.0, 10, 3, seed=1)
+        assert not reach.any()
+        assert (right[:, 1:] == -1).all()
+        assert estimate_alpha(0.0, 10, 3, seed=1).surviving == 0
 
     def test_p_validated(self):
-        with pytest.raises(ValueError):
-            bond_percolation_run(1.2, 5, seed=1)
+        for p in (-0.1, 1.2):
+            with pytest.raises(ConfigError, match="delta_start"):
+                ExperimentConfig(model="percolation", delta_start=p, delta_stop=0.5, trials=5).validate()
 
     def test_cluster_shape_sane(self):
-        run = bond_percolation_run(0.8, 50, seed=9)
-        for k in range(run.levels_reached + 1):
-            assert 0 <= run.leftmost[k] <= run.rightmost[k] <= k
+        _, right, left = _percolation_reach(0.8, 50, 20, seed=9)
+        for r_row, l_row in zip(right, left):
+            for k in np.flatnonzero(r_row >= 0):
+                assert 0 <= l_row[k] <= r_row[k] <= k
 
     def test_alpha_full_lattice(self):
         est = estimate_alpha(1.0, 40, 20, seed=3)
@@ -160,8 +173,8 @@ class TestPercolation:
         assert 0 < lo.alpha < hi.alpha <= 1.0 + 1e-9
 
     def test_delta_perc_bracket(self):
-        lo, hi = estimate_delta_perc(400, 150, seed=6)
-        assert hi - lo <= 0.01 + 1e-12
-        # oriented bond percolation threshold is near 0.645; finite depth
-        # biases the estimate low, so accept a generous window
-        assert 0.5 < 0.5 * (lo + hi) < 0.75
+        # the oriented bond percolation threshold, near 0.645, lies where the
+        # survival frequency to depth 150 crosses 5 %
+        below = estimate_alpha(0.5, 150, 400, seed=6)
+        above = estimate_alpha(0.75, 150, 400, seed=6)
+        assert below.surviving / 400 < 0.05 < above.surviving / 400

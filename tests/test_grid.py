@@ -5,10 +5,11 @@ import pytest
 
 from dagbroadcast.model import AND2, IDENTITY, OR2, XOR2, BudgetExceededError, Gate
 from dagbroadcast.grid import (
+    TAG_GRID,
     GridDistribution,
+    _grid_level_step,
     grid_exact_distribution,
     grid_mc_tv_estimate,
-    grid_propagate,
 )
 from oracles import grid_dense_dp, grid_joint_by_enumeration
 
@@ -17,34 +18,45 @@ NOT = Gate("NOT", 1, (1, 0))
 ANDN = Gate("ANDN", 2, (0, 1, 0, 0))
 
 
+def grid_levels(f1, f2, delta, root, depth, seed):
+    """Bit arrays of levels 0..depth of one grid run, one level step at a time."""
+    levels = [np.array([root], dtype=np.uint8)]
+    for k in range(1, depth + 1):
+        levels.append(_grid_level_step(f1, f2, delta, levels[-1], k, seed, TAG_GRID))
+    return levels
+
+
 class TestGridPropagate:
+    """Grid runs built from ``_grid_level_step``, the step the grid Monte Carlo uses."""
+
     def test_level_shapes(self):
-        levels = grid_propagate(XOR2, IDENTITY, 0.1, 1, 9, seed=3)
+        levels = grid_levels(XOR2, IDENTITY, 0.1, 1, 9, seed=3)
         assert [len(lv) for lv in levels] == list(range(1, 11))
 
     def test_deterministic(self):
-        a = grid_propagate(AND2, IDENTITY, 0.2, 1, 8, seed=11)
-        b = grid_propagate(AND2, IDENTITY, 0.2, 1, 8, seed=11)
+        a = grid_levels(AND2, IDENTITY, 0.2, 1, 8, seed=11)
+        b = grid_levels(AND2, IDENTITY, 0.2, 1, 8, seed=11)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_noiseless_and_grid_consensus(self):
         for root in (0, 1):
-            levels = grid_propagate(AND2, IDENTITY, 0.0, root, 10, seed=1)
+            levels = grid_levels(AND2, IDENTITY, 0.0, root, 10, seed=1)
             for lv in levels:
                 assert (lv == root).all()
 
     def test_noiseless_xor_is_pascal_parity(self):
-        levels = grid_propagate(XOR2, IDENTITY, 0.0, 1, 8, seed=1)
+        levels = grid_levels(XOR2, IDENTITY, 0.0, 1, 8, seed=1)
         for k, lv in enumerate(levels):
             expect = [(j & k) == j for j in range(k + 1)]
             np.testing.assert_array_equal(lv, np.array(expect, dtype=np.uint8))
 
     def test_gate_arity_checked(self):
-        with pytest.raises(ValueError):
-            grid_propagate(IDENTITY, IDENTITY, 0.1, 1, 3, seed=1)
-        with pytest.raises(ValueError):
-            grid_propagate(AND2, AND2, 0.1, 1, 3, seed=1)
+        for f1, f2 in ((IDENTITY, IDENTITY), (AND2, AND2)):
+            with pytest.raises(ValueError):
+                grid_exact_distribution(f1, f2, 0.1, 3)
+            with pytest.raises(ValueError):
+                grid_mc_tv_estimate(f1, f2, 0.1, 3, 10, seed=1)
 
 
 class TestGridDistribution:

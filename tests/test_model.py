@@ -12,29 +12,31 @@ from dagbroadcast.model import (
     NAND2,
     OR2,
     XOR2,
-    CrossoverProb,
     Gate,
     LayerSchedule,
-    bsc_sample,
+    as_delta,
     convolve,
-    gate_output_prob,
-    propagate,
     propagate_many,
     sample_random_dag,
 )
+from oracles import gate_output_prob
 
 
 class TestCrossoverProb:
+    """``as_delta``, the one check of a crossover probability."""
+
     @pytest.mark.parametrize("bad", [0.0, 0.5, -0.1, 0.7, 1.0])
     def test_endpoints_rejected(self, bad):
         with pytest.raises(ValueError):
-            CrossoverProb(bad)
+            as_delta(bad)
 
     def test_interior_accepted(self):
-        assert CrossoverProb(0.25).delta == 0.25
+        assert as_delta(0.25) == 0.25
 
     def test_noiseless_test_mode(self):
-        assert CrossoverProb.noiseless().delta == 0.0
+        assert as_delta(0.0, noiseless_ok=True) == 0.0
+        with pytest.raises(ValueError):
+            as_delta(0.5, noiseless_ok=True)
 
 
 class TestConvolve:
@@ -114,8 +116,10 @@ class TestLayerSchedule:
         assert LayerSchedule.explicit([4, 5]).size(2) == 5
 
     def test_parse_round_trip(self):
-        for spec in ("const:64", "linear", "log:10", "list:1,2,4"):
-            assert LayerSchedule.parse(spec).to_spec() == spec
+        assert LayerSchedule.parse("const:64") == LayerSchedule.constant(64)
+        assert LayerSchedule.parse("linear") == LayerSchedule.linear()
+        assert LayerSchedule.parse("log:10") == LayerSchedule.logarithmic(10)
+        assert LayerSchedule.parse("list:1,2,4") == LayerSchedule.explicit([1, 2, 4])
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -154,18 +158,30 @@ class TestSampleRandomDag:
         assert p > 0.01
 
 
+def _final_level(dag, gate, delta, root, seed):
+    """The last level's bits of one broadcast from ``root``."""
+    return propagate_many(dag, gate, delta, np.array([root]), seed)[0]
+
+
 class TestBscSample:
+    """The copy-or-refresh edge noise of ``propagate_many``, on one edge."""
+
+    def _one_edge(self, root, delta, trials, seed):
+        dag = sample_random_dag(1, 1, LayerSchedule.constant(1), 1)
+        return propagate_many(dag, IDENTITY, delta, np.full(trials, root), seed)[:, 0]
+
     def test_deterministic(self):
-        assert bsc_sample(1, 0.25, 7, 1, 2, 3) == bsc_sample(1, 0.25, 7, 1, 2, 3)
+        np.testing.assert_array_equal(self._one_edge(1, 0.25, 100, 7), self._one_edge(1, 0.25, 100, 7))
 
     def test_fresh_frequency(self):
-        fresh = sum(bsc_sample(0, 0.01, 11, t)[1] for t in range(100_000))
-        # fresh rate 2*delta = 0.02, 3 sigma ~ 0.00133
-        assert abs(fresh / 100_000 - 0.02) < 3 * np.sqrt(0.02 * 0.98 / 100_000)
+        # the same draws from roots 0 and 1 differ exactly where the edge copies,
+        # which happens with probability 1 - 2*delta
+        copied = (self._one_edge(0, 0.01, 100_000, 11) != self._one_edge(1, 0.01, 100_000, 11)).mean()
+        assert abs(copied - 0.98) < 3 * np.sqrt(0.02 * 0.98 / 100_000)
 
     def test_marginal_flip_rate(self):
-        flips = sum(bsc_sample(0, 0.25, 13, t)[0] for t in range(100_000))
-        assert abs(flips / 100_000 - 0.25) < 3 * np.sqrt(0.25 * 0.75 / 100_000)
+        flips = self._one_edge(0, 0.25, 100_000, 13).mean()
+        assert abs(flips - 0.25) < 3 * np.sqrt(0.25 * 0.75 / 100_000)
 
 
 class TestPropagate:
@@ -173,35 +189,33 @@ class TestPropagate:
         # d = 1 identity chain with a shared seed: the root flip
         # propagates through every copying channel and disappears at the
         # first fresh draw, so the disagreement pattern is a prefix.
+        # Level k of the depth-40 chain is the last level of its depth-k prefix.
         sched = LayerSchedule.constant(1)
-        dag = sample_random_dag(3, 1, sched, 40)
-        t1 = propagate(dag, IDENTITY, 0.3, 1, seed=99)
-        t0 = propagate(dag, IDENTITY, 0.3, 0, seed=99)
-        diffs = [int(t1.levels[k][0] != t0.levels[k][0]) for k in range(41)]
-        assert diffs[0] == 1
+        diffs = [1]
+        for k in range(1, 41):
+            dag = sample_random_dag(3, 1, sched, k)
+            diffs.append(int(_final_level(dag, IDENTITY, 0.3, 1, 99)[0] != _final_level(dag, IDENTITY, 0.3, 0, 99)[0]))
         assert all(a >= b for a, b in zip(diffs, diffs[1:]))
         # at delta = 0.3 a fresh draw within 40 levels is essentially sure
         assert diffs[-1] == 0
 
     def test_noiseless_majority_consensus(self):
-        dag = sample_random_dag(8, 3, LayerSchedule.constant(9), 6)
-        ones = propagate(dag, MAJ3, 0.0, 1, seed=5)
-        zeros = propagate(dag, MAJ3, 0.0, 0, seed=5)
-        for k in range(7):
-            assert ones.levels[k].all()
-            assert not zeros.levels[k].any()
+        for depth in range(1, 7):
+            dag = sample_random_dag(8, 3, LayerSchedule.constant(9), depth)
+            assert _final_level(dag, MAJ3, 0.0, 1, 5).all()
+            assert not _final_level(dag, MAJ3, 0.0, 0, 5).any()
 
     def test_pure_function(self):
         dag = sample_random_dag(2, 3, LayerSchedule.constant(5), 4)
-        a = propagate(dag, MAJ3, 0.2, 1, seed=17)
-        b = propagate(dag, MAJ3, 0.2, 1, seed=17)
-        for x, y in zip(a.levels, b.levels):
-            np.testing.assert_array_equal(x, y)
+        roots = np.array([0, 1, 1, 0, 1])
+        a = propagate_many(dag, MAJ3, 0.2, roots, seed=17)
+        b = propagate_many(dag, MAJ3, 0.2, roots, seed=17)
+        np.testing.assert_array_equal(a, b)
 
     def test_arity_mismatch(self):
         dag = sample_random_dag(2, 3, LayerSchedule.constant(5), 2)
         with pytest.raises(ValueError):
-            propagate(dag, AND2, 0.2, 1, seed=1)
+            propagate_many(dag, AND2, 0.2, np.ones(3), seed=1)
 
     def test_single_node_level_matches_g(self):
         # one MAJ3 step from root 1 at delta = 0.1: P(one) = 0.972

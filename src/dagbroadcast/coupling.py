@@ -54,21 +54,24 @@ TAG_COUPLE = 8
 TAG_PERC = 9
 
 
+# _CHANNEL[3 * sym + band]: band 0 is u < delta, band 1 is delta <= u < 2*delta, band 2 the rest.
+# 0c: -> 1c w.p. delta, else 0c.          (never 1u)
+# 1u: -> 0c w.p. delta, 1c w.p. delta, else stays 1u.
+# 1c: -> 0c w.p. delta, else 1c.          (never 1u)
+_CHANNEL = np.array(
+    [SYM_1C, SYM_0C, SYM_0C, SYM_0C, SYM_1C, SYM_1U, SYM_0C, SYM_1C, SYM_1C], dtype=np.int8
+)
+
+
 def _channel_step_array(sym: np.ndarray, delta: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized coupled channel: thresholds chosen to match the matrix rows above."""
-    # 0c: -> 1c w.p. delta, else 0c.          (never 1u)
-    # 1c: -> 0c w.p. delta, else 1c.          (never 1u)
-    # 1u: -> 0c w.p. delta, 1c w.p. delta, else stays 1u.
-    out = np.where(
-        sym == SYM_1U,
-        np.where(u < delta, SYM_0C, np.where(u < 2.0 * delta, SYM_1C, SYM_1U)),
-        np.where(
-            sym == SYM_0C,
-            np.where(u < delta, SYM_1C, SYM_0C),
-            np.where(u < delta, SYM_0C, SYM_1C),
-        ),
-    )
-    return out.astype(np.int8)
+    """Vectorized coupled channel: thresholds chosen to match the matrix rows above.
+
+    ``sym`` (int8 symbol codes) broadcasts against ``u``, which has the output shape.
+    """
+    idx = (u >= delta).view(np.int8)
+    idx += u >= 2.0 * delta
+    idx += 3 * sym
+    return _CHANNEL.take(idx)
 
 
 def coupled_grid_runs(
@@ -147,16 +150,18 @@ def _percolation_reach(p: float, depth: int, trials: int, seed: int):
     alive = np.ones(trials, dtype=bool)
     for k in range(1, depth + 1):
         u = uniform_matrix(derive_seed(seed, TAG_PERC, k), (trials, k, 2))
-        open_straight = u[..., 0] < p  # edge (k-1, j) -> (k, j)
-        open_diag = u[..., 1] < p  # edge (k-1, j) -> (k, j+1)
+        # each node's pair of open flags read as one uint16: bit 0 is the edge
+        # (k-1, j) -> (k, j), bit 8 the edge (k-1, j) -> (k, j+1)
+        opened = (u < p).view("<u2")[..., 0]
+        opened *= reach
         new = np.zeros((trials, k + 1), dtype=bool)
-        new[:, :k] |= reach & open_straight
-        new[:, 1:] |= reach & open_diag
+        new[:, :k] = opened & 1
+        new[:, 1:] |= opened > 0xFF
         reach = new
         alive = reach.any(axis=1)
-        idx = np.arange(k + 1)
-        right[alive, k] = np.where(reach[alive], idx, -1).max(axis=1)
-        left[alive, k] = np.where(reach[alive], idx, k + 1).min(axis=1)
+        live = reach[alive]
+        right[alive, k] = k - live[:, ::-1].argmax(axis=1)
+        left[alive, k] = live.argmax(axis=1)
         if not alive.any():
             break
     return reach, right, left

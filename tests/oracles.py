@@ -12,8 +12,9 @@ import itertools
 import numpy as np
 from scipy.special import gammaln
 
-from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U
+from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U, TAG_PERC
 from dagbroadcast.model import Gate, LayerSchedule
+from dagbroadcast.rng import derive_seed, uniform_matrix
 from dagbroadcast.sigma import g_and, g_majority, g_or
 
 
@@ -361,3 +362,51 @@ def coupled_grid_coalesced(delta: float, depth: int) -> list[float]:
         law = new
         out.append(sum(p for word, p in law.items() if SYM_1U not in word))
     return out
+
+
+def channel_step_where(sym: np.ndarray, delta: float, u: np.ndarray) -> np.ndarray:
+    """The coupled channel as nested ``np.where`` over the matrix rows, one symbol at a time."""
+    out = np.where(
+        sym == SYM_1U,
+        np.where(u < delta, SYM_0C, np.where(u < 2.0 * delta, SYM_1C, SYM_1U)),
+        np.where(
+            sym == SYM_0C,
+            np.where(u < delta, SYM_1C, SYM_0C),
+            np.where(u < delta, SYM_0C, SYM_1C),
+        ),
+    )
+    return out.astype(np.int8)
+
+
+def percolation_edges_by_loop(p: float, depth: int, trials: int, seed: int):
+    """Rightmost and leftmost reached node per (trial, level), -1 once the cluster
+    has died, by walking each trial's open edges node by node over the same uniforms."""
+    right = np.full((trials, depth + 1), -1, dtype=np.int64)
+    left = np.full((trials, depth + 1), -1, dtype=np.int64)
+    reached = [{0} for _ in range(trials)]
+    right[:, 0] = left[:, 0] = 0
+    for k in range(1, depth + 1):
+        u = uniform_matrix(derive_seed(seed, TAG_PERC, k), (trials, k, 2))
+        for t in range(trials):
+            nxt = set()
+            for j in reached[t]:
+                if u[t, j, 0] < p:
+                    nxt.add(j)
+                if u[t, j, 1] < p:
+                    nxt.add(j + 1)
+            reached[t] = nxt
+            if nxt:
+                right[t, k], left[t, k] = max(nxt), min(nxt)
+    return right, left
+
+
+def uniforms_reference(seed: int, n: int) -> np.ndarray:
+    """The counter stream in one shot: element i is the SplitMix64 finalizer of
+    seed + golden * (i + 1) mod 2^64, its top 53 bits scaled into [0, 1)."""
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed % (1 << 64)) + np.uint64(0x9E3779B97F4A7C15) * idx
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)

@@ -17,7 +17,15 @@ from dagbroadcast.coupling import (
     estimate_alpha,
 )
 from dagbroadcast.rng import uniforms
-from oracles import coupled_and, coupled_channel_matrix, coupled_grid_coalesced, decode_symbol, encode_pair
+from oracles import (
+    channel_step_where,
+    coupled_and,
+    coupled_channel_matrix,
+    coupled_grid_coalesced,
+    decode_symbol,
+    encode_pair,
+    percolation_edges_by_loop,
+)
 
 SYMBOLS = (SYM_0C, SYM_1U, SYM_1C)
 
@@ -69,6 +77,22 @@ class TestCoupledChannel:
             p_plus = sum(m[sym, out] * decode_symbol(out)[1] for out in SYMBOLS)
             assert p_minus == pytest.approx(delta if minus_in == 0 else 1 - delta)
             assert p_plus == pytest.approx(delta if plus_in == 0 else 1 - delta)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.25, 0.49])
+    def test_table_matches_nested_where(self, delta):
+        # u at each threshold and one ulp either side, then a random spread
+        edges = [delta, 2.0 * delta]
+        u = np.array([x for e in edges for x in (np.nextafter(e, -1.0), e, np.nextafter(e, 2.0))])
+        u = np.concatenate([u[(u >= 0.0) & (u < 1.0)], [0.0, np.nextafter(1.0, 0.0)], uniforms(3, 997)])
+        for sym in SYMBOLS:
+            syms = np.full(u.size, sym, dtype=np.int8)
+            got = _channel_step_array(syms, delta, u)
+            assert got.dtype == np.int8
+            np.testing.assert_array_equal(got, channel_step_where(syms, delta, u))
+        # mixed symbols broadcast against a wider draw array, as at the grid's first level
+        syms = np.array([[SYM_0C], [SYM_1U], [SYM_1C]], dtype=np.int8)
+        wide = np.tile(u, (3, 1))
+        np.testing.assert_array_equal(_channel_step_array(syms, delta, wide), channel_step_where(syms, delta, wide))
 
     def test_step_frequencies_match_matrix(self):
         delta = 0.15
@@ -155,6 +179,18 @@ class TestPercolation:
         for p in (-0.1, 1.2):
             with pytest.raises(ConfigError, match="delta_start"):
                 ExperimentConfig(model="percolation", delta_start=p, delta_stop=0.5, trials=5).validate()
+
+    @pytest.mark.parametrize("p, depth, trials, seed", [(0.5, 30, 40, 2), (0.65, 40, 30, 6), (0.3, 12, 50, 1)])
+    def test_edges_match_per_trial_loop(self, p, depth, trials, seed):
+        reach, right, left = _percolation_reach(p, depth, trials, seed)
+        want_right, want_left = percolation_edges_by_loop(p, depth, trials, seed)
+        np.testing.assert_array_equal(right, want_right)
+        np.testing.assert_array_equal(left, want_left)
+        if reach.any():  # the vectorized loop stops early once every cluster is dead
+            np.testing.assert_array_equal(reach.any(axis=1), want_right[:, depth] >= 0)
+        # the runs exercise dead trials and single-node clusters
+        assert (want_right[:, depth] < 0).any()
+        assert ((want_right == want_left) & (want_right > 0)).any()
 
     def test_cluster_shape_sane(self):
         _, right, left = _percolation_reach(0.8, 50, 20, seed=9)

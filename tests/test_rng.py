@@ -1,11 +1,14 @@
 """Tests for the counter-based RNG and shared statistics helpers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from dagbroadcast.rng import derive_seed, mix64, uniform_matrix, uniforms
+from dagbroadcast.rng import _BLOCK, GOLDEN, MASK64, derive_seed, mix64, uniform_matrix, uniforms
 from dagbroadcast.stats import wilson_interval
+from oracles import uniforms_reference
 
 
 class TestMix64:
@@ -68,6 +71,32 @@ class TestUniforms:
     def test_matrix_is_reshaped_stream(self):
         m = uniform_matrix(77, (4, 5, 2))
         np.testing.assert_array_equal(m.ravel(), uniforms(77, 40))
+
+    def test_zero_size_is_empty(self):
+        assert uniforms(3, 0).shape == (0,) and uniforms(3, 0).dtype == np.float64
+        assert uniform_matrix(3, (2, 0)).shape == (2, 0)
+
+    def test_negative_size_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -3"):
+            uniforms(3, -3)
+        # reshape would read -1 as "infer this axis"
+        with pytest.raises(ValueError, match=r"shape\[1\] must be >= 0, got -1"):
+            uniform_matrix(3, (2, -1))
+
+
+class TestStreamBitIdentity:
+    """The blocked evaluation returns the one-shot counter stream, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, MASK64, GOLDEN, derive_seed(7, 3, 11)])
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 10**6])
+    def test_equals_one_shot_formula(self, seed, n):
+        got, want = uniforms(seed, n), uniforms_reference(seed, n)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_pinned_hash(self):
+        digest = hashlib.sha256(uniforms(2718, 10**6).tobytes()).hexdigest()
+        assert digest == "ce3b46950a27c8a49d05677e6d7785854fd811b5acb9e0e0458a4e6f822bf249"
 
 
 class TestWilsonInterval:

@@ -49,6 +49,7 @@ METRICS = (
     "coalesce_prob",
     "erasure_fail",
     "bound_value",
+    "survival_prob",
 )
 
 CSV_HEADER = [
@@ -372,7 +373,7 @@ def _run_percolation(config: ExperimentConfig) -> tuple[list[ResultRow], list[st
     for p in config.deltas():
         est = coupling_mod.estimate_alpha(float(p), config.depth, config.trials, config.seed)
         rows.append(
-            _wilson_row("percolation", p, config.depth, config.depth + 1, "bound_value", est.surviving, config.trials, config.seed)
+            _wilson_row("percolation", p, config.depth, config.depth + 1, "survival_prob", est.surviving, config.trials, config.seed)
         )
         if est.surviving:
             summary.append(

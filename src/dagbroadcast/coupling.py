@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import as_delta
-from .rng import derive_seed, uniform_matrix
+from .rng import derive_seed, uniforms
 from .stats import wilson_interval
 
 __all__ = [
@@ -87,26 +87,31 @@ def coupled_grid_runs(
         raise ValueError("max_depth must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # a coalesced run holds no 1u and never regains one, so its counts stay 0
+    # and only the live runs are stepped; run t's level-k draws are its row
+    # of the (trials, k, 2) stream, positions 2kt .. 2kt + 2k - 1
+    live = np.arange(trials)
     state = np.full((trials, 1), SYM_1U, dtype=np.int8)
     times = np.full(trials, -1, dtype=np.int64)
     counts = np.zeros((trials, max_depth + 1), dtype=np.int32)
     counts[:, 0] = 1
     for k in range(1, max_depth + 1):
         width = k  # previous level width
-        u = uniform_matrix(derive_seed(seed, TAG_COUPLE, k), (trials, width, 2))
+        pos = (2 * width * live)[:, None] + np.arange(2 * width)
+        u = uniforms(derive_seed(seed, TAG_COUPLE, k), pos).reshape(live.size, width, 2)
         left = _channel_step_array(state, d, u[..., 0])
         right = _channel_step_array(state, d, u[..., 1])
-        new = np.empty((trials, k + 1), dtype=np.int8)
+        new = np.empty((live.size, k + 1), dtype=np.int8)
         new[:, 0] = right[:, 0]
         new[:, k] = left[:, width - 1]
         if k >= 2:
             new[:, 1:k] = np.minimum(left[:, :-1], right[:, 1:])
-        state = new
-        counts[:, k] = (state == SYM_1U).sum(axis=1)
-        fresh = (times < 0) & (counts[:, k] == 0)
-        times[fresh] = k
-        if (times >= 0).all():
-            counts[:, k + 1 :] = 0
+        ones = np.count_nonzero(new == SYM_1U, axis=1)
+        counts[live, k] = ones
+        done = ones == 0
+        times[live[done]] = k
+        live, state = live[~done], new[~done]
+        if live.size == 0:
             break
     return times, counts
 
@@ -141,30 +146,42 @@ def coupling_tv_bound(delta, depth: int, trials: int, seed: int) -> CouplingTvBo
 
 
 def _percolation_reach(p: float, depth: int, trials: int, seed: int):
-    """Vectorized reachability; returns (reach mask final, R, L) arrays."""
-    reach = np.ones((trials, 1), dtype=bool)
+    """Vectorized reachability; returns (reach mask final, R, L) arrays.
+
+    Only the trials alive at the previous level are stepped, over the columns
+    between their leftmost and rightmost reached nodes: trial t's node j at
+    level k - 1 owns positions 2(kt + j) and 2(kt + j) + 1 of the level-k
+    stream, and no draw outside that rectangle can open a reached edge.
+    """
     right = np.full((trials, depth + 1), -1, dtype=np.int64)
     left = np.full((trials, depth + 1), -1, dtype=np.int64)
     right[:, 0] = 0
     left[:, 0] = 0
-    alive = np.ones(trials, dtype=bool)
+    live = np.arange(trials)
+    reach = np.ones((trials, 1), dtype=bool)  # live trials x columns lo .. hi
+    lo = hi = 0
     for k in range(1, depth + 1):
-        u = uniform_matrix(derive_seed(seed, TAG_PERC, k), (trials, k, 2))
+        w = hi - lo + 1
+        pos = (2 * (k * live + lo))[:, None] + np.arange(2 * w)
         # each node's pair of open flags read as one uint16: bit 0 is the edge
         # (k-1, j) -> (k, j), bit 8 the edge (k-1, j) -> (k, j+1)
-        opened = (u < p).view("<u2")[..., 0]
+        opened = (uniforms(derive_seed(seed, TAG_PERC, k), pos) < p).view("<u2")
         opened *= reach
-        new = np.zeros((trials, k + 1), dtype=bool)
-        new[:, :k] = opened & 1
+        new = np.zeros((live.size, w + 1), dtype=bool)
+        new[:, :w] = opened & 1
         new[:, 1:] |= opened > 0xFF
-        reach = new
-        alive = reach.any(axis=1)
-        live = reach[alive]
-        right[alive, k] = k - live[:, ::-1].argmax(axis=1)
-        left[alive, k] = live.argmax(axis=1)
-        if not alive.any():
-            break
-    return reach, right, left
+        alive = new.any(axis=1)
+        live, new = live[alive], new[alive]
+        if live.size == 0:
+            return np.zeros((trials, k + 1), dtype=bool), right, left
+        r = lo + w - new[:, ::-1].argmax(axis=1)
+        l = lo + new.argmax(axis=1)
+        right[live, k], left[live, k] = r, l
+        base, lo, hi = lo, int(l.min()), int(r.max())
+        reach = new[:, lo - base : hi - base + 1]
+    final = np.zeros((trials, depth + 1), dtype=bool)
+    final[live, lo : hi + 1] = reach
+    return final, right, left
 
 
 @dataclass(frozen=True)

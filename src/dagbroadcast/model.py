@@ -15,9 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .rng import derive_seed, uniform_matrix
-# unused here, but perfbench/test_bench.py checks that the tracer wraps model.uniforms
-from .rng import uniforms  # noqa: F401
+from .rng import derive_seed, uniform_matrix, uniforms
 
 __all__ = [
     "BudgetExceededError",
@@ -217,14 +215,6 @@ def _gate_schedule(gates: "Gate | Sequence[Gate] | Callable[[int], Gate]") -> Ca
     return lambda k: seq[k - 1]
 
 
-def _apply_gate_vec(gate: Gate, noisy: np.ndarray) -> np.ndarray:
-    """Apply a gate to noisy parent bits of shape (..., d)."""
-    word = np.zeros(noisy.shape[:-1], dtype=np.int64)
-    for i in range(gate.arity):
-        word |= noisy[..., i].astype(np.int64) << i
-    return np.asarray(gate.table, dtype=np.uint8)[word]
-
-
 def propagate_many(
     dag: DagRealization,
     gates: "Gate | Sequence[Gate] | Callable[[int], Gate]",
@@ -241,6 +231,10 @@ def propagate_many(
     bits, so calls that differ only in ``roots`` are coupled.  Noise comes
     from one derived counter stream per level, partitioned across trials,
     so the result is a pure function of (dag, gates, delta, roots, seed).
+
+    Edge e = (trial, node, slot), in row-major order, owns stream positions
+    2e (refresh uniform) and 2e + 1 (fair-bit uniform); the fair bit is
+    drawn only for the edges that refresh.
     """
     dval = as_delta(delta, noiseless_ok=True)
     gate_at = _gate_schedule(gates)
@@ -250,11 +244,13 @@ def propagate_many(
         gate = gate_at(k)
         if gate.arity != dag.d:
             raise ValueError(f"gate arity {gate.arity} != dag degree {dag.d} at level {k}")
-        par = dag.parents[k - 1]
-        lk = dag.layer_sizes[k]
-        u = uniform_matrix(derive_seed(seed, TAG_TRIAL, k), (trials, lk, dag.d, 2))
-        fresh = u[..., 0] < 2.0 * dval
-        fair = (u[..., 1] < 0.5).astype(np.uint8)
-        noisy = np.where(fresh, fair, bits[:, par])
-        bits = _apply_gate_vec(gate, noisy).astype(np.uint8)
+        s = derive_seed(seed, TAG_TRIAL, k)
+        noisy = bits.take(dag.parents[k - 1], axis=1)  # (trials, L_k, d)
+        flat = noisy.reshape(-1)
+        fresh = np.flatnonzero(uniforms(s, range(0, 2 * flat.size, 2)) < 2.0 * dval)
+        flat[fresh] = uniforms(s, 2 * fresh + 1) < 0.5
+        word = noisy[..., 0].astype(np.min_scalar_type((1 << gate.arity) - 1))
+        for i in range(1, gate.arity):
+            word |= np.left_shift(noisy[..., i], i, dtype=word.dtype)
+        bits = np.asarray(gate.table, dtype=np.uint8).take(word)
     return bits

@@ -11,11 +11,14 @@ Scheme
 * ``derive_seed(seed, *path)`` folds integer path components (purpose
   tag, trial, level, node, slot indices) into the seed, applying the
   finalizer at every step.
-* ``uniforms(seed, n)`` is the counter stream: element ``i`` is
-  ``mix64(seed + GOLDEN * (i + 1))`` mapped to [0, 1) with 53-bit
-  resolution.  Each element is a pure function of its index, so the
-  stream is evaluated in cache-resident blocks of ``_BLOCK`` elements with
-  in-place array steps; the chunking never changes a value.
+* ``uniforms(seed, n)`` is the counter stream: element at position ``p``
+  is ``mix64(seed + GOLDEN * (p + 1))`` mapped to [0, 1) with 53-bit
+  resolution.  ``n`` names the positions: an ``int`` for the first ``n``,
+  a ``range`` for an arithmetic progression, or an integer array for a
+  gather (the result takes the array's shape).  Each element is a pure
+  function of its position, so the stream is evaluated in cache-resident
+  blocks with in-place array steps, and a consumer evaluates only the
+  positions it reads; neither changes a value.
 
 By convention a seed value is used either as a stream (via ``uniforms``)
 or for further derivation, never both, which keeps streams disjoint.
@@ -68,18 +71,62 @@ def _check_size(n, what: str) -> int:
     return n
 
 
-def uniforms(seed: int, n: int) -> np.ndarray:
-    """Return ``n`` uniforms in [0, 1) from the counter stream of ``seed``."""
-    n = _check_size(n, "n")
+def uniforms(seed: int, n: "int | range | np.ndarray") -> np.ndarray:
+    """Return the uniforms in [0, 1) at positions ``n`` of the counter stream of ``seed``.
+
+    ``n`` is a count (positions ``0 .. n-1``), a ``range`` of positions with
+    step > 0, or an integer array of positions (the result has its shape).
+    """
     seed = int(seed)
+    if isinstance(n, np.ndarray):
+        return _gather(seed, n)
+    r = n if isinstance(n, range) else range(_check_size(n, "n"))
+    if r.start < 0:
+        raise ValueError(f"positions must be >= 0, got start {r.start}")
+    if r.step <= 0:
+        raise ValueError(f"step must be > 0, got {r.step}")
+    # element i of a block starting at element b is at position start + step*(b + i):
+    # its counter is seed + GOLDEN*(start + step*b) + GOLDEN*(step*i + 1) = base_b + _WEYL[step*i],
+    # so a block holds ceil(_BLOCK / step) elements
+    weyl = _WEYL[:: r.step]
+    base, stride = seed + GOLDEN * r.start, GOLDEN * r.step
+
+    def counters(z, b):
+        np.add(weyl[: z.size], np.uint64((base + stride * b) & MASK64), out=z)
+
+    return _mix(len(r), weyl.size, counters)
+
+
+def _gather(seed: int, pos: np.ndarray) -> np.ndarray:
+    if pos.dtype.kind not in "iu":
+        raise TypeError(f"positions must be integers, got dtype {pos.dtype}")
+    if pos.dtype.kind == "i" and pos.size and pos.min() < 0:
+        raise ValueError(f"positions must be >= 0, got {pos.min()}")
+    flat = pos.reshape(-1)
+    golden, first = np.uint64(GOLDEN), np.uint64((seed + GOLDEN) & MASK64)
+
+    def counters(z, b):
+        # seed + GOLDEN * (p + 1) = (seed + GOLDEN) + GOLDEN * p
+        np.multiply(flat[b : b + z.size], golden, out=z, dtype=np.uint64, casting="unsafe")
+        np.add(z, first, out=z)
+
+    return _mix(flat.size, _BLOCK, counters).reshape(pos.shape)
+
+
+def _mix(n: int, block: int, counters) -> np.ndarray:
+    """Mix ``n`` counters into uniforms, ``block`` at a time, in the output's own memory.
+
+    ``counters(z, b)`` writes the counters of elements ``b .. b + z.size - 1``
+    into the ``uint64`` view ``z``.
+    """
     out = np.empty(n, dtype=np.float64)
-    bits = out.view(np.uint64)  # each block is mixed in place in the output's memory
-    tmp = np.empty(min(n, _BLOCK), dtype=np.uint64)
+    bits = out.view(np.uint64)
+    tmp = np.empty(min(n, block), dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for start in range(0, n, _BLOCK):
-            z = bits[start : start + _BLOCK]
+        for start in range(0, n, block):
+            z = bits[start : start + block]
             t = tmp[: z.size]
-            np.add(_WEYL[: z.size], np.uint64((seed + GOLDEN * start) & MASK64), out=z)
+            counters(z, start)
             for shift, mult in _XSM:
                 np.right_shift(z, shift, out=t)
                 np.bitwise_xor(z, t, out=z)
@@ -87,7 +134,7 @@ def uniforms(seed: int, n: int) -> np.ndarray:
             np.right_shift(z, np.uint64(31), out=t)
             np.bitwise_xor(z, t, out=z)
             np.right_shift(z, np.uint64(11), out=z)
-            np.multiply(z, 2.0 ** -53, out=out[start : start + _BLOCK])
+            np.multiply(z, 2.0 ** -53, out=out[start : start + block])
     return out
 
 

@@ -12,8 +12,8 @@ import itertools
 import numpy as np
 from scipy.special import gammaln
 
-from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U, TAG_PERC
-from dagbroadcast.model import Gate, LayerSchedule
+from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U, TAG_COUPLE, TAG_PERC
+from dagbroadcast.model import TAG_TRIAL, Gate, LayerSchedule, as_delta
 from dagbroadcast.rng import derive_seed, uniform_matrix
 from dagbroadcast.sigma import g_and, g_majority, g_or
 
@@ -410,3 +410,70 @@ def uniforms_reference(seed: int, n: int) -> np.ndarray:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         z = z ^ (z >> np.uint64(31))
     return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+# ---------------------------------------------------------------------------
+# Dense Monte Carlo: every draw of every level, whether or not a result reads it.
+# The library's consumers evaluate only the stream positions they read; these
+# draw each level's whole block, so the two must agree bit for bit.
+
+
+def propagate_many_dense(dag, gate_at, delta: float, roots: np.ndarray, seed: int) -> np.ndarray:
+    """``model.propagate_many`` drawing both uniforms of every edge, as the
+    (trials, L_k, d, 2) block of each level's stream; ``gate_at(k)`` is level k's gate."""
+    d = as_delta(delta, noiseless_ok=True)
+    trials = len(roots)
+    bits = np.asarray(roots, dtype=np.uint8).reshape(trials, 1)
+    for k in range(1, dag.depth + 1):
+        u = uniform_matrix(derive_seed(seed, TAG_TRIAL, k), (trials, dag.layer_sizes[k], dag.d, 2))
+        fair = (u[..., 1] < 0.5).astype(np.uint8)
+        noisy = np.where(u[..., 0] < 2.0 * d, fair, bits[:, dag.parents[k - 1]])
+        word = np.zeros(noisy.shape[:-1], dtype=np.int64)
+        for i in range(dag.d):
+            word |= noisy[..., i].astype(np.int64) << i
+        bits = np.asarray(gate_at(k).table, dtype=np.uint8)[word]
+    return bits
+
+
+def coupled_grid_runs_dense(delta: float, max_depth: int, trials: int, seed: int):
+    """``coupling.coupled_grid_runs`` stepping every run at every level, coalesced
+    or not, through the nested-``where`` channel; returns (times, counts)."""
+    state = np.full((trials, 1), SYM_1U, dtype=np.int8)
+    times = np.full(trials, -1, dtype=np.int64)
+    counts = np.zeros((trials, max_depth + 1), dtype=np.int32)
+    counts[:, 0] = 1
+    for k in range(1, max_depth + 1):
+        u = uniform_matrix(derive_seed(seed, TAG_COUPLE, k), (trials, k, 2))
+        left = channel_step_where(state, delta, u[..., 0])
+        right = channel_step_where(state, delta, u[..., 1])
+        new = np.empty((trials, k + 1), dtype=np.int8)
+        new[:, 0] = right[:, 0]
+        new[:, k] = left[:, k - 1]
+        new[:, 1:k] = np.minimum(left[:, :-1], right[:, 1:])
+        state = new
+        counts[:, k] = (state == SYM_1U).sum(axis=1)
+        times[(times < 0) & (counts[:, k] == 0)] = k
+    return times, counts
+
+
+def percolation_reach_dense(p: float, depth: int, trials: int, seed: int):
+    """``coupling._percolation_reach`` drawing every trial's every node at every
+    level; returns (reach mask of the last level drawn, R, L)."""
+    reach = np.ones((trials, 1), dtype=bool)
+    right = np.full((trials, depth + 1), -1, dtype=np.int64)
+    left = np.full((trials, depth + 1), -1, dtype=np.int64)
+    right[:, 0] = left[:, 0] = 0
+    for k in range(1, depth + 1):
+        u = uniform_matrix(derive_seed(seed, TAG_PERC, k), (trials, k, 2))
+        opened = (u < p) & reach[..., None]
+        new = np.zeros((trials, k + 1), dtype=bool)
+        new[:, :k] = opened[..., 0]
+        new[:, 1:] |= opened[..., 1]
+        reach = new
+        alive = reach.any(axis=1)
+        cols = np.arange(k + 1)
+        right[alive, k] = np.where(reach, cols, -1).max(axis=1)[alive]
+        left[alive, k] = np.where(reach, cols, k + 1).min(axis=1)[alive]
+        if not alive.any():
+            break
+    return reach, right, left

@@ -172,7 +172,7 @@ class TestRunDrivers:
             model="percolation", delta_start=0.9, delta_stop=0.9, depth=30, trials=100
         )
         rows, summary = run(cfg)
-        assert rows[0].metric == "bound_value"
+        assert rows[0].metric == "survival_prob"
         assert "alpha estimate" in summary
 
     def test_bounds_rows(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dagbroadcast.cli import ConfigError, ExperimentConfig
 from dagbroadcast.model import AND2, IDENTITY
@@ -22,9 +23,11 @@ from oracles import (
     coupled_and,
     coupled_channel_matrix,
     coupled_grid_coalesced,
+    coupled_grid_runs_dense,
     decode_symbol,
     encode_pair,
     percolation_edges_by_loop,
+    percolation_reach_dense,
 )
 
 SYMBOLS = (SYM_0C, SYM_1U, SYM_1C)
@@ -214,3 +217,66 @@ class TestPercolation:
         below = estimate_alpha(0.5, 150, 400, seed=6)
         above = estimate_alpha(0.75, 150, 400, seed=6)
         assert below.surviving / 400 < 0.05 < above.surviving / 400
+
+
+class TestMatchesDense:
+    """The coupled grid steps only uncoalesced runs and percolation only the live
+    clusters' columns; the dense oracles draw everything.  Outputs agree exactly."""
+
+    @staticmethod
+    def _grid(delta, depth, trials, seed):
+        times, counts = coupled_grid_runs(delta, depth, trials, seed)
+        want_times, want_counts = coupled_grid_runs_dense(delta, depth, trials, seed)
+        assert times.dtype == want_times.dtype and counts.dtype == want_counts.dtype
+        np.testing.assert_array_equal(times, want_times)
+        np.testing.assert_array_equal(counts, want_counts)
+        return times
+
+    @staticmethod
+    def _perc(p, depth, trials, seed):
+        got = _percolation_reach(p, depth, trials, seed)
+        want = percolation_reach_dense(p, depth, trials, seed)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+        return got
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.45]),
+    )
+    def test_coupled_grid(self, seed, trials, depth, delta):
+        self._grid(delta, depth, trials, seed)
+
+    def test_grid_without_noise_never_coalesces(self):
+        assert (self._grid(0.0, 12, 20, 3) == -1).all()
+
+    def test_grid_every_run_coalesces_early(self):
+        times = self._grid(0.45, 60, 200, 11)
+        assert (times >= 0).all() and times.max() < 20
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 40),
+        st.integers(1, 60),
+        st.floats(0.0, 1.0),
+    )
+    def test_percolation(self, seed, trials, depth, p):
+        self._perc(p, depth, trials, seed)
+
+    def test_percolation_closed_dies_at_level_1(self):
+        reach, right, _ = self._perc(0.0, 10, 7, 2)
+        assert reach.shape == (7, 2) and (right[:, 1:] == -1).all()
+
+    def test_percolation_open_fills_the_lattice(self):
+        reach, right, left = self._perc(1.0, 25, 4, 5)
+        assert reach.all() and (right[:, 25] == 25).all() and (left == 0).all()
+
+    def test_percolation_near_threshold(self):
+        # at p = 0.65 some clusters die part way, so the live set shrinks
+        _, right, _ = self._perc(0.65, 80, 60, 9)
+        assert (right[:, 80] < 0).any() and (right[:, 80] >= 0).any()

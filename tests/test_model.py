@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from dagbroadcast.model import (
@@ -19,7 +19,7 @@ from dagbroadcast.model import (
     propagate_many,
     sample_random_dag,
 )
-from oracles import gate_output_prob
+from oracles import gate_output_prob, propagate_many_dense
 
 
 class TestCrossoverProb:
@@ -242,3 +242,60 @@ class TestPropagate:
         keep = expected > 5
         _, p = chisquare(counts[keep], expected[keep] * counts[keep].sum() / expected[keep].sum())
         assert p > 0.01
+
+
+# 2*delta just below 1 exceeds every uniform but the largest, 1 - 2^-53, so every edge refreshes
+_ALL_REFRESH = float(np.nextafter(0.5, 0.0))
+
+
+class TestPropagateMatchesDense:
+    """``propagate_many`` draws fair bits only where an edge refreshes; the dense
+    oracle draws both uniforms of every edge.  The bits must agree exactly."""
+
+    @staticmethod
+    def _both(d, gate_at, schedule, depth, delta, trials, seed):
+        dag = sample_random_dag(seed, d, schedule, depth)
+        roots = (np.arange(trials) + seed % 2) % 2
+        got = propagate_many(dag, gate_at, delta, roots, seed)
+        want = propagate_many_dense(dag, gate_at, delta, roots, seed)
+        assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 60),
+        st.integers(1, 12),
+        st.sampled_from([0.0, 0.01, 0.1, 0.23, _ALL_REFRESH]),
+    )
+    def test_maj3(self, seed, trials, depth, delta):
+        self._both(3, lambda k: MAJ3, LayerSchedule.logarithmic(3), depth, delta, trials, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(1, 10), st.floats(0.0, 0.49))
+    def test_andor_alternating(self, seed, trials, depth, delta):
+        self._both(2, lambda k: AND2 if k % 2 else OR2, LayerSchedule.constant(6), depth, delta, trials, seed)
+
+    @pytest.mark.parametrize("gate", [IDENTITY, Gate.from_function("PAR9", 9, lambda *b: sum(b) % 2)])
+    def test_arity_1_and_9(self, gate):
+        # nine inputs need a 16-bit gate word
+        self._both(gate.arity, lambda k: gate, LayerSchedule.constant(5), 4, 0.2, 30, 8)
+
+    def test_no_refresh_copies_parents(self):
+        bits = self._both(3, lambda k: MAJ3, LayerSchedule.constant(7), 6, 0.0, 20, 4)
+        np.testing.assert_array_equal(bits, np.repeat(np.arange(20) % 2, 7).reshape(20, 7))
+
+    def test_every_edge_refreshes(self):
+        # the output forgets the root: both root vectors give the same bits
+        dag = sample_random_dag(2, 3, LayerSchedule.constant(9), 5)
+        a = propagate_many(dag, MAJ3, _ALL_REFRESH, np.zeros(50, dtype=np.uint8), 3)
+        b = propagate_many(dag, MAJ3, _ALL_REFRESH, np.ones(50, dtype=np.uint8), 3)
+        np.testing.assert_array_equal(a, b)
+        self._both(3, lambda k: MAJ3, LayerSchedule.constant(9), 5, _ALL_REFRESH, 50, 3)
+
+    def test_half_refused(self):
+        dag = sample_random_dag(2, 3, LayerSchedule.constant(4), 2)
+        for fn in (propagate_many, propagate_many_dense):
+            with pytest.raises(ValueError, match="delta must lie in"):
+                fn(dag, lambda k: MAJ3, 0.5, np.ones(3), 1)

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from dagbroadcast.rng import _BLOCK, GOLDEN, MASK64, derive_seed, mix64, uniform_matrix, uniforms
@@ -97,6 +98,100 @@ class TestStreamBitIdentity:
     def test_pinned_hash(self):
         digest = hashlib.sha256(uniforms(2718, 10**6).tobytes()).hexdigest()
         assert digest == "ce3b46950a27c8a49d05677e6d7785854fd811b5acb9e0e0458a4e6f822bf249"
+
+
+def _at(seed: int, p: int) -> float:
+    """Stream element at position ``p`` from the scalar finalizer, in Python integers."""
+    return (mix64((seed + GOLDEN * (p + 1)) & MASK64) >> 11) * 2.0 ** -53
+
+
+class TestPositionForms:
+    """``range`` and array positions read the same stream as the count form."""
+
+    SEED = derive_seed(5, 2, 9)
+    REF = uniforms_reference(SEED, 4 * _BLOCK)
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 100, _BLOCK + 1])
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(0, _BLOCK - 1), (0, _BLOCK), (0, _BLOCK + 1), (1, 2 * _BLOCK + 1), (_BLOCK - 1, 4 * _BLOCK)],
+    )
+    def test_range_is_strided_slice(self, start, stop, step):
+        got = uniforms(self.SEED, range(start, stop, step))
+        assert got.dtype == np.float64
+        assert got.tobytes() == self.REF[start:stop:step].tobytes()
+
+    def test_count_is_range_from_zero(self):
+        assert uniforms(self.SEED, range(_BLOCK + 1)).tobytes() == uniforms(self.SEED, _BLOCK + 1).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.uint16])
+    def test_gather_keeps_shape(self, dtype):
+        pos = np.random.default_rng(3).integers(0, 2**16, size=(7, 11)).astype(dtype)
+        got = uniforms(self.SEED, pos)
+        assert got.shape == (7, 11)
+        assert got.tobytes() == self.REF[pos.astype(np.int64)].tobytes()
+
+    def test_gather_across_blocks(self):
+        pos = np.arange(4 * _BLOCK)[::-1].copy()
+        assert uniforms(self.SEED, pos).tobytes() == self.REF[::-1].tobytes()
+
+    @pytest.mark.parametrize(
+        "n, shape",
+        [(range(0), (0,)), (range(9, 9), (0,)), (range(7, 3), (0,)), (range(7, -3, 100), (0,)),
+         (np.array([], dtype=np.int64), (0,)), (np.zeros((2, 0), dtype=np.int64), (2, 0))],
+    )
+    def test_empty(self, n, shape):
+        got = uniforms(self.SEED, n)
+        assert got.shape == shape and got.dtype == np.float64
+
+    @pytest.mark.parametrize("p", [2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**63 - 1])
+    def test_positions_beyond_32_bits(self, p):
+        want = _at(self.SEED, p)
+        assert uniforms(self.SEED, np.array([p], dtype=np.int64))[0] == want
+        assert uniforms(self.SEED, range(p, p + 1))[0] == want
+        assert uniforms(self.SEED, range(p - 6, p + 1, 3))[-1] == want
+
+    def test_top_uint64_position(self):
+        p = 2**64 - 1  # its counter is seed + GOLDEN * 2^64 = seed mod 2^64
+        assert uniforms(self.SEED, np.array([p], dtype=np.uint64))[0] == _at(self.SEED, p)
+
+    @pytest.mark.parametrize("n", [range(-1, 5), range(-3, -1), np.array([4, -1, 2]), np.array([[-5]])])
+    def test_negative_position_refused(self, n):
+        with pytest.raises(ValueError, match="positions must be >= 0"):
+            uniforms(self.SEED, n)
+
+    @pytest.mark.parametrize("step", [-1, -2])
+    def test_negative_step_refused(self, step):
+        with pytest.raises(ValueError, match=f"step must be > 0, got {step}"):
+            uniforms(self.SEED, range(10, 0, step))
+
+    def test_zero_step_refused(self):
+        # a range cannot hold step 0, so the refusal comes from range itself
+        with pytest.raises(ValueError):
+            uniforms(self.SEED, range(0, 10, 0))
+
+    @pytest.mark.parametrize("pos", [np.array([0.0, 1.0]), np.array([True, False])])
+    def test_non_integer_positions_refused(self, pos):
+        with pytest.raises(TypeError, match="positions must be integers"):
+            uniforms(self.SEED, pos)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, MASK64),
+        st.integers(0, 3 * _BLOCK),
+        st.integers(0, 3 * _BLOCK),
+        st.integers(1, 40),
+    )
+    def test_range_matches_reference(self, seed, start, length, step):
+        ref = uniforms_reference(seed, start + length)
+        assert uniforms(seed, range(start, start + length, step)).tobytes() == ref[start::step].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, MASK64), st.lists(st.integers(0, 2 * _BLOCK), max_size=200))
+    def test_gather_matches_reference(self, seed, pos):
+        ref = uniforms_reference(seed, 2 * _BLOCK + 1)
+        got = uniforms(seed, np.array(pos, dtype=np.int64))
+        assert got.tobytes() == ref[np.array(pos, dtype=np.int64)].tobytes()
 
 
 class TestWilsonInterval:

@@ -37,9 +37,8 @@ _M2 = 0x94D049BB133111EB
 _BLOCK = 1 << 15  # one block's three 256 KiB uint64 operands stay in L2
 
 _XSM = (np.uint64(30), np.uint64(_M1)), (np.uint64(27), np.uint64(_M2))
-with np.errstate(over="ignore"):
-    # Weyl offsets GOLDEN * (1 .. _BLOCK) mod 2^64; block a adds seed + GOLDEN * a * _BLOCK
-    _WEYL = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+# Weyl offsets GOLDEN * (1 .. _BLOCK) mod 2^64; block a adds seed + GOLDEN * a * _BLOCK
+_WEYL = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
 _WEYL.flags.writeable = False
 
 __all__ = ["mix64", "derive_seed", "uniforms", "uniform_matrix"]
@@ -78,23 +77,26 @@ def uniforms(seed: int, n: "int | range | np.ndarray") -> np.ndarray:
     step > 0, or an integer array of positions (the result has its shape).
     """
     seed = int(seed)
-    if isinstance(n, np.ndarray):
+    if isinstance(n, range):
+        if n.start < 0:
+            raise ValueError(f"positions must be >= 0, got start {n.start}")
+        if n.step <= 0:
+            raise ValueError(f"step must be > 0, got {n.step}")
+        start, step, count = n.start, n.step, len(n)
+    elif isinstance(n, np.ndarray):
         return _gather(seed, n)
-    r = n if isinstance(n, range) else range(_check_size(n, "n"))
-    if r.start < 0:
-        raise ValueError(f"positions must be >= 0, got start {r.start}")
-    if r.step <= 0:
-        raise ValueError(f"step must be > 0, got {r.step}")
+    else:
+        start, step, count = 0, 1, _check_size(n, "n")
     # element i of a block starting at element b is at position start + step*(b + i):
     # its counter is seed + GOLDEN*(start + step*b) + GOLDEN*(step*i + 1) = base_b + _WEYL[step*i],
     # so a block holds ceil(_BLOCK / step) elements
-    weyl = _WEYL[:: r.step]
-    base, stride = seed + GOLDEN * r.start, GOLDEN * r.step
+    weyl = _WEYL if step == 1 else _WEYL[::step]
+    base, stride = seed + GOLDEN * start, GOLDEN * step
 
     def counters(z, b):
         np.add(weyl[: z.size], np.uint64((base + stride * b) & MASK64), out=z)
 
-    return _mix(len(r), weyl.size, counters)
+    return _mix(count, weyl.size, counters)
 
 
 def _gather(seed: int, pos: np.ndarray) -> np.ndarray:
@@ -122,19 +124,20 @@ def _mix(n: int, block: int, counters) -> np.ndarray:
     out = np.empty(n, dtype=np.float64)
     bits = out.view(np.uint64)
     tmp = np.empty(min(n, block), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for start in range(0, n, block):
-            z = bits[start : start + block]
-            t = tmp[: z.size]
-            counters(z, start)
-            for shift, mult in _XSM:
-                np.right_shift(z, shift, out=t)
-                np.bitwise_xor(z, t, out=z)
-                np.multiply(z, mult, out=z)
-            np.right_shift(z, np.uint64(31), out=t)
+    # uint64 array arithmetic wraps mod 2^64 without an overflow warning,
+    # so no np.errstate is needed
+    for start in range(0, n, block):
+        z = bits[start : start + block]
+        t = tmp[: z.size]
+        counters(z, start)
+        for shift, mult in _XSM:
+            np.right_shift(z, shift, out=t)
             np.bitwise_xor(z, t, out=z)
-            np.right_shift(z, np.uint64(11), out=z)
-            np.multiply(z, 2.0 ** -53, out=out[start : start + block])
+            np.multiply(z, mult, out=z)
+        np.right_shift(z, np.uint64(31), out=t)
+        np.bitwise_xor(z, t, out=z)
+        np.right_shift(z, np.uint64(11), out=z)
+        np.multiply(z, 2.0 ** -53, out=out[start : start + block])
     return out
 
 

@@ -8,9 +8,9 @@ tests compare two independent routes to the same numbers.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U, TAG_COUPLE, TAG_PERC
 from dagbroadcast.model import TAG_TRIAL, Gate, LayerSchedule, as_delta
@@ -102,9 +102,10 @@ def grid_dense_dp(
 
 
 def _dense_pmf_table(n: int, p: np.ndarray) -> np.ndarray:
-    """Dense (len(p), n + 1) table of Binomial(n, p_i) pmfs in log space."""
+    """Dense (len(p), n + 1) table of Binomial(n, p_i) pmfs in log space,
+    with ln C(n, k) from exact integers."""
     k = np.arange(n + 1, dtype=float)
-    log_comb = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    log_comb = np.array([math.log(math.comb(n, j)) for j in range(n + 1)])
     safe = np.clip(p, 1e-300, 1.0 - 1e-16)
     log_pmf = log_comb[None, :] + k[None, :] * np.log(safe)[:, None]
     log_pmf += (n - k)[None, :] * np.log1p(-safe)[:, None]

@@ -1,6 +1,7 @@
 """Tests for the exact sufficient-statistic chain and its analysis."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -151,6 +152,29 @@ class TestLipschitz:
         grid = np.linspace(0, 1, 10_001)
         sup = np.abs(g_derivative(model, grid, delta)).max()
         assert lipschitz(model, delta) >= sup - 1e-9
+
+
+class TestLogComb:
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 511, 4096])
+    def test_within_one_ulp_of_exact(self, n):
+        values = sigma_mod._log_comb(n)
+        assert values.shape == (n + 1,)
+        ks = sorted({*range(0, n + 1, 1 if n < 4096 else 37), *range(min(n, 3)), *range(max(n - 2, 0), n + 1)})
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for k in ks:
+                exact = Decimal(math.comb(n, k)).ln()
+                err = abs(Decimal(float(values[k])) - exact)
+                assert err <= Decimal(float(np.spacing(float(exact)))), (n, k)
+
+    def test_independent_of_call_order(self, monkeypatch):
+        monkeypatch.setattr(sigma_mod, "_LOG_FACT", [np.zeros(2), np.zeros(2)])
+        before = sigma_mod._log_comb(5).tobytes()
+        big = sigma_mod._log_comb(4096).tobytes()
+        assert sigma_mod._log_comb(5).tobytes() == before
+        monkeypatch.setattr(sigma_mod, "_LOG_FACT", [np.zeros(2), np.zeros(2)])
+        assert sigma_mod._log_comb(4096).tobytes() == big
+        assert sigma_mod._log_comb(5).tobytes() == before
 
 
 class TestBinomialPmf:

@@ -9,6 +9,9 @@ in ``tests/oracles.py`` as a reference, or nowhere.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,11 @@ def test_package_root_reexports_nothing():
     init = ROOT / "src" / "dagbroadcast" / "__init__.py"
     tree = ast.parse(init.read_text(encoding="utf-8"))
     assert not [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_cli_import_leaves_out_scipy_and_fractions():
+    """Start-up pays for numpy only: scipy and fractions stay unimported."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, dagbroadcast.cli; print(sorted({'scipy', 'fractions'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -126,6 +126,8 @@ class ExperimentConfig:
             _require_delta(getattr(self, name), name, self.model)
         if self.depth < 1:
             raise ConfigError("field depth: must be >= 1")
+        if self.model == "random-dag-andor2" and self.depth < 2:
+            raise ConfigError("field depth: must be >= 2 for andor2, which is read at even levels")
         if self.trials < 0:
             raise ConfigError("field trials: must be >= 0")
         if self.model in _MC_MODELS and self.trials < 1:
@@ -456,6 +458,9 @@ def threshold_bisect(
     adjacent floats, so a tol below the float spacing still terminates.
     """
 
+    if model == sigma_mod.MODEL_ANDOR2 and depth < 2:
+        raise ValueError("andor2 is read at even levels, so depth must be >= 2")
+
     def criterion(delta: float) -> bool:
         chain = sigma_mod.exact_chain(model, delta, schedule, depth, budget)
         dist = chain[-1]
@@ -651,6 +656,8 @@ def _cmd_grid_xor(args) -> int:
 def _cmd_bisect(args) -> int:
     schedule = _parse_schedule(args.schedule)
     _require(args.depth >= 1, "depth", "must be >= 1")
+    if args.model == "andor2":
+        _require(args.depth >= 2, "depth", "must be >= 2 for andor2, which is read at even levels")
     _require_delta(args.delta_lo, "delta_lo")
     _require_delta(args.delta_hi, "delta_hi")
     lo, hi = threshold_bisect(

@@ -324,7 +324,9 @@ class BinomialKernel:
     Rows ``i*BLOCK_ROWS`` onwards form ``blocks[i]``, which holds their
     pmf on columns ``starts[i]`` to ``starts[i] + blocks[i].shape[1] - 1``
     and 0 elsewhere.  ``drop[i]`` is a certified upper bound on the mass
-    row i has outside its block's columns.
+    row i has outside its block's columns.  A kernel may hold only the rows
+    its caller needs, such as the half of a self-dual kernel whose other
+    half is its mirror image (see ``exact_chain``).
     """
 
     n: int
@@ -363,16 +365,19 @@ def binomial_pmf_table(n: int, p: np.ndarray) -> BinomialKernel:
     inequality at the block edges and reported in ``drop``.  When 2t >= n
     every row is computed in full and the table is dense with zero drop.
     p <= 0 and p >= 1 rows are exact point masses.  Entries are computed
-    in log space from ``_log_comb``'s ln C(n, k), which is within an ulp
-    of exact.  The largest row-sum drift measured is 2.6e-13 at n = 4096
-    and 5.2e-13 at n = 8192, so the rescale of rows whose drift exceeds
-    1e-12 does not fire up to n = 8192.
+    in log space: with ``terms`` = [ln p_i, ln q_i, 1] per row and ``cols``
+    = [k, n - k, ln C(n, k)] per column, formed once per build, each block
+    is one (rows x 3) @ (3 x width) product ``terms[rows] @ cols[:, c0:c1]``
+    exponentiated in place.  ln C(n, k) comes from ``_log_comb``, within an
+    ulp of exact.  The largest raw row-sum drift measured (maj3 rows) is
+    2.8e-13 at n = 4096 and 6.0e-13 at n = 8192, so the rescale of rows
+    whose drift exceeds 1e-12 fires only from about n = 16384.
     """
     p = np.asarray(p, dtype=float)
     k = np.arange(n + 1, dtype=float)
-    log_comb = _log_comb(n)
     safe = np.clip(p, 1e-300, 1.0 - 1e-16)
-    log_p, log_q = np.log(safe), np.log1p(-safe)
+    terms = np.stack((np.log(safe), np.log1p(-safe), np.ones_like(safe)), axis=1)
+    cols = np.stack((k, n - k, _log_comb(n)))
     mean = n * p
     t = math.ceil(math.sqrt(n * math.log(2.0 / BAND_EPS) / 2.0))
     if 2 * t >= n:
@@ -384,9 +389,7 @@ def binomial_pmf_table(n: int, p: np.ndarray) -> BinomialKernel:
     for r0 in range(0, len(p), BLOCK_ROWS):
         rows = slice(r0, r0 + BLOCK_ROWS)
         c0, c1 = int(lo[rows].min()), int(hi[rows].max()) + 1
-        block = np.multiply.outer(log_p[rows], k[c0:c1])
-        block += log_comb[c0:c1]
-        block += np.multiply.outer(log_q[rows], n - k[c0:c1])
+        block = terms[rows] @ cols[:, c0:c1]
         blocks.append(np.exp(block, out=block))
         starts.append(c0)
         edge_lo[rows], edge_hi[rows] = c0, c1
@@ -426,9 +429,18 @@ def exact_chain(
     AND stage entering even levels; meaningful comparisons for that model
     should be made at even levels.  Kernels are banded (see
     ``binomial_pmf_table``), and each level's ``dropped`` carries the
-    certified bound on what the bands left out.  One kernel per stage is
-    kept and reused while the layer sizes repeat, so constant schedules
-    pay the kernel cost once and memory holds O(1) kernels.
+    certified bound on what the bands left out.
+
+    Kernels are built once per mirror class.  maj3 is self-dual,
+    g(1 - s) = 1 - g(s), so kernel row L - i is row i reversed: only rows
+    0 .. L//2 are built, ``plus`` is propagated through them and their
+    mirror, and ``minus`` is ``plus`` reversed.  For andor2,
+    g_or(s) = 1 - g_and(1 - s), so the OR kernel is the AND kernel reversed
+    on both axes: only AND kernels are built, and an OR step applies one to
+    the reversed pair and reverses the result.  The two most recent
+    kernels, keyed by (L_prev, L_next), are kept for reuse, so constant
+    schedules pay the kernel cost once or twice and memory holds O(1)
+    kernels.
     """
     model = _check_model(model)
     d = as_delta(delta, noiseless_ok=True)
@@ -437,7 +449,7 @@ def exact_chain(
     dists = [
         SigmaDistribution(0, 1, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     ]
-    kernels: dict[int, tuple[tuple[int, int], BinomialKernel]] = {}
+    kernels: dict[tuple[int, int], BinomialKernel] = {}
     for k in range(1, depth + 1):
         L_next = schedule.size(k)
         if L_next > budget:
@@ -445,17 +457,35 @@ def exact_chain(
                 f"layer size {L_next} at level {k} exceeds budget {budget}"
             )
         prev = dists[-1]
-        stage = 0 if model == MODEL_MAJ3 else k % 2 + 1
-        sizes, kernel = kernels.get(stage, (None, None))
-        if sizes != (prev.L, L_next):
-            sig = np.arange(prev.L + 1, dtype=float) / prev.L
-            kernel = binomial_pmf_table(L_next, _stage_g(model, d, k)(sig))
-            kernels[stage] = ((prev.L, L_next), kernel)
-        pair = _renorm(kernel.apply(np.stack((prev.plus, prev.minus))))
+        L = prev.L
+        kernel = kernels.get((L, L_next))
+        if kernel is None:
+            g, rows = (g_majority, L // 2 + 1) if model == MODEL_MAJ3 else (g_and, L + 1)
+            kernel = binomial_pmf_table(L_next, g(np.arange(rows) / L, d))
+            if len(kernels) == 2:
+                del kernels[next(iter(kernels))]
+            kernels[L, L_next] = kernel
+        if model == MODEL_MAJ3:
+            # rows above L//2 enter as the head of reversed plus, through the
+            # reversed kernel; an even L's middle row is counted in the first half
+            h = L // 2 + 1
+            halves = np.stack((prev.plus[:h], prev.plus[::-1][:h]))
+            if L % 2 == 0:
+                halves[1, -1] = 0.0
+            r = kernel.apply(halves)
+            plus = _renorm(r[0] + r[1, ::-1])
+            minus = plus[::-1]
+        else:
+            pair = np.stack((prev.plus, prev.minus))
+            if k % 2 == 1:  # OR step: the AND kernel on the reversed pair, reversed
+                plus, minus = _renorm(kernel.apply(pair[:, ::-1])[:, ::-1])
+            else:
+                plus, minus = _renorm(kernel.apply(pair))
         # truncation changes each conditional by <= max drop in L1, and
-        # renormalizing it afterwards by as much again
+        # renormalizing it afterwards by as much again; a mirrored row
+        # misses exactly the mass of the row it mirrors
         dropped = prev.dropped + 2.0 * float(kernel.drop.max())
-        dists.append(SigmaDistribution(k, L_next, pair[0], pair[1], dropped))
+        dists.append(SigmaDistribution(k, L_next, plus, minus, dropped))
     return dists
 
 

@@ -223,6 +223,10 @@ class TestThresholdBisect:
         sched = LayerSchedule.parse("const:8")
         assert threshold_bisect("maj3", sched, 10, cutoff=0.0) == (0.45, 0.45)
 
+    def test_andor2_needs_an_even_level(self):
+        with pytest.raises(ValueError, match="depth"):
+            threshold_bisect("andor2", LayerSchedule.parse("const:8"), 1)
+
 
 def _assert_config_error(argv, field, capsys):
     assert main(argv) == 2
@@ -284,6 +288,11 @@ class TestMain:
             (["bisect", "--model", "maj3", "--depth", "0"], "depth"),
             (["bisect", "--model", "andor2", "--delta-hi", "0.7"], "delta_hi"),
             (["fixed-points", "--model", "maj3", "--delta", "0.7"], "delta"),
+            # andor2 is read at even levels, so depth 1 has nothing to report
+            (["exact-chain", "--model", "andor2", "--delta", "0.1", "--depth", "1"], "depth"),
+            (["mc-chain", "--model", "andor2", "--delta", "0.1", "--depth", "1", "--trials", "10"], "depth"),
+            (["sweep", "--model", "random-dag-andor2", "--depth", "1"], "depth"),
+            (["bisect", "--model", "andor2", "--depth", "1"], "depth"),
         ],
     )
     def test_sigma_bad_argument_exit_code(self, argv, field, capsys):

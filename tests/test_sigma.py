@@ -1,7 +1,11 @@
 """Tests for the exact sufficient-statistic chain and its analysis."""
 
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +212,43 @@ class TestBinomialPmf:
         assert (kernel.drop >= missing).all()
         assert kernel.drop.max() <= sigma_mod.BAND_EPS
 
+    # Two log-space builds of one pmf differ by their round-off, whose relative
+    # size per entry is about eps * |ln C(n, k)| <= eps * 0.7 n: the bound is
+    # 1e-13 in row L1 up to n = 256 and grows with n beyond (6.1e-13 seen at 4096)
+    @pytest.mark.parametrize("n", [1, 64, 401, 4096])
+    @pytest.mark.parametrize("L", [1, 2, 63, 64, 301])
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.1, 0.3])
+    def test_mirror_classes(self, n, L, delta):
+        tol = 1e-13 * max(1.0, n / 256)
+        sig = np.arange(L + 1) / L
+        half = binomial_pmf_table(n, g_majority(sig[: L // 2 + 1], delta)).toarray()
+        mirrored = np.vstack((half, half[: (L + 1) // 2][::-1, ::-1]))
+        full = binomial_pmf_table(n, g_majority(sig, delta)).toarray()
+        assert np.abs(full - mirrored).sum(axis=1).max() <= tol
+        flipped_and = binomial_pmf_table(n, g_and(sig, delta)).toarray()[::-1, ::-1]
+        direct_or = binomial_pmf_table(n, g_or(sig, delta)).toarray()
+        assert np.abs(direct_or - flipped_and).sum(axis=1).max() <= tol
+
+    def test_blocks_do_not_depend_on_blas_threads(self):
+        code = (
+            "import hashlib, numpy as np\n"
+            "from dagbroadcast.model import LayerSchedule\n"
+            "from dagbroadcast.sigma import binomial_pmf_table, exact_chain, g_majority\n"
+            "h = hashlib.sha256()\n"
+            "for n in (64, 401, 4096):\n"
+            "    for block in binomial_pmf_table(n, g_majority(np.arange(301) / 300, 0.1)).blocks:\n"
+            "        h.update(block.tobytes())\n"
+            "h.update(exact_chain('maj3', 0.15, LayerSchedule.linear(), 150)[-1].plus.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        digests = [
+            subprocess.run([sys.executable, "-c", code], env=extra, capture_output=True, text=True, timeout=120, check=True).stdout
+            for extra in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
+        ]
+        assert len(digests[0]) == 65 and digests[0] == digests[1]
+
     def test_apply_matches_dense_product(self):
         kernel = binomial_pmf_table(700, g_or(np.linspace(0, 1, 301), 0.07))
         pair = np.random.default_rng(0).random((2, 301))
@@ -233,16 +274,17 @@ class TestBandedChain:
             if all(schedule.size(k) + 1 <= 2 * _window(schedule.size(k)) + 1 for k in range(1, dist.level + 1)):
                 assert dist.dropped == 0.0
 
-    def test_one_kernel_build_per_stage_on_constant_schedules(self, monkeypatch):
+    def test_one_kernel_build_per_mirror_class_on_constant_schedules(self, monkeypatch):
         calls = []
         build = sigma_mod.binomial_pmf_table
-        monkeypatch.setattr(sigma_mod, "binomial_pmf_table", lambda n, p: calls.append(n) or build(n, p))
+        monkeypatch.setattr(sigma_mod, "binomial_pmf_table", lambda n, p: calls.append((n, len(p))) or build(n, p))
+        # half kernels: rows 0 .. L//2 of 1 -> 300 and 300 -> 300
         exact_chain("maj3", 0.1, LayerSchedule.constant(300), 40)
-        assert len(calls) == 2
+        assert calls == [(300, 1), (300, 151)]
         calls.clear()
-        # OR from 1 to 300, AND from 300 to 300, OR from 300 to 300
+        # AND kernels 1 -> 300 (for the OR step) and 300 -> 300 (for both stages)
         exact_chain("andor2", 0.1, LayerSchedule.constant(300), 40)
-        assert len(calls) == 3
+        assert calls == [(300, 2), (300, 301)]
 
 
 class TestExactChain:
@@ -275,9 +317,9 @@ class TestExactChain:
             assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
 
     def test_self_duality_reversal(self):
-        chain = exact_chain("maj3", 0.2, LayerSchedule.constant(16), 12)
-        for dist in chain:
-            np.testing.assert_allclose(dist.minus, dist.plus[::-1], atol=1e-13)
+        for spec in ("const:16", "linear", "log:10"):
+            for dist in exact_chain("maj3", 0.2, LayerSchedule.parse(spec), 40):
+                assert np.array_equal(dist.minus, dist.plus[::-1]), (spec, dist.level)
 
     def test_budget_refused(self):
         with pytest.raises(BudgetExceededError):

@@ -245,11 +245,12 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
         for dist in report_levels:
             t = sigma_mod.tv(dist)
             rows.append(_exact_row(config.model, delta, dist.level, dist.L, "tv_exact", t, config.seed))
-            rows.append(_exact_row(config.model, delta, dist.level, dist.L, "ml_error", sigma_mod.ml_error(dist), config.seed))
+            # sigma.ml_error's formula, on the TV already computed
+            rows.append(_exact_row(config.model, delta, dist.level, dist.L, "ml_error", 0.5 * (1.0 - t), config.seed))
             rows.append(
                 _exact_row(config.model, delta, dist.level, dist.L, "mi_bits", sigma_mod.mutual_information(dist), config.seed)
             )
-        finals.append((float(delta), sigma_mod.tv(report_levels[-1])))
+        finals.append((float(delta), t))  # t: TV at the last reported level
         if config.trials > 0:
             stats = sigma_mod.coupled_mc(model, float(delta), schedule, config.depth, config.trials, config.seed)
             coupled.append(
@@ -451,7 +452,11 @@ def threshold_bisect(
 
     The exact chain's deep-level TV is (weakly) decreasing in delta, so
     the criterion is monotone and bisection brackets the crossing.  For
-    the andor2 model the TV is read at the last even level.  Returns
+    the andor2 model the TV is read at the last even level.  Each chain
+    stops at the first level whose TV is below the cutoff, and the
+    criterion then holds: every level passes both conditionals through
+    the same Markov kernel, so by data processing TV never rises with
+    depth, and the final level's TV is below the cutoff too.  Returns
     (lo, hi) with criterion False at lo and True at hi; if the criterion
     holds nowhere the bracket collapses to the upper end, and if it holds
     everywhere to the lower end.  The loop also stops once lo and hi are
@@ -462,8 +467,10 @@ def threshold_bisect(
         raise ValueError("andor2 is read at even levels, so depth must be >= 2")
 
     def criterion(delta: float) -> bool:
-        chain = sigma_mod.exact_chain(model, delta, schedule, depth, budget)
+        chain = sigma_mod.exact_chain(model, delta, schedule, depth, budget, stop_below=cutoff)
         dist = chain[-1]
+        if dist.level < depth:
+            return True
         if model == sigma_mod.MODEL_ANDOR2 and dist.level % 2 == 1:
             dist = chain[-2]
         return sigma_mod.tv(dist) < cutoff
@@ -660,6 +667,9 @@ def _cmd_bisect(args) -> int:
         _require(args.depth >= 2, "depth", "must be >= 2 for andor2, which is read at even levels")
     _require_delta(args.delta_lo, "delta_lo")
     _require_delta(args.delta_hi, "delta_hi")
+    _require(args.delta_lo < args.delta_hi, "delta_lo", f"{args.delta_lo} must be below delta_hi {args.delta_hi}")
+    _require(0.0 < args.cutoff <= 1.0, "cutoff", f"{args.cutoff} out of range (0, 1]")
+    _require(math.isfinite(args.tol), "tol", f"{args.tol} is not finite")
     lo, hi = threshold_bisect(
         args.model,
         schedule,

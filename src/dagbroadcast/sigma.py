@@ -422,6 +422,7 @@ def exact_chain(
     schedule: LayerSchedule,
     depth: int,
     budget: int = 4096,
+    stop_below: float = 0.0,
 ) -> list[SigmaDistribution]:
     """Propagate the conditional pair exactly from the root to ``depth``.
 
@@ -429,7 +430,13 @@ def exact_chain(
     AND stage entering even levels; meaningful comparisons for that model
     should be made at even levels.  Kernels are banded (see
     ``binomial_pmf_table``), and each level's ``dropped`` carries the
-    certified bound on what the bands left out.
+    certified bound on what the bands left out.  Every level's size is
+    checked against ``budget`` before any kernel is built.
+
+    With ``stop_below > 0`` the chain ends right after the first level
+    whose TV is below it, so it is a prefix of the full chain.  Every
+    level applies one Markov kernel to both conditionals, so by data
+    processing no later level, even or odd, has a larger TV.
 
     Kernels are built once per mirror class.  maj3 is self-dual,
     g(1 - s) = 1 - g(s), so kernel row L - i is row i reversed: only rows
@@ -446,46 +453,51 @@ def exact_chain(
     d = as_delta(delta, noiseless_ok=True)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    dists = [
-        SigmaDistribution(0, 1, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    ]
-    kernels: dict[tuple[int, int], BinomialKernel] = {}
-    for k in range(1, depth + 1):
-        L_next = schedule.size(k)
+    sizes = [schedule.size(k) for k in range(1, depth + 1)]
+    for k, L_next in enumerate(sizes, start=1):
         if L_next > budget:
             raise BudgetExceededError(
                 f"layer size {L_next} at level {k} exceeds budget {budget}"
             )
-        prev = dists[-1]
-        L = prev.L
-        kernel = kernels.get((L, L_next))
-        if kernel is None:
+    pair = np.array([[0.0, 1.0], [1.0, 0.0]])  # andor2 carries plus and minus as one array
+    dist = SigmaDistribution(0, 1, *pair)
+    dists = [dist]
+    # (L_prev, L_next) -> (kernel, what one step through it adds to ``dropped``)
+    kernels: dict[tuple[int, int], tuple[BinomialKernel, float]] = {}
+    for k, L_next in enumerate(sizes, start=1):
+        L = dist.L
+        entry = kernels.get((L, L_next))
+        if entry is None:
             g, rows = (g_majority, L // 2 + 1) if model == MODEL_MAJ3 else (g_and, L + 1)
             kernel = binomial_pmf_table(L_next, g(np.arange(rows) / L, d))
             if len(kernels) == 2:
                 del kernels[next(iter(kernels))]
-            kernels[L, L_next] = kernel
+            # truncation changes each conditional by <= max drop in L1, and
+            # renormalizing it afterwards by as much again; a mirrored row
+            # misses exactly the mass of the row it mirrors
+            entry = kernels[L, L_next] = kernel, 2.0 * float(kernel.drop.max())
+        kernel, step_drop = entry
         if model == MODEL_MAJ3:
             # rows above L//2 enter as the head of reversed plus, through the
             # reversed kernel; an even L's middle row is counted in the first half
             h = L // 2 + 1
-            halves = np.stack((prev.plus[:h], prev.plus[::-1][:h]))
+            halves = np.stack((dist.plus[:h], dist.plus[::-1][:h]))
             if L % 2 == 0:
                 halves[1, -1] = 0.0
             r = kernel.apply(halves)
             plus = _renorm(r[0] + r[1, ::-1])
             minus = plus[::-1]
         else:
-            pair = np.stack((prev.plus, prev.minus))
             if k % 2 == 1:  # OR step: the AND kernel on the reversed pair, reversed
-                plus, minus = _renorm(kernel.apply(pair[:, ::-1])[:, ::-1])
+                pair = _renorm(kernel.apply(pair[:, ::-1])[:, ::-1])
             else:
-                plus, minus = _renorm(kernel.apply(pair))
-        # truncation changes each conditional by <= max drop in L1, and
-        # renormalizing it afterwards by as much again; a mirrored row
-        # misses exactly the mass of the row it mirrors
-        dropped = prev.dropped + 2.0 * float(kernel.drop.max())
-        dists.append(SigmaDistribution(k, L_next, plus, minus, dropped))
+                pair = _renorm(kernel.apply(pair))
+            plus, minus = pair
+        dist = SigmaDistribution(k, L_next, plus, minus, dist.dropped + step_drop)
+        dists.append(dist)
+        # the same sum as ``tv(dist)``, so the stop agrees with it bit for bit
+        if stop_below > 0.0 and 0.5 * float(np.abs(plus - minus).sum()) < stop_below:
+            break
     return dists
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U, TAG_COUPLE, TAG_PERC
 from dagbroadcast.model import TAG_TRIAL, Gate, LayerSchedule, as_delta
 from dagbroadcast.rng import derive_seed, uniform_matrix
-from dagbroadcast.sigma import g_and, g_majority, g_or
+from dagbroadcast.sigma import exact_chain, g_and, g_majority, g_or, tv
 
 
 def gate_output_prob(gate: Gate, p: float) -> float:
@@ -478,3 +478,40 @@ def percolation_reach_dense(p: float, depth: int, trials: int, seed: int):
         if not alive.any():
             break
     return reach, right, left
+
+
+def threshold_bisect_full_depth(
+    model: str,
+    schedule: LayerSchedule,
+    depth: int,
+    tol: float,
+    cutoff: float,
+    delta_lo: float = 0.05,
+    delta_hi: float = 0.45,
+) -> tuple[float, float]:
+    """``threshold_bisect``'s bracket with every chain run to ``depth``.
+
+    The criterion reads TV at the final level (for andor2 the last even
+    level) of an ``exact_chain`` with no early stop, so comparing brackets
+    checks the stopping rule and nothing else.
+    """
+
+    def criterion(delta: float) -> bool:
+        chain = exact_chain(model, delta, schedule, depth)
+        dist = chain[depth - depth % 2 if model == "andor2" else depth]
+        return tv(dist) < cutoff
+
+    if criterion(delta_lo):
+        return (delta_lo, delta_lo)
+    if not criterion(delta_hi):
+        return (delta_hi, delta_hi)
+    lo, hi = delta_lo, delta_hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if criterion(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

@@ -9,7 +9,7 @@ from dataclasses import fields
 import pytest
 
 from dagbroadcast import grid as grid_mod
-from dagbroadcast.model import LayerSchedule
+from dagbroadcast.model import BudgetExceededError, LayerSchedule
 from dagbroadcast.sigma import exact_chain, tv
 from dagbroadcast.cli import (
     CSV_HEADER,
@@ -22,6 +22,7 @@ from dagbroadcast.cli import (
     run,
     threshold_bisect,
 )
+from oracles import threshold_bisect_full_depth
 
 
 def _sweep_file_error(text, tmp_path, capsys) -> str:
@@ -227,6 +228,22 @@ class TestThresholdBisect:
         with pytest.raises(ValueError, match="depth"):
             threshold_bisect("andor2", LayerSchedule.parse("const:8"), 1)
 
+    @pytest.mark.parametrize("model", ["maj3", "andor2"])
+    @pytest.mark.parametrize("spec", ["const:16", "const:64", "log:4"])
+    @pytest.mark.parametrize("depth", [40, 41])
+    @pytest.mark.parametrize("cutoff", [0.005, 0.01, 0.02, 0.05])
+    def test_early_stop_matches_full_depth_bisection(self, model, spec, depth, cutoff):
+        sched = LayerSchedule.parse(spec)
+        expect = threshold_bisect_full_depth(model, sched, depth, 2e-3, cutoff)
+        assert threshold_bisect(model, sched, depth, cutoff=cutoff) == expect
+
+    def test_budget_overrun_at_last_level_refused_despite_early_stop(self):
+        # TV < 2.0 at level 1, so without the up-front size check the chain
+        # would stop before it reached the oversized level
+        sched = LayerSchedule.parse("list:8,8,8,64")
+        with pytest.raises(BudgetExceededError, match="level 4"):
+            threshold_bisect("maj3", sched, 4, cutoff=2.0, budget=32)
+
 
 def _assert_config_error(argv, field, capsys):
     assert main(argv) == 2
@@ -293,6 +310,14 @@ class TestMain:
             (["mc-chain", "--model", "andor2", "--delta", "0.1", "--depth", "1", "--trials", "10"], "depth"),
             (["sweep", "--model", "random-dag-andor2", "--depth", "1"], "depth"),
             (["bisect", "--model", "andor2", "--depth", "1"], "depth"),
+            (["bisect", "--model", "maj3", "--cutoff", "nan"], "cutoff"),
+            (["bisect", "--model", "maj3", "--cutoff", "-1"], "cutoff"),
+            (["bisect", "--model", "maj3", "--cutoff", "0"], "cutoff"),
+            (["bisect", "--model", "maj3", "--cutoff", "1.5"], "cutoff"),
+            (["bisect", "--model", "maj3", "--tol", "nan"], "tol"),
+            (["bisect", "--model", "maj3", "--tol", "inf"], "tol"),
+            (["bisect", "--model", "maj3", "--delta-lo", "0.3", "--delta-hi", "0.1"], "delta_lo"),
+            (["bisect", "--model", "maj3", "--delta-lo", "0.2", "--delta-hi", "0.2"], "delta_lo"),
         ],
     )
     def test_sigma_bad_argument_exit_code(self, argv, field, capsys):
@@ -324,7 +349,7 @@ class TestMain:
 
     def test_bisect_command(self, capsys):
         assert main(["bisect", "--model", "maj3", "--schedule", "const:8", "--depth", "10",
-                     "--cutoff", "2.0"]) == 0
+                     "--cutoff", "1.0"]) == 0
         assert "bracket" in capsys.readouterr().out
 
     def test_sweep_with_config_and_overrides(self, tmp_path, capsys):
@@ -539,6 +564,14 @@ class TestExitCodes:
         assert main([*argv, "--schedule", "const:9000", "--depth", "3"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded:") and "Traceback" not in err
+
+    def test_bisect_budget_overrun_at_last_level(self, capsys):
+        # cutoff 1.0 holds at level 1, before the oversized level 4
+        argv = ["bisect", "--model", "maj3", "--schedule", "list:8,8,8,64", "--depth", "4",
+                "--cutoff", "1.0", "--budget", "32"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and "level 4" in err
 
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

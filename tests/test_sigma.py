@@ -309,12 +309,29 @@ class TestExactChain:
         assert tv(chain[100]) > 0.5
 
     def test_tv_nonincreasing(self):
-        for model, d in (("maj3", 0.12), ("maj3", 0.3), ("andor2", 0.07)):
-            chain = exact_chain(model, d, LayerSchedule.constant(24), 40)
-            if model == "andor2":
-                chain = [c for c in chain if c.level % 2 == 0]
-            tvs = [tv(c) for c in chain]
-            assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
+        # at every level, andor2's odd ones included: exact_chain's early stop
+        # (stop_below) relies on it; deltas on both sides of each threshold
+        cases = [("maj3", d) for d in (0.12, 0.16, 0.18, 0.3)]
+        cases += [("andor2", d) for d in (0.07, 0.085, 0.095, 0.2)]
+        for spec in ("const:24", "linear", "log:4"):
+            for model, d in cases:
+                tvs = [tv(c) for c in exact_chain(model, d, LayerSchedule.parse(spec), 40)]
+                assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:])), (spec, model, d)
+
+    @pytest.mark.parametrize("model", ["maj3", "andor2"])
+    @pytest.mark.parametrize("spec", ["const:16", "const:64", "log:4"])
+    @pytest.mark.parametrize("depth", [40, 41])
+    @pytest.mark.parametrize("cutoff", [0.005, 0.01, 0.02, 0.05])
+    def test_stop_below_is_a_prefix(self, model, spec, depth, cutoff):
+        schedule = LayerSchedule.parse(spec)
+        for d in (0.08, 0.1, 0.12, 0.16, 0.2):
+            full = exact_chain(model, d, schedule, depth)
+            stopped = exact_chain(model, d, schedule, depth, stop_below=cutoff)
+            first = next((c.level for c in full if tv(c) < cutoff), depth)
+            assert stopped[-1].level == first, (d, first)
+            for a, b in zip(stopped, full):
+                assert (a.level, a.L, a.dropped) == (b.level, b.L, b.dropped)
+                assert np.array_equal(a.plus, b.plus) and np.array_equal(a.minus, b.minus)
 
     def test_self_duality_reversal(self):
         for spec in ("const:16", "linear", "log:10"):
@@ -327,6 +344,12 @@ class TestExactChain:
         # overridable
         chain = exact_chain("maj3", 0.2, LayerSchedule.constant(8192), 1, budget=8192)
         assert chain[1].L == 8192
+
+    def test_budget_checked_before_any_kernel_build(self, monkeypatch):
+        monkeypatch.setattr(sigma_mod, "binomial_pmf_table", lambda n, p: pytest.fail("kernel built"))
+        schedule = LayerSchedule.explicit([8] * 39 + [64])
+        with pytest.raises(BudgetExceededError, match="level 40"):
+            exact_chain("maj3", 0.2, schedule, 40, budget=32, stop_below=2.0)
 
     def test_contraction_bound_maj3(self):
         for d in (0.2, 0.3):

@@ -30,6 +30,7 @@ from . import grid as grid_mod
 from . import sigma as sigma_mod
 from . import xorcode as xorcode_mod
 from .model import AND2, IDENTITY, NAND2, OR2, XOR2, BudgetExceededError, LayerSchedule
+from .sigma import DEFAULT_BUDGET
 from .stats import wilson_interval
 
 __all__ = [
@@ -65,8 +66,6 @@ CSV_HEADER = [
     "trials",
 ]
 
-DEFAULT_BUDGET = 4096
-
 GRID_GATES = {"and": AND2, "or": OR2, "xor": XOR2, "nand": NAND2}
 
 
@@ -87,11 +86,14 @@ def _require_delta(value: float, field: str, model: str = "") -> None:
         _require(0.0 < value < 0.5, field, f"{value} out of range (0, 1/2)")
 
 
-def _parse_schedule(text: str) -> LayerSchedule:
+def _parse_schedule(text: str, depth: int) -> LayerSchedule:
+    """The schedule ``text`` names, checked to give a size to every level up to ``depth``."""
     try:
-        return LayerSchedule.parse(text)
+        schedule = LayerSchedule.parse(text)
+        schedule.size(depth)
     except ValueError as exc:
         raise ConfigError(f"field schedule: {exc}") from exc
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,8 @@ class ExperimentConfig:
             raise ConfigError("field budget: must be >= 1")
         if self.d < 1:
             raise ConfigError("field d: must be >= 1")
-        _parse_schedule(self.schedule)
+        # every model's schedule must parse; the models that read it need a size at every level
+        _parse_schedule(self.schedule, self.depth if self.model in _SCHEDULE_MODELS else 0)
 
     def deltas(self) -> np.ndarray:
         if self.delta_count == 1:
@@ -197,13 +200,17 @@ class ResultRow:
             raise ValueError("value must lie inside its confidence interval")
 
 
-def _exact_row(model, delta, k, L_k, metric, value, seed):
-    return ResultRow(model, float(delta), k, L_k, metric, float(value), float(value), float(value), seed, 0)
+def _row(config: ExperimentConfig, delta, k, L_k, metric: str, value, ci=None, model: str = "") -> ResultRow:
+    """One row of ``config``'s run, under ``model`` if given, else ``config.model``.
 
-
-def _wilson_row(model, delta, k, L_k, metric, successes, trials, seed):
-    lo, hi = wilson_interval(successes, trials)
-    return ResultRow(model, float(delta), k, L_k, metric, successes / trials, lo, hi, seed, trials)
+    An exact value (``ci`` None) is its own interval and ran no trials; a
+    Monte Carlo value comes with its interval ``ci`` and ran ``config.trials``.
+    """
+    lo, hi = (value, value) if ci is None else ci
+    trials = 0 if ci is None else config.trials
+    return ResultRow(
+        model or config.model, float(delta), int(k), int(L_k), metric, float(value), float(lo), float(hi), config.seed, trials
+    )
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
@@ -244,12 +251,10 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
         ]
         for dist in report_levels:
             t = sigma_mod.tv(dist)
-            rows.append(_exact_row(config.model, delta, dist.level, dist.L, "tv_exact", t, config.seed))
+            rows.append(_row(config, delta, dist.level, dist.L, "tv_exact", t))
             # sigma.ml_error's formula, on the TV already computed
-            rows.append(_exact_row(config.model, delta, dist.level, dist.L, "ml_error", 0.5 * (1.0 - t), config.seed))
-            rows.append(
-                _exact_row(config.model, delta, dist.level, dist.L, "mi_bits", sigma_mod.mutual_information(dist), config.seed)
-            )
+            rows.append(_row(config, delta, dist.level, dist.L, "ml_error", 0.5 * (1.0 - t)))
+            rows.append(_row(config, delta, dist.level, dist.L, "mi_bits", sigma_mod.mutual_information(dist)))
         finals.append((float(delta), t))  # t: TV at the last reported level
         if config.trials > 0:
             stats = sigma_mod.coupled_mc(model, float(delta), schedule, config.depth, config.trials, config.seed)
@@ -260,9 +265,8 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
             for k, p, gap, sem in zip(stats.levels, stats.prob_unequal, stats.mean_gap, stats.sem_gap):
                 k = int(k)
                 unequal = round(p * config.trials)
-                rows.append(
-                    _wilson_row(config.model, delta, k, schedule.size(k), "coalesce_prob", unequal, config.trials, config.seed)
-                )
+                ci = wilson_interval(unequal, config.trials)
+                rows.append(_row(config, delta, k, schedule.size(k), "coalesce_prob", unequal / config.trials, ci))
                 coupled.append(f"  k={k:3d} P(unequal)={p:.4f} E[gap]={gap:.6f} (sem {sem:.2g})")
     summary = [
         f"{config.model}: exact chain to depth {config.depth}, schedule {config.schedule}",
@@ -300,42 +304,18 @@ def _run_grid_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str
         dists = grid_mod.grid_exact_distribution(f1, IDENTITY, float(delta), dp_depth)
         for dist in dists:
             tv, ml = dist.tv(), dist.ml_error()
-            rows.append(_exact_row(config.model, delta, dist.level, dist.level + 1, "tv_exact", tv, config.seed))
-            rows.append(_exact_row(config.model, delta, dist.level, dist.level + 1, "ml_error", ml, config.seed))
+            rows.append(_row(config, delta, dist.level, dist.level + 1, "tv_exact", tv))
+            rows.append(_row(config, delta, dist.level, dist.level + 1, "ml_error", ml))
             summary.append(f"  k={dist.level:2d} tv={tv:.8f} ml_error={ml:.8f}")
         if config.trials > 0:
             for est in grid_mod.grid_mc_tv_estimate(f1, IDENTITY, float(delta), dp_depth, config.trials, config.seed):
-                rows.append(
-                    ResultRow(
-                        config.model,
-                        float(delta),
-                        est.level,
-                        est.level + 1,
-                        "tv_mc",
-                        est.tv,
-                        max(0.0, est.tv - 3 * est.dev),
-                        min(1.0, est.tv + 3 * est.dev),
-                        config.seed,
-                        config.trials,
-                    )
-                )
+                ci = max(0.0, est.tv - 3 * est.dev), min(1.0, est.tv + 3 * est.dev)
+                rows.append(_row(config, delta, est.level, est.level + 1, "tv_mc", est.tv, ci))
                 summary.append(f"  k={est.level:2d} tv_mc={est.tv:.6f} (+/- 3*{est.dev:.6f})")
         if config.model == "grid-xor" and config.trials > 0:
             est = xorcode_mod.erasure_mc_error_bound(config.depth, float(delta), config.trials, config.seed)
-            rows.append(
-                ResultRow(
-                    config.model,
-                    float(delta),
-                    config.depth,
-                    config.depth + 1,
-                    "erasure_fail",
-                    est.failure_freq,
-                    2 * est.ci_low,
-                    2 * est.ci_high,
-                    config.seed,
-                    config.trials,
-                )
-            )
+            ci = 2 * est.ci_low, 2 * est.ci_high
+            rows.append(_row(config, delta, config.depth, config.depth + 1, "erasure_fail", est.failure_freq, ci))
             summary.append(
                 f"delta={float(delta):g}: erasure failure frequency {est.failure_freq:.4f} at k={config.depth} "
                 f"(ML error lower bound {est.error_bound:.4f})"
@@ -349,20 +329,8 @@ def _run_coupling_model(config: ExperimentConfig) -> tuple[list[ResultRow], list
     for delta in config.deltas():
         bound = coupling_mod.coupling_tv_bound(float(delta), config.depth, config.trials, config.seed)
         for k in bound.levels:
-            rows.append(
-                ResultRow(
-                    "grid-and",
-                    float(delta),
-                    int(k),
-                    int(k) + 1,
-                    "coalesce_prob",
-                    float(bound.bound[k]),
-                    float(bound.ci_low[k]),
-                    float(bound.ci_high[k]),
-                    config.seed,
-                    config.trials,
-                )
-            )
+            ci = bound.ci_low[k], bound.ci_high[k]
+            rows.append(_row(config, delta, k, k + 1, "coalesce_prob", bound.bound[k], ci, model="grid-and"))
         frac = float(bound.bound[-1])
         summary.append(
             f"delta={float(delta):g}: P(T > {config.depth}) = {frac:.4f} over {config.trials} coupled runs"
@@ -375,9 +343,8 @@ def _run_percolation(config: ExperimentConfig) -> tuple[list[ResultRow], list[st
     summary: list[str] = []
     for p in config.deltas():
         est = coupling_mod.estimate_alpha(float(p), config.depth, config.trials, config.seed)
-        rows.append(
-            _wilson_row("percolation", p, config.depth, config.depth + 1, "survival_prob", est.surviving, config.trials, config.seed)
-        )
+        ci = wilson_interval(est.surviving, config.trials)
+        rows.append(_row(config, p, config.depth, config.depth + 1, "survival_prob", est.surviving / config.trials, ci))
         if est.surviving:
             summary.append(
                 f"p={float(p):g}: survival {est.surviving / config.trials:.3f}, alpha estimate {est.alpha:.4f} "
@@ -398,7 +365,7 @@ def _run_bounds(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     for delta in config.deltas():
         for k in range(config.depth + 1):
             val = bounds_mod.evans_schulman(schedule.size(k), float(delta), config.d, k)
-            rows.append(_exact_row("bounds", delta, k, schedule.size(k), "bound_value", val, config.seed))
+            rows.append(_row(config, delta, k, schedule.size(k), "bound_value", val))
         if config.depth >= 2:
             thr = bounds_mod.slow_growth_threshold(config.depth, config.d, float(delta))
             summary.append(f"slow-growth threshold at k={config.depth}: {thr:.4f} (L_k={schedule.size(config.depth)})")
@@ -421,6 +388,9 @@ MODELS = tuple(_DRIVERS)
 
 # Models that only run Monte Carlo, so they need at least one trial.
 _MC_MODELS = ("grid-and-couple", "percolation")
+
+# Models that read the layer schedule.
+_SCHEDULE_MODELS = ("random-dag-maj3", "random-dag-andor2", "bounds")
 
 
 def run(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
@@ -661,10 +631,12 @@ def _cmd_grid_xor(args) -> int:
 
 
 def _cmd_bisect(args) -> int:
-    schedule = _parse_schedule(args.schedule)
     _require(args.depth >= 1, "depth", "must be >= 1")
     if args.model == "andor2":
         _require(args.depth >= 2, "depth", "must be >= 2 for andor2, which is read at even levels")
+    schedule = _parse_schedule(args.schedule, args.depth)
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    _require(budget >= 1, "budget", "must be >= 1")
     _require_delta(args.delta_lo, "delta_lo")
     _require_delta(args.delta_hi, "delta_hi")
     _require(args.delta_lo < args.delta_hi, "delta_lo", f"{args.delta_lo} must be below delta_hi {args.delta_hi}")
@@ -678,7 +650,7 @@ def _cmd_bisect(args) -> int:
         cutoff=args.cutoff,
         delta_lo=args.delta_lo,
         delta_hi=args.delta_hi,
-        budget=DEFAULT_BUDGET if args.budget is None else args.budget,
+        budget=budget,
     )
     print(f"bracket: [{lo:.6f}, {hi:.6f}] (width {hi - lo:.2g})")
     return 0

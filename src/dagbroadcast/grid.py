@@ -9,8 +9,8 @@ apply the one-input gate f2.
 The module contains an exact forward dynamic program over all 2^(k+1)
 level words, which serves as the oracle for the grid impossibility
 results, and a Monte Carlo TV estimator for cross-checking it.  The DP applies each level's kernel one node at a
-time (a transfer-matrix sweep), at O(k 2^k) cost per level; depths up to
-DEFAULT_DEPTH_CAP = 20 run by default.
+time (a transfer-matrix sweep), at O(k 2^k) cost per level.  Both refuse
+depths beyond DEFAULT_DEPTH_CAP = 20.
 
 Level words are encoded with node j at bit j (node 0 least significant).
 """
@@ -37,19 +37,23 @@ TAG_GRID_MC = 7
 DEFAULT_DEPTH_CAP = 20
 
 
-def _check_gates(f1: Gate, f2: Gate) -> None:
+def _check_args(f1: Gate, f2: Gate, depth: int) -> None:
+    """Refuse gates of the wrong arity, and depths beyond DEFAULT_DEPTH_CAP."""
     if f1.arity != 2:
         raise ValueError("f1 must be a two-input gate")
     if f2.arity != 1:
         raise ValueError("f2 must be a one-input gate")
+    if depth > DEFAULT_DEPTH_CAP:
+        raise BudgetExceededError(
+            f"depth {depth} exceeds the grid depth cap {DEFAULT_DEPTH_CAP}: its level words take "
+            f"2^{depth + 1} cells, and the exact DP's levels about {2 * 8 * 2 ** (depth + 2) / 2**20:.0f} MiB"
+        )
 
 
-def _grid_level_step(
-    f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int, seed: int, tag: int
-) -> np.ndarray:
+def _grid_level_step(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Advance bit arrays of shape (..., k) to level k (shape (..., k + 1))."""
     shape = prev.shape[:-1]
-    u = uniform_matrix(derive_seed(seed, tag, k), shape + (k + 1, 2))
+    u = uniform_matrix(derive_seed(seed, TAG_GRID, k), shape + (k + 1, 2))
     flip_left = (u[..., 0] < delta).astype(np.uint8)
     flip_right = (u[..., 1] < delta).astype(np.uint8)
     noisy_left = prev ^ flip_left[..., 1:]  # input to nodes 1..k from parent j-1
@@ -107,30 +111,19 @@ def _node_success_probs(f1: Gate, f2: Gate, delta: float) -> tuple[np.ndarray, n
     return p2, p11
 
 
-def grid_exact_distribution(
-    f1: Gate,
-    f2: Gate,
-    delta,
-    depth: int,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> list[GridDistribution]:
+def grid_exact_distribution(f1: Gate, f2: Gate, delta, depth: int) -> list[GridDistribution]:
     """Exact forward DP of the conditional pair over full level words.
 
     Given the previous word x, node 0 of level k is Bernoulli in x_0, node
     j in (x_(j-1), x_j) and node k in x_(k-1), so the kernel is applied
     node by node: attach y_0, then attach y_j and sum out x_(j-1) for each
     j.  This costs O(k 2^k) per level.  The returned levels hold about
-    2 * 2^(depth+2) float64 values; deeper than ``depth_cap`` is refused.
+    2 * 2^(depth+2) float64 values; deeper than DEFAULT_DEPTH_CAP is refused.
     """
-    _check_gates(f1, f2)
+    _check_args(f1, f2, depth)
     d = as_delta(delta, noiseless_ok=True)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth > depth_cap:
-        raise BudgetExceededError(
-            f"depth {depth} exceeds the exact-DP cap {depth_cap}; its levels would need about "
-            f"{2 * 8 * 2 ** (depth + 2) / 2**20:.0f} MiB; raise depth_cap to accept the cost"
-        )
     p2, p11 = _node_success_probs(f1, f2, d)
     # first[x_0, y_0]; inner/last[x_j, x_(j-1), y_j, 1] with a length-1 x_j axis for node k
     first = np.stack([1.0 - p2, p2], axis=-1)
@@ -172,12 +165,10 @@ def grid_mc_tv_estimate(
     Runs ``trials`` independent grids for each root value (independent
     noise between the two batches) and compares empirical distributions.
     """
-    _check_gates(f1, f2)
+    _check_args(f1, f2, depth)
     d = as_delta(delta, noiseless_ok=True)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if depth > 20:
-        raise BudgetExceededError("depth > 20 would need > 2^21 count cells")
     states = {
         root: np.full((trials, 1), root, dtype=np.uint8) for root in (0, 1)
     }
@@ -185,9 +176,7 @@ def grid_mc_tv_estimate(
     for k in range(1, depth + 1):
         counts = {}
         for root in (0, 1):
-            states[root] = _grid_level_step(
-                f1, f2, d, states[root], k, derive_seed(seed, TAG_GRID_MC, root), TAG_GRID
-            )
+            states[root] = _grid_level_step(f1, f2, d, states[root], k, derive_seed(seed, TAG_GRID_MC, root))
             packed = (states[root].astype(np.int64) << np.arange(k + 1)).sum(axis=1)
             counts[root] = np.bincount(packed, minlength=1 << (k + 1))
         fp = counts[1] / trials

@@ -31,6 +31,7 @@ __all__ = [
     "MODEL_ANDOR2",
     "DELTA_MAJ",
     "DELTA_ANDOR",
+    "DEFAULT_BUDGET",
     "DegenerateThresholdError",
     "SigmaDistribution",
     "FixedPoint",
@@ -65,6 +66,9 @@ DELTA_ANDOR = (3.0 - math.sqrt(7.0)) / 4.0
 _ANDOR_LIP_BRANCH = (9.0 - math.sqrt(33.0)) / 12.0
 
 TAG_COUPLED = 4
+
+# Largest layer size ``exact_chain`` builds kernels for unless told otherwise.
+DEFAULT_BUDGET = 4096
 
 
 class DegenerateThresholdError(ValueError):
@@ -339,21 +343,12 @@ class BinomialKernel:
         """Number of table entries computed."""
         return sum(block.size for block in self.blocks)
 
-    def toarray(self) -> np.ndarray:
-        table = np.zeros((len(self.drop), self.n + 1))
-        for r0, block, c0 in self._placed():
-            table[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
-        return table
-
     def apply(self, pair: np.ndarray) -> np.ndarray:
-        """``pair @ toarray()`` for a (2, rows) pair, one matmul per block."""
+        """``pair`` times the dense table, for a (2, rows) pair, one matmul per block."""
         out = np.zeros((pair.shape[0], self.n + 1))
-        for r0, block, c0 in self._placed():
+        for r0, block, c0 in zip(range(0, len(self.drop), BLOCK_ROWS), self.blocks, self.starts):
             out[:, c0:c0 + block.shape[1]] += pair[:, r0:r0 + block.shape[0]] @ block
         return out
-
-    def _placed(self):
-        return zip(range(0, len(self.drop), BLOCK_ROWS), self.blocks, self.starts)
 
 
 def binomial_pmf_table(n: int, p: np.ndarray) -> BinomialKernel:
@@ -421,7 +416,7 @@ def exact_chain(
     delta,
     schedule: LayerSchedule,
     depth: int,
-    budget: int = 4096,
+    budget: int = DEFAULT_BUDGET,
     stop_below: float = 0.0,
 ) -> list[SigmaDistribution]:
     """Propagate the conditional pair exactly from the root to ``depth``.

@@ -26,7 +26,8 @@ nodes have only one of the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -57,20 +58,15 @@ SLOT_LEFT = 0
 SLOT_RIGHT = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class BitMatrix:
-    """Dense GF(2) matrix with bit-packed rows (one Python int per row)."""
+    """Immutable dense GF(2) matrix with bit-packed rows (one Python int per row)."""
 
     nrows: int
     ncols: int
-    rows: list[int] = field(default_factory=list)
-    # columns() cache and the rows it was transposed from
-    _cols: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    _cols_of: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.rows:
-            self.rows = [0] * self.nrows
         if len(self.rows) != self.nrows:
             raise ValueError("row count mismatch")
         mask = (1 << self.ncols) - 1
@@ -78,41 +74,26 @@ class BitMatrix:
             raise ValueError("row has bits beyond ncols")
 
     def get(self, r: int, c: int) -> int:
-        self._check(r, c)
-        return (self.rows[r] >> c) & 1
-
-    def set(self, r: int, c: int, bit: int) -> None:
-        self._check(r, c)
-        if bit:
-            self.rows[r] |= 1 << c
-        else:
-            self.rows[r] &= ~(1 << c)
-
-    def _check(self, r: int, c: int) -> None:
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise IndexError("bit index out of range")
+        return (self.rows[r] >> c) & 1
 
+    @cached_property
     def columns(self) -> tuple[int, ...]:
-        """Every column as a bit-packed int over rows, transposed in one pass.
-
-        The result is cached and recomputed whenever ``rows`` differs from
-        the rows it was built from.
-        """
-        if self._cols_of != self.rows:
-            cols = [0] * self.ncols
-            for r, row in enumerate(self.rows):
-                while row:
-                    low = row & -row
-                    cols[low.bit_length() - 1] |= 1 << r
-                    row ^= low
-            self._cols, self._cols_of = tuple(cols), list(self.rows)
-        return self._cols
+        """Every column as a bit-packed int over rows, transposed once."""
+        cols = [0] * self.ncols
+        for r, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << r
+                row ^= low
+        return tuple(cols)
 
     def column(self, c: int) -> int:
         """Column c as a bit-packed int over rows."""
         if not 0 <= c < self.ncols:
             raise IndexError("column index out of range")
-        return self.columns()[c]
+        return self.columns[c]
 
     def mul_vector(self, vec: int) -> int:
         """Matrix-vector product over GF(2); vec is bit-packed over columns."""
@@ -148,36 +129,24 @@ class EdgeIndex:
     """Canonical enumeration of all grid edges above level k.
 
     ``column_of(level, node, slot)`` maps an edge to its column in H_k
-    (columns 1 .. k*(k+1); column 0 is the root).  ``edges[i]`` is the
-    (level, node, slot) triple at column i + 1.
+    (columns 1 .. k*(k+1); column 0 is the root).  Level l holds 2l edges,
+    after the l*(l-1) edges of the levels above it.
     """
 
     k: int
-    edges: tuple[tuple[int, int, int], ...]
-    _lookup: dict = field(default_factory=dict, repr=False)
-
-    @staticmethod
-    def build(k: int) -> "EdgeIndex":
-        edges = []
-        for level in range(1, k + 1):
-            for node in range(level + 1):
-                if node > 0:
-                    edges.append((level, node, SLOT_LEFT))
-                if node < level:
-                    edges.append((level, node, SLOT_RIGHT))
-        idx = EdgeIndex(k, tuple(edges))
-        idx._lookup.update({e: i + 1 for i, e in enumerate(edges)})
-        return idx
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.k * (self.k + 1)
 
     def column_of(self, level: int, node: int, slot: int) -> int:
-        return self._lookup[(level, node, slot)]
+        # the edge's parent, node - 1 + slot, must lie on level - 1
+        if not (1 <= level <= self.k and slot in (SLOT_LEFT, SLOT_RIGHT) and 0 <= node - 1 + slot < level):
+            raise KeyError(f"no edge {(level, node, slot)} above level {self.k}")
+        return level * (level - 1) + 2 * node + slot
 
 
-def build_Hk(k: int, k_cap: int = DEFAULT_K_CAP) -> tuple[BitMatrix, EdgeIndex]:
+def build_Hk(k: int) -> tuple[BitMatrix, EdgeIndex]:
     """Parity-check matrix of the level-k XOR grid by symbolic propagation.
 
     Each node carries its coefficient vector over {root} + edges as a
@@ -186,9 +155,9 @@ def build_Hk(k: int, k_cap: int = DEFAULT_K_CAP) -> tuple[BitMatrix, EdgeIndex]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > k_cap:
-        raise BudgetExceededError(f"k = {k} exceeds the cap {k_cap}")
-    idx = EdgeIndex.build(k)
+    if k > DEFAULT_K_CAP:
+        raise BudgetExceededError(f"k = {k} exceeds the cap {DEFAULT_K_CAP}")
+    idx = EdgeIndex(k)
     ncols = 1 + idx.n_edges
     vecs = [1]  # root node: coefficient 1 on the root column
     for level in range(1, k + 1):
@@ -201,7 +170,7 @@ def build_Hk(k: int, k_cap: int = DEFAULT_K_CAP) -> tuple[BitMatrix, EdgeIndex]:
                 v ^= vecs[node] ^ (1 << idx.column_of(level, node, SLOT_RIGHT))
             new.append(v)
         vecs = new
-    return BitMatrix(k + 1, ncols, vecs), idx
+    return BitMatrix(k + 1, ncols, tuple(vecs)), idx
 
 
 def omega_vector(k: int, idx: EdgeIndex) -> int:
@@ -233,7 +202,7 @@ def erasure_ml_fails(h: BitMatrix, erased: Iterable[int]) -> bool:
     for c in (min(erased, default=1), max(erased, default=1)):
         if not 1 <= c < h.ncols:
             raise ValueError(f"erased index {c} outside the edge columns 1..{h.ncols - 1}")
-    cols = h.columns()
+    cols = h.columns
     basis: dict[int, int] = {}
     for c in erased:
         vec = _reduce(cols[c], basis)

@@ -15,7 +15,7 @@ import numpy as np
 from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U, TAG_COUPLE, TAG_PERC
 from dagbroadcast.model import TAG_TRIAL, Gate, LayerSchedule, as_delta
 from dagbroadcast.rng import derive_seed, uniform_matrix
-from dagbroadcast.sigma import exact_chain, g_and, g_majority, g_or, tv
+from dagbroadcast.sigma import BLOCK_ROWS, BinomialKernel, exact_chain, g_and, g_majority, g_or, tv
 
 
 def gate_output_prob(gate: Gate, p: float) -> float:
@@ -32,6 +32,23 @@ def gate_output_prob(gate: Gate, p: float) -> float:
     return total
 
 
+def canonical_edges(k: int) -> list[tuple[int, int, int]]:
+    """Every grid edge above level k as (level, node, slot), in H_k's column order.
+
+    Edges run by level, then node, then slot (0 = left parent (level - 1,
+    node - 1), 1 = right parent (level - 1, node)); the boundary nodes have
+    one parent only.  The edge at list index i is column i + 1 of H_k.
+    """
+    edges = []
+    for level in range(1, k + 1):
+        for node in range(level + 1):
+            if node > 0:
+                edges.append((level, node, 0))
+            if node < level:
+                edges.append((level, node, 1))
+    return edges
+
+
 def grid_joint_by_enumeration(
     f1: Gate, f2: Gate, delta: float, depth: int, root: int
 ) -> np.ndarray:
@@ -40,13 +57,7 @@ def grid_joint_by_enumeration(
 
     Word encoding matches the package: node j at bit j.
     """
-    edges = []  # (level, node, slot) with slot 0 = left parent, 1 = right parent
-    for level in range(1, depth + 1):
-        for node in range(level + 1):
-            if node > 0:
-                edges.append((level, node, 0))
-            if node < level:
-                edges.append((level, node, 1))
+    edges = canonical_edges(depth)
     n_edges = len(edges)
     dist = np.zeros(1 << (depth + 1))
     for assignment in range(1 << n_edges):
@@ -99,6 +110,14 @@ def grid_dense_dp(
         plus, minus = plus @ block, minus @ block
         out.append((plus, minus))
     return out
+
+
+def kernel_toarray(kernel: BinomialKernel) -> np.ndarray:
+    """The dense (rows, n + 1) table a banded kernel holds, zero off its blocks."""
+    table = np.zeros((len(kernel.drop), kernel.n + 1))
+    for r0, block, c0 in zip(range(0, len(kernel.drop), BLOCK_ROWS), kernel.blocks, kernel.starts):
+        table[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
+    return table
 
 
 def _dense_pmf_table(n: int, p: np.ndarray) -> np.ndarray:

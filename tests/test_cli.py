@@ -318,6 +318,13 @@ class TestMain:
             (["bisect", "--model", "maj3", "--tol", "inf"], "tol"),
             (["bisect", "--model", "maj3", "--delta-lo", "0.3", "--delta-hi", "0.1"], "delta_lo"),
             (["bisect", "--model", "maj3", "--delta-lo", "0.2", "--delta-hi", "0.2"], "delta_lo"),
+            (["bisect", "--model", "maj3", "--budget", "0"], "budget"),
+            # a list schedule must name a size for every level up to the depth
+            (["exact-chain", "--model", "maj3", "--delta", "0.1", "--schedule", "list:8,8", "--depth", "5"], "schedule"),
+            (["mc-chain", "--model", "maj3", "--delta", "0.1", "--schedule", "list:8,8", "--depth", "5"], "schedule"),
+            (["bounds", "--delta", "0.1", "--schedule", "list:8,8", "--depth", "5"], "schedule"),
+            (["sweep", "--model", "random-dag-andor2", "--schedule", "list:8,8", "--depth", "5"], "schedule"),
+            (["bisect", "--model", "maj3", "--schedule", "list:8,8", "--depth", "5"], "schedule"),
         ],
     )
     def test_sigma_bad_argument_exit_code(self, argv, field, capsys):

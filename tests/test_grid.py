@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dagbroadcast.model import AND2, IDENTITY, OR2, XOR2, BudgetExceededError, Gate
+from dagbroadcast import grid as grid_mod
 from dagbroadcast.grid import (
-    TAG_GRID,
     GridDistribution,
     _grid_level_step,
     grid_exact_distribution,
@@ -22,7 +22,7 @@ def grid_levels(f1, f2, delta, root, depth, seed):
     """Bit arrays of levels 0..depth of one grid run, one level step at a time."""
     levels = [np.array([root], dtype=np.uint8)]
     for k in range(1, depth + 1):
-        levels.append(_grid_level_step(f1, f2, delta, levels[-1], k, seed, TAG_GRID))
+        levels.append(_grid_level_step(f1, f2, delta, levels[-1], k, seed))
     return levels
 
 
@@ -117,8 +117,6 @@ class TestExactDp:
     def test_depth_cap(self):
         with pytest.raises(BudgetExceededError, match="128 MiB"):
             grid_exact_distribution(AND2, IDENTITY, 0.1, 21)
-        dists = grid_exact_distribution(AND2, IDENTITY, 0.1, 21, depth_cap=21)
-        assert dists[-1].level == 21
 
     def test_xor_grid_tv_decays(self):
         dists = grid_exact_distribution(XOR2, IDENTITY, 0.2, 10)
@@ -147,3 +145,21 @@ class TestMcTvEstimate:
     def test_depth_guard(self):
         with pytest.raises(BudgetExceededError):
             grid_mc_tv_estimate(XOR2, IDENTITY, 0.2, 21, 10, seed=1)
+
+
+def test_dp_and_mc_share_one_depth_cap(monkeypatch):
+    cap = grid_mod.DEFAULT_DEPTH_CAP
+    messages = []
+    for call in (
+        lambda depth: grid_exact_distribution(AND2, IDENTITY, 0.1, depth),
+        lambda depth: grid_mc_tv_estimate(AND2, IDENTITY, 0.1, depth, 10, seed=1),
+    ):
+        with pytest.raises(BudgetExceededError) as exc:
+            call(cap + 1)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and f"cap {cap}" in messages[0]
+    monkeypatch.setattr(grid_mod, "DEFAULT_DEPTH_CAP", 4)
+    assert grid_exact_distribution(AND2, IDENTITY, 0.1, 4)[-1].level == 4
+    assert grid_mc_tv_estimate(AND2, IDENTITY, 0.1, 4, 10, seed=1)[-1].level == 4
+    with pytest.raises(BudgetExceededError, match="cap 4"):
+        grid_mc_tv_estimate(AND2, IDENTITY, 0.1, 5, 10, seed=1)

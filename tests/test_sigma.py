@@ -36,7 +36,7 @@ from dagbroadcast.sigma import (
 from dagbroadcast.model import sample_random_dag
 from dagbroadcast import sigma as sigma_mod
 
-from oracles import dense_chain, gate_output_prob
+from oracles import dense_chain, gate_output_prob, kernel_toarray
 
 
 def make_dist(level, plus, minus):
@@ -183,19 +183,19 @@ class TestLogComb:
 
 class TestBinomialPmf:
     def test_rows_normalized(self):
-        table = binomial_pmf_table(50, np.linspace(0, 1, 23)).toarray()
+        table = kernel_toarray(binomial_pmf_table(50, np.linspace(0, 1, 23)))
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_scipy(self):
         from scipy.stats import binom
 
         p = np.array([0.0, 0.17, 0.5, 0.93, 1.0])
-        table = binomial_pmf_table(40, p).toarray()
+        table = kernel_toarray(binomial_pmf_table(40, p))
         for i, pi in enumerate(p):
             np.testing.assert_allclose(table[i], binom.pmf(np.arange(41), 40, pi), atol=1e-12)
 
     def test_large_n_stable(self):
-        table = binomial_pmf_table(5000, np.array([0.01, 0.99])).toarray()
+        table = kernel_toarray(binomial_pmf_table(5000, np.array([0.01, 0.99])))
         assert np.isfinite(table).all()
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-9)
 
@@ -205,7 +205,7 @@ class TestBinomialPmf:
 
         p = np.concatenate([np.linspace(0, 1, 300), g_majority(np.linspace(0, 1, 300), 0.1)])
         kernel = binomial_pmf_table(n, p)
-        table = kernel.toarray()
+        table = kernel_toarray(kernel)
         assert kernel.size < table.size
         exact = binom.pmf(np.arange(n + 1)[None, :], n, p[:, None])
         missing = np.where(table == 0.0, exact, 0.0).sum(axis=1)
@@ -221,12 +221,12 @@ class TestBinomialPmf:
     def test_mirror_classes(self, n, L, delta):
         tol = 1e-13 * max(1.0, n / 256)
         sig = np.arange(L + 1) / L
-        half = binomial_pmf_table(n, g_majority(sig[: L // 2 + 1], delta)).toarray()
+        half = kernel_toarray(binomial_pmf_table(n, g_majority(sig[: L // 2 + 1], delta)))
         mirrored = np.vstack((half, half[: (L + 1) // 2][::-1, ::-1]))
-        full = binomial_pmf_table(n, g_majority(sig, delta)).toarray()
+        full = kernel_toarray(binomial_pmf_table(n, g_majority(sig, delta)))
         assert np.abs(full - mirrored).sum(axis=1).max() <= tol
-        flipped_and = binomial_pmf_table(n, g_and(sig, delta)).toarray()[::-1, ::-1]
-        direct_or = binomial_pmf_table(n, g_or(sig, delta)).toarray()
+        flipped_and = kernel_toarray(binomial_pmf_table(n, g_and(sig, delta)))[::-1, ::-1]
+        direct_or = kernel_toarray(binomial_pmf_table(n, g_or(sig, delta)))
         assert np.abs(direct_or - flipped_and).sum(axis=1).max() <= tol
 
     def test_blocks_do_not_depend_on_blas_threads(self):
@@ -252,7 +252,7 @@ class TestBinomialPmf:
     def test_apply_matches_dense_product(self):
         kernel = binomial_pmf_table(700, g_or(np.linspace(0, 1, 301), 0.07))
         pair = np.random.default_rng(0).random((2, 301))
-        np.testing.assert_allclose(kernel.apply(pair), pair @ kernel.toarray(), rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(kernel.apply(pair), pair @ kernel_toarray(kernel), rtol=1e-13, atol=1e-16)
 
 
 def _window(L: int) -> int:

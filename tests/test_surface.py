@@ -5,7 +5,9 @@ an identifier string (the benchmark's tracer names its targets by string),
 in some library module, in the acceptance suite or in the benchmark.  Its
 own ``def``/``class`` statement, its ``__all__`` entry and its imports do
 not count, and neither do unit tests: a function only they call belongs
-in ``tests/oracles.py`` as a reference, or nowhere.
+in ``tests/oracles.py`` as a reference, or nowhere.  Likewise every public
+method of a library class must be reached as an attribute (``.name``) in
+those same files.
 """
 
 import ast
@@ -19,6 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "dagbroadcast").glob("*.py"))
 USERS = [*MODULES, ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+TREES = [ast.parse(path.read_text(encoding="utf-8")) for path in USERS]
 
 
 def _is_all(node: ast.AST) -> bool:
@@ -36,8 +39,8 @@ def _exported(path: Path) -> list[str]:
 
 def _used_names() -> set[str]:
     used: set[str] = set()
-    for path in USERS:
-        stack = [ast.parse(path.read_text(encoding="utf-8"))]
+    for tree in TREES:
+        stack = [tree]
         while stack:
             node = stack.pop()
             if _is_all(node):
@@ -53,12 +56,30 @@ def _used_names() -> set[str]:
 
 
 USED = _used_names()
+ATTRIBUTES = {node.attr for tree in TREES for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _public_methods(path: Path) -> list[tuple[str, str]]:
+    """(class, method) for every public function defined in a class body."""
+    return [
+        (node.name, item.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_exported_name_is_used(path):
     unused = [name for name in _exported(path) if name not in USED]
     assert not unused, f"{path.name} exports names nothing reaches: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_public_method_is_reached(path):
+    unreached = [f"{cls}.{name}" for cls, name in _public_methods(path) if name not in ATTRIBUTES]
+    assert not unreached, f"{path.name} has public methods nothing reaches: {unreached}"
 
 
 def test_package_root_reexports_nothing():

@@ -1,5 +1,6 @@
 """Tests for GF(2) linear algebra, XOR-grid parity checks, and erasures."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from dagbroadcast.xorcode import (
     sample_erasure_pattern,
 )
 from oracles import (
+    canonical_edges,
     coding_problem_ml_error,
     f2_rank,
     inference_problem_ml_error,
@@ -34,45 +36,43 @@ from oracles import (
 
 
 class TestBitMatrix:
-    def test_get_set_round_trip(self):
-        m = BitMatrix(3, 5)
-        m.set(1, 4, 1)
-        m.set(2, 0, 1)
+    def test_get_reads_rows(self):
+        m = BitMatrix(3, 5, (0, 0b10000, 0b00001))
         assert m.get(1, 4) == 1
         assert m.get(0, 4) == 0
-        m.set(1, 4, 0)
-        assert m.get(1, 4) == 0
+        assert m.get(2, 0) == 1
+        assert m.get(2, 4) == 0
 
     def test_bounds_checked(self):
-        m = BitMatrix(2, 2)
+        m = BitMatrix(2, 2, (0, 0))
         with pytest.raises(IndexError):
             m.get(2, 0)
         with pytest.raises(IndexError):
-            m.set(0, 2, 1)
+            m.get(0, 2)
+        with pytest.raises(IndexError):
+            m.column(2)
+        with pytest.raises(ValueError):
+            BitMatrix(2, 2, (0,))
 
     def test_stray_bits_rejected(self):
         with pytest.raises(ValueError):
-            BitMatrix(1, 2, [0b100])
+            BitMatrix(1, 2, (0b100,))
+
+    def test_immutable(self):
+        m = BitMatrix(2, 2, (0b01, 0b10))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.rows = (0, 0)
 
     def test_column_and_dense_agree(self):
-        m = BitMatrix(3, 4, [0b1010, 0b0111, 0b1100])
+        m = BitMatrix(3, 4, (0b1010, 0b0111, 0b1100))
+        assert m.column(0) == 0b010
         for c in range(4):
             packed = m.column(c)
             assert [m.get(r, c) for r in range(3)] == [(packed >> r) & 1 for r in range(3)]
-
-    def test_columns_follow_later_edits(self):
-        m = BitMatrix(3, 4, [0b1010, 0b0111, 0b1100])
-        assert m.column(0) == 0b010
-        m.set(0, 0, 1)
-        assert m.column(0) == 0b011
-        assert m.columns()[0] == 0b011
-        m.rows[2] ^= 0b0001
-        assert m.column(0) == 0b111
-        with pytest.raises(IndexError):
-            m.column(4)
+            assert m.columns[c] == packed
 
     def test_mul_vector(self):
-        m = BitMatrix(2, 3, [0b011, 0b110])
+        m = BitMatrix(2, 3, (0b011, 0b110))
         assert m.mul_vector(0b001) == 0b01
         assert m.mul_vector(0b111) == 0b00
 
@@ -100,22 +100,36 @@ class TestBinomParity:
 class TestEdgeIndex:
     @pytest.mark.parametrize("k", [1, 2, 5, 9])
     def test_edge_count(self, k):
-        idx = EdgeIndex.build(k)
-        assert idx.n_edges == k * (k + 1)
+        assert EdgeIndex(k).n_edges == k * (k + 1) == len(canonical_edges(k))
 
     def test_canonical_order_prefix(self):
-        idx = EdgeIndex.build(3)
-        assert idx.edges[:4] == (
-            (1, 0, SLOT_RIGHT),
-            (1, 1, SLOT_LEFT),
-            (2, 0, SLOT_RIGHT),
-            (2, 1, SLOT_LEFT),
-        )
+        idx = EdgeIndex(3)
+        first = [(1, 0, SLOT_RIGHT), (1, 1, SLOT_LEFT), (2, 0, SLOT_RIGHT), (2, 1, SLOT_LEFT)]
+        assert canonical_edges(3)[:4] == first
+        assert [idx.column_of(*e) for e in first] == [1, 2, 3, 4]
 
     def test_column_of_is_inverse(self):
-        idx = EdgeIndex.build(6)
-        for i, e in enumerate(idx.edges):
-            assert idx.column_of(*e) == i + 1
+        for k in range(1, 13):
+            idx = EdgeIndex(k)
+            edges = canonical_edges(k)
+            assert [idx.column_of(*e) for e in edges] == list(range(1, len(edges) + 1))
+            assert idx.n_edges == len(edges)
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            (0, 0, SLOT_RIGHT),  # the root has no parent
+            (5, 0, SLOT_RIGHT),  # below level k = 4
+            (2, 0, SLOT_LEFT),  # the left boundary node has no left parent
+            (2, 2, SLOT_RIGHT),  # the right boundary node has no right parent
+            (2, 3, SLOT_LEFT),  # no node 3 on level 2
+            (2, -1, SLOT_RIGHT),
+            (2, 1, 2),  # no third slot
+        ],
+    )
+    def test_non_edge_refused(self, edge):
+        with pytest.raises(KeyError):
+            EdgeIndex(4).column_of(*edge)
 
 
 class TestBuildHk:
@@ -138,7 +152,7 @@ class TestBuildHk:
         rng = np.random.default_rng(100 + k)
         for _ in range(20):
             root = int(rng.integers(2))
-            noise = {e: int(rng.integers(2)) for e in idx.edges}
+            noise = {e: int(rng.integers(2)) for e in canonical_edges(k)}
             vec = root
             for e, b in noise.items():
                 vec |= b << idx.column_of(*e)
@@ -170,7 +184,7 @@ class TestOmegaCertificate:
             check_omega(1)
 
     def test_weight_three(self):
-        idx = EdgeIndex.build(8)
+        idx = EdgeIndex(8)
         assert omega_vector(8, idx).bit_count() == 3
 
 
@@ -236,7 +250,7 @@ class TestErasure:
             erasure_ml_fails(h, [3, bad, 5])
 
     def test_pattern_sampling_rate(self):
-        idx = EdgeIndex.build(20)
+        idx = EdgeIndex(20)
         delta = 0.15
         total = 0
         trials = 200
@@ -280,11 +294,8 @@ class TestExport:
         lines = text.strip().split("\n")
         header = lines[0].split()
         assert header == ["#", f"rows={h.nrows}", f"cols={h.ncols}"]
-        rebuilt = BitMatrix(h.nrows, h.ncols)
-        for r, line in enumerate(lines[1:]):
-            for c in line.split():
-                rebuilt.set(r, int(c), 1)
-        assert rebuilt.rows == h.rows
+        rows = tuple(sum(1 << int(c) for c in line.split()) for line in lines[1:])
+        assert BitMatrix(h.nrows, h.ncols, rows) == h
 
     def test_trailing_newline(self):
         h, _ = build_Hk(2)

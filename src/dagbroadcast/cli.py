@@ -134,6 +134,9 @@ class ExperimentConfig:
             raise ConfigError("field trials: must be >= 0")
         if self.model in _MC_MODELS and self.trials < 1:
             raise ConfigError(f"field trials: must be >= 1 for the Monte Carlo model {self.model}")
+        if self.model == "grid-xor" and self.trials > 0:
+            # the erasure row builds H_depth: refuse its cap before the DP and the Monte Carlo run
+            xorcode_mod.check_k(self.depth)
         if self.budget < 1:
             raise ConfigError("field budget: must be >= 1")
         if self.d < 1:

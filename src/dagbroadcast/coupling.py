@@ -165,7 +165,7 @@ def _percolation_reach(p: float, depth: int, trials: int, seed: int):
         pos = (2 * (k * live + lo))[:, None] + np.arange(2 * w)
         # each node's pair of open flags read as one uint16: bit 0 is the edge
         # (k-1, j) -> (k, j), bit 8 the edge (k-1, j) -> (k, j+1)
-        opened = (uniforms(derive_seed(seed, TAG_PERC, k), pos) < p).view("<u2")
+        opened = uniforms(derive_seed(seed, TAG_PERC, k), pos, below=p).view("<u2")
         opened *= reach
         new = np.zeros((live.size, w + 1), dtype=bool)
         new[:, :w] = opened & 1

@@ -10,19 +10,20 @@ The module contains an exact forward dynamic program over all 2^(k+1)
 level words, which serves as the oracle for the grid impossibility
 results, and a Monte Carlo TV estimator for cross-checking it.  The DP applies each level's kernel one node at a
 time (a transfer-matrix sweep), at O(k 2^k) cost per level.  Both refuse
-depths beyond DEFAULT_DEPTH_CAP = 20.
+depths below 1 or beyond DEFAULT_DEPTH_CAP = 20.
 
 Level words are encoded with node j at bit j (node 0 least significant).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import BudgetExceededError, Gate, as_delta
-from .rng import derive_seed, uniform_matrix
+from .rng import derive_seed, uniforms
 
 __all__ = [
     "GridDistribution",
@@ -38,11 +39,13 @@ DEFAULT_DEPTH_CAP = 20
 
 
 def _check_args(f1: Gate, f2: Gate, depth: int) -> None:
-    """Refuse gates of the wrong arity, and depths beyond DEFAULT_DEPTH_CAP."""
+    """Refuse gates of the wrong arity, and depths below 1 or beyond DEFAULT_DEPTH_CAP."""
     if f1.arity != 2:
         raise ValueError("f1 must be a two-input gate")
     if f2.arity != 1:
         raise ValueError("f2 must be a one-input gate")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if depth > DEFAULT_DEPTH_CAP:
         raise BudgetExceededError(
             f"depth {depth} exceeds the grid depth cap {DEFAULT_DEPTH_CAP}: its level words take "
@@ -53,9 +56,9 @@ def _check_args(f1: Gate, f2: Gate, depth: int) -> None:
 def _grid_level_step(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Advance bit arrays of shape (..., k) to level k (shape (..., k + 1))."""
     shape = prev.shape[:-1]
-    u = uniform_matrix(derive_seed(seed, TAG_GRID, k), shape + (k + 1, 2))
-    flip_left = (u[..., 0] < delta).astype(np.uint8)
-    flip_right = (u[..., 1] < delta).astype(np.uint8)
+    flips = uniforms(derive_seed(seed, TAG_GRID, k), math.prod(shape) * (k + 1) * 2, below=delta)
+    flips = flips.view(np.uint8).reshape(shape + (k + 1, 2))
+    flip_left, flip_right = flips[..., 0], flips[..., 1]
     noisy_left = prev ^ flip_left[..., 1:]  # input to nodes 1..k from parent j-1
     noisy_right = prev ^ flip_right[..., :k]  # input to nodes 0..k-1 from parent j
     f1_table = np.asarray(f1.table, dtype=np.uint8)
@@ -122,8 +125,6 @@ def grid_exact_distribution(f1: Gate, f2: Gate, delta, depth: int) -> list[GridD
     """
     _check_args(f1, f2, depth)
     d = as_delta(delta, noiseless_ok=True)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     p2, p11 = _node_success_probs(f1, f2, d)
     # first[x_0, y_0]; inner/last[x_j, x_(j-1), y_j, 1] with a length-1 x_j axis for node k
     first = np.stack([1.0 - p2, p2], axis=-1)

@@ -247,8 +247,8 @@ def propagate_many(
         s = derive_seed(seed, TAG_TRIAL, k)
         noisy = bits.take(dag.parents[k - 1], axis=1)  # (trials, L_k, d)
         flat = noisy.reshape(-1)
-        fresh = np.flatnonzero(uniforms(s, range(0, 2 * flat.size, 2)) < 2.0 * dval)
-        flat[fresh] = uniforms(s, 2 * fresh + 1) < 0.5
+        fresh = np.flatnonzero(uniforms(s, range(0, 2 * flat.size, 2), below=2.0 * dval))
+        flat[fresh] = uniforms(s, 2 * fresh + 1, below=0.5)
         word = noisy[..., 0].astype(np.min_scalar_type((1 << gate.arity) - 1))
         for i in range(1, gate.arity):
             word |= np.left_shift(noisy[..., i], i, dtype=word.dtype)

@@ -19,6 +19,13 @@ Scheme
   function of its position, so the stream is evaluated in cache-resident
   blocks with in-place array steps, and a consumer evaluates only the
   positions it reads; neither changes a value.
+* ``uniforms(seed, n, below=p)`` is ``uniforms(seed, n) < p`` as bools,
+  for consumers that compare each draw with one threshold.  A uniform is
+  m * 2^-53 for the 53-bit integer m = z >> 11, and p * 2^53 is exact in
+  binary floating point (a power-of-two scaling never rounds, and an
+  overflow to inf only happens for p > 1), so u < p holds exactly when
+  m < ceil(p * 2^53).  The block loop compares m with that integer,
+  clamped to [0, 2^53] (NaN gives 0), and never forms a float64.
 
 By convention a seed value is used either as a stream (via ``uniforms``)
 or for further derivation, never both, which keeps streams disjoint.
@@ -26,6 +33,7 @@ or for further derivation, never both, which keeps streams disjoint.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -70,13 +78,24 @@ def _check_size(n, what: str) -> int:
     return n
 
 
-def uniforms(seed: int, n: "int | range | np.ndarray") -> np.ndarray:
+def _threshold(p) -> np.uint64:
+    """ceil(p * 2^53) clamped to [0, 2^53]: a uniform m * 2^-53 is below p exactly when m is below this."""
+    x = float(p) * 2.0**53
+    if not x > 0.0:  # also NaN, which no uniform is below
+        return np.uint64(0)
+    return np.uint64(1 << 53 if x >= 2.0**53 else math.ceil(x))
+
+
+def uniforms(seed: int, n: "int | range | np.ndarray", below=None) -> np.ndarray:
     """Return the uniforms in [0, 1) at positions ``n`` of the counter stream of ``seed``.
 
     ``n`` is a count (positions ``0 .. n-1``), a ``range`` of positions with
     step > 0, or an integer array of positions (the result has its shape).
+    With ``below=p`` the result is ``uniforms(seed, n) < p`` as bools,
+    compared in integers without forming the floats.
     """
     seed = int(seed)
+    threshold = None if below is None else _threshold(below)
     if isinstance(n, range):
         if n.start < 0:
             raise ValueError(f"positions must be >= 0, got start {n.start}")
@@ -84,7 +103,7 @@ def uniforms(seed: int, n: "int | range | np.ndarray") -> np.ndarray:
             raise ValueError(f"step must be > 0, got {n.step}")
         start, step, count = n.start, n.step, len(n)
     elif isinstance(n, np.ndarray):
-        return _gather(seed, n)
+        return _gather(seed, n, threshold)
     else:
         start, step, count = 0, 1, _check_size(n, "n")
     # element i of a block starting at element b is at position start + step*(b + i):
@@ -96,10 +115,10 @@ def uniforms(seed: int, n: "int | range | np.ndarray") -> np.ndarray:
     def counters(z, b):
         np.add(weyl[: z.size], np.uint64((base + stride * b) & MASK64), out=z)
 
-    return _mix(count, weyl.size, counters)
+    return _mix(count, weyl.size, counters, threshold)
 
 
-def _gather(seed: int, pos: np.ndarray) -> np.ndarray:
+def _gather(seed: int, pos: np.ndarray, threshold) -> np.ndarray:
     if pos.dtype.kind not in "iu":
         raise TypeError(f"positions must be integers, got dtype {pos.dtype}")
     if pos.dtype.kind == "i" and pos.size and pos.min() < 0:
@@ -112,22 +131,29 @@ def _gather(seed: int, pos: np.ndarray) -> np.ndarray:
         np.multiply(flat[b : b + z.size], golden, out=z, dtype=np.uint64, casting="unsafe")
         np.add(z, first, out=z)
 
-    return _mix(flat.size, _BLOCK, counters).reshape(pos.shape)
+    return _mix(flat.size, _BLOCK, counters, threshold).reshape(pos.shape)
 
 
-def _mix(n: int, block: int, counters) -> np.ndarray:
-    """Mix ``n`` counters into uniforms, ``block`` at a time, in the output's own memory.
+def _mix(n: int, block: int, counters, threshold) -> np.ndarray:
+    """Mix ``n`` counters into uniforms, ``block`` at a time.
 
     ``counters(z, b)`` writes the counters of elements ``b .. b + z.size - 1``
-    into the ``uint64`` view ``z``.
+    into the ``uint64`` view ``z``.  Without a ``threshold`` the uniforms are
+    mixed in the output's own memory; with one, the output holds the bools
+    (z >> 11) < threshold and the counters are mixed in one block of scratch.
     """
-    out = np.empty(n, dtype=np.float64)
-    bits = out.view(np.uint64)
+    if threshold is None:
+        out = np.empty(n, dtype=np.float64)
+        bits = out.view(np.uint64)
+    else:
+        out = np.empty(n, dtype=bool)
+        bits = np.empty(min(n, block), dtype=np.uint64)
     tmp = np.empty(min(n, block), dtype=np.uint64)
     # uint64 array arithmetic wraps mod 2^64 without an overflow warning,
     # so no np.errstate is needed
     for start in range(0, n, block):
-        z = bits[start : start + block]
+        stop = min(start + block, n)
+        z = bits[start:stop] if threshold is None else bits[: stop - start]
         t = tmp[: z.size]
         counters(z, start)
         for shift, mult in _XSM:
@@ -137,7 +163,10 @@ def _mix(n: int, block: int, counters) -> np.ndarray:
         np.right_shift(z, np.uint64(31), out=t)
         np.bitwise_xor(z, t, out=z)
         np.right_shift(z, np.uint64(11), out=z)
-        np.multiply(z, 2.0 ** -53, out=out[start : start + block])
+        if threshold is None:
+            np.multiply(z, 2.0 ** -53, out=out[start:stop])
+        else:
+            np.less(z, threshold, out=out[start:stop])
     return out
 
 

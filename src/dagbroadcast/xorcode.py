@@ -41,6 +41,7 @@ __all__ = [
     "EdgeIndex",
     "ErasureEstimate",
     "binom_parity",
+    "check_k",
     "build_Hk",
     "check_omega",
     "omega_vector",
@@ -80,14 +81,16 @@ class BitMatrix:
 
     @cached_property
     def columns(self) -> tuple[int, ...]:
-        """Every column as a bit-packed int over rows, transposed once."""
-        cols = [0] * self.ncols
-        for r, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << r
-                row ^= low
-        return tuple(cols)
+        """Every column as a bit-packed int over rows, transposed once.
+
+        The rows' little-endian bytes are unpacked to one bit per cell,
+        transposed and packed again, so no Python loop visits a set bit.
+        """
+        width, height = (self.ncols + 7) // 8, (self.nrows + 7) // 8
+        rows = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows), dtype=np.uint8)
+        bits = np.unpackbits(rows.reshape(self.nrows, width), axis=1, count=self.ncols, bitorder="little")
+        packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little").tobytes()
+        return tuple([int.from_bytes(packed[c * height : (c + 1) * height], "little") for c in range(self.ncols)])
 
     def column(self, c: int) -> int:
         """Column c as a bit-packed int over rows."""
@@ -103,15 +106,16 @@ class BitMatrix:
         return out
 
 
-def _reduce(vec: int, basis: dict[int, int]) -> int:
-    """Reduce vec against a basis keyed by lowest set bit; returns the remainder.
+def _reduce(vec: int, basis: list[int]) -> int:
+    """Reduce vec against a basis indexed by highest set bit; returns the remainder.
 
-    A nonzero remainder is independent of the basis and has a lowest set
+    ``basis[b]`` is the basis vector whose highest set bit is b, or 0.  A
+    nonzero remainder is independent of the basis and has a highest set
     bit that no basis vector owns.
     """
     while vec:
-        pivot = basis.get(vec & -vec)
-        if pivot is None:
+        pivot = basis[vec.bit_length() - 1]
+        if not pivot:
             return vec
         vec ^= pivot
     return 0
@@ -146,6 +150,14 @@ class EdgeIndex:
         return level * (level - 1) + 2 * node + slot
 
 
+def check_k(k: int) -> None:
+    """Refuse a level that H_k is not built for: below 1, or beyond DEFAULT_K_CAP."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > DEFAULT_K_CAP:
+        raise BudgetExceededError(f"k = {k} exceeds the cap {DEFAULT_K_CAP}")
+
+
 def build_Hk(k: int) -> tuple[BitMatrix, EdgeIndex]:
     """Parity-check matrix of the level-k XOR grid by symbolic propagation.
 
@@ -153,10 +165,7 @@ def build_Hk(k: int) -> tuple[BitMatrix, EdgeIndex]:
     bit-packed int; a node's vector is the XOR of its parents' vectors
     plus the indicator bits of its incoming edges.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > DEFAULT_K_CAP:
-        raise BudgetExceededError(f"k = {k} exceeds the cap {DEFAULT_K_CAP}")
+    check_k(k)
     idx = EdgeIndex(k)
     ncols = 1 + idx.n_edges
     vecs = [1]  # root node: coefficient 1 on the root column
@@ -197,18 +206,24 @@ def erasure_ml_fails(h: BitMatrix, erased: Iterable[int]) -> bool:
     set, i.e. when the root column is in the span of the erased columns.
     The erased columns are reduced into a basis, then the root column
     against it; once the basis spans all rows the root is in the span.
+    Neither the span nor full rank depends on the order of reduction, so
+    the columns go in descending index, deepest level first: an edge into
+    level l touches at most k - l + 1 of the level-k nodes, so the deep
+    columns are the sparsest and reduce the cheapest.
     """
-    erased = list(erased)
+    erased = sorted(erased, reverse=True)
     for c in (min(erased, default=1), max(erased, default=1)):
         if not 1 <= c < h.ncols:
             raise ValueError(f"erased index {c} outside the edge columns 1..{h.ncols - 1}")
     cols = h.columns
-    basis: dict[int, int] = {}
+    basis = [0] * h.nrows
+    rank = 0
     for c in erased:
         vec = _reduce(cols[c], basis)
         if vec:
-            basis[vec & -vec] = vec
-            if len(basis) == h.nrows:
+            basis[vec.bit_length() - 1] = vec
+            rank += 1
+            if rank == h.nrows:
                 return True
     return _reduce(h.column(0), basis) == 0
 
@@ -216,8 +231,8 @@ def erasure_ml_fails(h: BitMatrix, erased: Iterable[int]) -> bool:
 def sample_erasure_pattern(idx: EdgeIndex, delta, seed: int, trial: int = 0) -> list[int]:
     """Edge columns erased i.i.d. with probability 2*delta."""
     d = as_delta(delta, noiseless_ok=True)
-    u = uniforms(derive_seed(seed, TAG_ERASE, trial), idx.n_edges)
-    return (np.flatnonzero(u < 2.0 * d) + 1).tolist()
+    erased = uniforms(derive_seed(seed, TAG_ERASE, trial), idx.n_edges, below=2.0 * d)
+    return (np.flatnonzero(erased) + 1).tolist()
 
 
 @dataclass(frozen=True)

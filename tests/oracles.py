@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U, TAG_COUPLE, TAG_PERC
+from dagbroadcast.grid import TAG_GRID
 from dagbroadcast.model import TAG_TRIAL, Gate, LayerSchedule, as_delta
 from dagbroadcast.rng import derive_seed, uniform_matrix
 from dagbroadcast.sigma import BLOCK_ROWS, BinomialKernel, exact_chain, g_and, g_majority, g_or, tv
@@ -183,6 +184,17 @@ def xor_grid_bits_by_recursion(
             new.append(v)
         bits = new
     return bits
+
+
+def columns_by_bit_loop(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
+    """Bit-packed rows transposed into bit-packed columns by visiting every set bit."""
+    cols = [0] * ncols
+    for r, row in enumerate(rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << r
+            row ^= low
+    return tuple(cols)
 
 
 def f2_rank(rows: list[int]) -> int:
@@ -418,6 +430,22 @@ def percolation_edges_by_loop(p: float, depth: int, trials: int, seed: int):
             if nxt:
                 right[t, k], left[t, k] = max(nxt), min(nxt)
     return right, left
+
+
+def grid_level_step_by_floats(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """``grid._grid_level_step`` node by node from the float draws: node j's edge
+    from parent j - 1 flips where u[..., j, 0] < delta, from parent j where u[..., j, 1] < delta."""
+    u = uniform_matrix(derive_seed(seed, TAG_GRID, k), prev.shape[:-1] + (k + 1, 2))
+    flip = (u < delta).astype(np.uint8)
+    out = np.empty(prev.shape[:-1] + (k + 1,), dtype=np.uint8)
+    for j in range(k + 1):
+        left = prev[..., j - 1] ^ flip[..., j, 0] if j > 0 else None
+        right = prev[..., j] ^ flip[..., j, 1] if j < k else None
+        if left is None or right is None:
+            out[..., j] = np.asarray(f2.table)[right if left is None else left]
+        else:
+            out[..., j] = np.asarray(f1.table)[left | (right << 1)]
+    return out
 
 
 def uniforms_reference(seed: int, n: int) -> np.ndarray:

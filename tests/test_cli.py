@@ -580,6 +580,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded:") and "level 4" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grid-exact", "--gate", "xor", "--delta", "0.1"],
+            ["sweep", "--model", "grid-xor", "--delta-start", "0.1", "--delta-stop", "0.1"],
+        ],
+    )
+    def test_erasure_k_cap_refused_before_any_work(self, argv, monkeypatch, capsys):
+        # the erasure row needs H_65, beyond the cap: no DP or Monte Carlo may run first
+        def reached(*args, **kwargs):
+            raise AssertionError("grid work ran before the k cap was checked")
+
+        monkeypatch.setattr(grid_mod, "grid_exact_distribution", reached)
+        monkeypatch.setattr(grid_mod, "grid_mc_tv_estimate", reached)
+        assert main([*argv, "--depth", "65", "--trials", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and "k = 65 exceeds the cap 64" in err
+        # without trials there is no erasure row, so the cap does not apply
+        monkeypatch.setattr(grid_mod, "grid_exact_distribution", lambda *a: [])
+        assert main([*argv, "--depth", "65", "--trials", "0"]) == 0
+
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--delta", "0.3", "--threads", "2"])

@@ -11,7 +11,7 @@ from dagbroadcast.grid import (
     grid_exact_distribution,
     grid_mc_tv_estimate,
 )
-from oracles import grid_dense_dp, grid_joint_by_enumeration
+from oracles import grid_dense_dp, grid_joint_by_enumeration, grid_level_step_by_floats
 
 NOT = Gate("NOT", 1, (1, 0))
 # left parent AND NOT right parent: the one gate here that tells its inputs apart
@@ -50,6 +50,16 @@ class TestGridPropagate:
         for k, lv in enumerate(levels):
             expect = [(j & k) == j for j in range(k + 1)]
             np.testing.assert_array_equal(lv, np.array(expect, dtype=np.uint8))
+
+    @pytest.mark.parametrize("f1, f2", [(ANDN, NOT), (XOR2, IDENTITY), (AND2, IDENTITY)])
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3, 0.5])
+    def test_step_matches_float_draws(self, f1, f2, delta):
+        # the step's noise is exactly the float compare of the level's (trials, k + 1, 2) stream
+        prev = np.random.default_rng(4).integers(0, 2, size=(300, 1), dtype=np.uint8)
+        for k in range(1, 9):
+            got = _grid_level_step(f1, f2, delta, prev, k, seed=21)
+            np.testing.assert_array_equal(got, grid_level_step_by_floats(f1, f2, delta, prev, k, seed=21))
+            prev = got
 
     def test_gate_arity_checked(self):
         for f1, f2 in ((IDENTITY, IDENTITY), (AND2, AND2)):
@@ -157,7 +167,11 @@ def test_dp_and_mc_share_one_depth_cap(monkeypatch):
         with pytest.raises(BudgetExceededError) as exc:
             call(cap + 1)
         messages.append(str(exc.value))
-    assert messages[0] == messages[1] and f"cap {cap}" in messages[0]
+        with pytest.raises(ValueError) as low:
+            call(0)
+        messages.append(str(low.value))
+    assert messages[0] == messages[2] and f"cap {cap}" in messages[0]
+    assert messages[1] == messages[3] == "depth must be >= 1"
     monkeypatch.setattr(grid_mod, "DEFAULT_DEPTH_CAP", 4)
     assert grid_exact_distribution(AND2, IDENTITY, 0.1, 4)[-1].level == 4
     assert grid_mc_tv_estimate(AND2, IDENTITY, 0.1, 4, 10, seed=1)[-1].level == 4

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
-from dagbroadcast.rng import _BLOCK, GOLDEN, MASK64, derive_seed, mix64, uniform_matrix, uniforms
+from dagbroadcast.rng import _BLOCK, GOLDEN, MASK64, _threshold, derive_seed, mix64, uniform_matrix, uniforms
 from dagbroadcast.stats import wilson_interval
 from oracles import uniforms_reference
 
@@ -192,6 +192,49 @@ class TestPositionForms:
         ref = uniforms_reference(seed, 2 * _BLOCK + 1)
         got = uniforms(seed, np.array(pos, dtype=np.int64))
         assert got.tobytes() == ref[np.array(pos, dtype=np.int64)].tobytes()
+
+
+class TestBelow:
+    """``below=p`` is the float compare ``uniforms(...) < p``, element for element, in every position form."""
+
+    SEED = derive_seed(11, 4)
+    THRESHOLDS = [0.0, -0.0, 5e-324, 2.0**-53, 0.1, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.5, -0.3,
+                  np.nan, np.inf, -np.inf]
+
+    @staticmethod
+    def _positions(form: str, n: int):
+        if form == "count":
+            return n
+        if form == "range":
+            return range(5, 5 + 3 * n, 3)
+        return np.random.default_rng(n).integers(0, 4 * _BLOCK, size=(n, 1))
+
+    @pytest.mark.parametrize("form", ["count", "range", "gather"])
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK + 1])
+    def test_equals_float_compare(self, form, n):
+        pos = self._positions(form, n)
+        u = uniforms(self.SEED, pos)
+        # a threshold equal to a drawn value excludes it; the next float up includes it
+        # (below 1/2 that float lies between two multiples of 2^-53)
+        hits = [u.flat[n // 2], u.min(), u.max()]
+        for p in [*self.THRESHOLDS, *hits, *np.nextafter(hits, 1.0)]:
+            got = uniforms(self.SEED, pos, below=p)
+            assert got.dtype == bool and got.shape == u.shape
+            np.testing.assert_array_equal(got, u < p, err_msg=f"p = {p!r}")
+
+    @pytest.mark.parametrize(
+        "p, want",
+        [(0.0, 0), (-0.0, 0), (-0.3, 0), (np.nan, 0), (-np.inf, 0), (5e-324, 1), (2.0**-53, 1),
+         (1.5 * 2.0**-53, 2), (0.5, 2**52), (np.nextafter(1.0, 0.0), 2**53 - 1), (1.0, 2**53),
+         (1.5, 2**53), (np.inf, 2**53)],
+    )
+    def test_integer_threshold(self, p, want):
+        # the largest draw m = 2^53 - 1 is below 1.0, so the clamp must be 2^53, not 2^53 - 1
+        assert _threshold(p) == want
+
+    def test_empty(self):
+        got = uniforms(self.SEED, 0, below=0.5)
+        assert got.shape == (0,) and got.dtype == bool
 
 
 class TestWilsonInterval:

@@ -7,7 +7,8 @@ own ``def``/``class`` statement, its ``__all__`` entry and its imports do
 not count, and neither do unit tests: a function only they call belongs
 in ``tests/oracles.py`` as a reference, or nowhere.  Likewise every public
 method of a library class must be reached as an attribute (``.name``) in
-those same files.
+those same files.  And a ``src/`` draw compared with one threshold asks
+``uniforms`` for ``below=`` rather than comparing the floats it returns.
 """
 
 import ast
@@ -80,6 +81,23 @@ def test_every_exported_name_is_used(path):
 def test_every_public_method_is_reached(path):
     unreached = [f"{cls}.{name}" for cls, name in _public_methods(path) if name not in ATTRIBUTES]
     assert not unreached, f"{path.name} has public methods nothing reaches: {unreached}"
+
+
+def _draw_compared_below(node: ast.AST) -> bool:
+    """``uniforms(...) < x`` or ``uniform_matrix(...) < x``: a draw compared with ``<`` where it is made."""
+    if not (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Lt) and isinstance(node.left, ast.Call)):
+        return False
+    func = node.left.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    return name in ("uniforms", "uniform_matrix")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_single_threshold_draws_use_below(path):
+    """A draw compared with one threshold asks ``uniforms`` for ``below=``, which never forms the floats."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if _draw_compared_below(node)]
+    assert not lines, f"{path.name} compares a uniforms(...) result with < on lines {lines}; pass below= instead"
 
 
 def test_package_root_reexports_nothing():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dagbroadcast.xorcode import (
 from oracles import (
     canonical_edges,
     coding_problem_ml_error,
+    columns_by_bit_loop,
     f2_rank,
     inference_problem_ml_error,
     lemma_coupling_identity_holds,
@@ -70,6 +72,18 @@ class TestBitMatrix:
             packed = m.column(c)
             assert [m.get(r, c) for r in range(3)] == [(packed >> r) & 1 for r in range(3)]
             assert m.columns[c] == packed
+
+    @pytest.mark.parametrize("k", [1, 7, 32, 64])
+    def test_columns_match_bit_loop_on_Hk(self, k):
+        h, _ = build_Hk(k)
+        assert h.columns == columns_by_bit_loop(h.rows, h.ncols)
+
+    @pytest.mark.parametrize("nrows, ncols", [(9, 13), (8, 16), (17, 1), (1, 70), (65, 4161), (0, 5), (3, 0)])
+    def test_columns_match_bit_loop(self, nrows, ncols):
+        pick = random.Random(nrows * 10_000 + ncols)
+        m = BitMatrix(nrows, ncols, tuple(pick.getrandbits(ncols) for _ in range(nrows)))
+        assert m.columns == columns_by_bit_loop(m.rows, ncols)
+        assert len(m.columns) == ncols
 
     def test_mul_vector(self):
         m = BitMatrix(2, 3, (0b011, 0b110))
@@ -227,7 +241,7 @@ class TestErasure:
             )
             assert erasure_ml_fails(h, pattern) == in_span
 
-    @pytest.mark.parametrize("k", [8, 16])
+    @pytest.mark.parametrize("k", [8, 16, 32, 64])
     def test_span_test_matches_rank_equality(self, k):
         h, _ = build_Hk(k)
         rng = np.random.default_rng(200 + k)
@@ -240,6 +254,9 @@ class TestErasure:
             with_root = f2_rank(erased + [h.column(0)])
             fails = erasure_ml_fails(h, pattern)
             assert fails == (with_root == base)
+            # the decision is the span's, whatever order the columns come in
+            rng.shuffle(pattern)
+            assert erasure_ml_fails(h, pattern) == fails
             outcomes.add(fails)
         assert outcomes == {False, True}
 

@@ -68,6 +68,9 @@ CSV_HEADER = [
 
 GRID_GATES = {"and": AND2, "or": OR2, "xor": XOR2, "nand": NAND2}
 
+# The exact-chain summary reports where the final-level TV crosses this value.
+TV_EPSILON = 0.01
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -84,16 +87,6 @@ def _require_delta(value: float, field: str, model: str = "") -> None:
         _require(0.0 <= value <= 1.0, field, f"{value} out of range [0, 1]")
     else:
         _require(0.0 < value < 0.5, field, f"{value} out of range (0, 1/2)")
-
-
-def _parse_schedule(text: str, depth: int) -> LayerSchedule:
-    """The schedule ``text`` names, checked to give a size to every level up to ``depth``."""
-    try:
-        schedule = LayerSchedule.parse(text)
-        schedule.size(depth)
-    except ValueError as exc:
-        raise ConfigError(f"field schedule: {exc}") from exc
-    return schedule
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str = ""
     budget: int = DEFAULT_BUDGET
-    tv_epsilon: float = 0.01
     d: int = 3
 
     def validate(self) -> None:
@@ -142,7 +134,10 @@ class ExperimentConfig:
         if self.d < 1:
             raise ConfigError("field d: must be >= 1")
         # every model's schedule must parse; the models that read it need a size at every level
-        _parse_schedule(self.schedule, self.depth if self.model in _SCHEDULE_MODELS else 0)
+        try:
+            LayerSchedule.parse(self.schedule).size(self.depth if self.model in _SCHEDULE_MODELS else 0)
+        except ValueError as exc:
+            raise ConfigError(f"field schedule: {exc}") from exc
 
     def deltas(self) -> np.ndarray:
         if self.delta_count == 1:
@@ -275,19 +270,19 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
         f"{config.model}: exact chain to depth {config.depth}, schedule {config.schedule}",
         f"banded kernels: TV within {dropped:.3g} of the untruncated chain at every level",
     ]
-    crossing = next((d for d, t in finals if t < config.tv_epsilon), None)
+    crossing = next((d for d, t in finals if t < TV_EPSILON), None)
     if crossing is not None:
-        below = [d for d, t in finals if t >= config.tv_epsilon and d < crossing]
+        below = [d for d, t in finals if t >= TV_EPSILON and d < crossing]
         lo = max(below) if below else None
         if lo is not None:
             summary.append(
-                f"threshold crossing: final-level TV drops below {config.tv_epsilon} "
+                f"threshold crossing: final-level TV drops below {TV_EPSILON} "
                 f"between delta={lo:g} and delta={crossing:g}"
             )
         else:
-            summary.append(f"final-level TV already below {config.tv_epsilon} at delta={crossing:g}")
+            summary.append(f"final-level TV already below {TV_EPSILON} at delta={crossing:g}")
     else:
-        summary.append(f"no crossing: final-level TV stays >= {config.tv_epsilon} on the sweep")
+        summary.append(f"no crossing: final-level TV stays >= {TV_EPSILON} on the sweep")
     return rows, summary + coupled
 
 
@@ -634,20 +629,24 @@ def _cmd_grid_xor(args) -> int:
 
 
 def _cmd_bisect(args) -> int:
-    _require(args.depth >= 1, "depth", "must be >= 1")
-    if args.model == "andor2":
-        _require(args.depth >= 2, "depth", "must be >= 2 for andor2, which is read at even levels")
-    schedule = _parse_schedule(args.schedule, args.depth)
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    _require(budget >= 1, "budget", "must be >= 1")
     _require_delta(args.delta_lo, "delta_lo")
     _require_delta(args.delta_hi, "delta_hi")
     _require(args.delta_lo < args.delta_hi, "delta_lo", f"{args.delta_lo} must be below delta_hi {args.delta_hi}")
     _require(0.0 < args.cutoff <= 1.0, "cutoff", f"{args.cutoff} out of range (0, 1]")
     _require(math.isfinite(args.tol), "tol", f"{args.tol} is not finite")
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    # the exact chain's own rules: depth, andor2's even levels, the schedule and the budget
+    ExperimentConfig(
+        model=f"random-dag-{args.model}",
+        delta_start=args.delta_lo,
+        delta_stop=args.delta_hi,
+        depth=args.depth,
+        schedule=args.schedule,
+        budget=budget,
+    ).validate()
     lo, hi = threshold_bisect(
         args.model,
-        schedule,
+        LayerSchedule.parse(args.schedule),
         args.depth,
         tol=args.tol,
         cutoff=args.cutoff,

@@ -95,25 +95,6 @@ class GridDistribution:
         return 0.5 * (1.0 - self.tv())
 
 
-def _node_success_probs(f1: Gate, f2: Gate, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node P(output = 1) tables given parent bits.
-
-    Returns (p2, p11): p2[b] for boundary nodes with parent bit b, and
-    p11[a, b] for interior nodes with left parent a and right parent b.
-    """
-    p2 = np.empty(2)
-    for b in range(2):
-        p2[b] = (1.0 - delta) * f2.table[b] + delta * f2.table[1 - b]
-    p11 = np.zeros((2, 2))
-    for a in range(2):
-        for b in range(2):
-            for z1 in range(2):
-                for z2 in range(2):
-                    w = (delta if z1 else 1.0 - delta) * (delta if z2 else 1.0 - delta)
-                    p11[a, b] += w * f1.table[(a ^ z1) | ((b ^ z2) << 1)]
-    return p2, p11
-
-
 def grid_exact_distribution(f1: Gate, f2: Gate, delta, depth: int) -> list[GridDistribution]:
     """Exact forward DP of the conditional pair over full level words.
 
@@ -125,7 +106,7 @@ def grid_exact_distribution(f1: Gate, f2: Gate, delta, depth: int) -> list[GridD
     """
     _check_args(f1, f2, depth)
     d = as_delta(delta, noiseless_ok=True)
-    p2, p11 = _node_success_probs(f1, f2, d)
+    p2, p11 = f2.noisy_output_probs(d), f1.noisy_output_probs(d).reshape(2, 2).T  # p11[x_(j-1), x_j]
     # first[x_0, y_0]; inner/last[x_j, x_(j-1), y_j, 1] with a length-1 x_j axis for node k
     first = np.stack([1.0 - p2, p2], axis=-1)
     inner = np.stack([1.0 - p11, p11], axis=-1).transpose(1, 0, 2)[..., None]
@@ -180,9 +161,10 @@ def grid_mc_tv_estimate(
             states[root] = _grid_level_step(f1, f2, d, states[root], k, derive_seed(seed, TAG_GRID_MC, root))
             packed = (states[root].astype(np.int64) << np.arange(k + 1)).sum(axis=1)
             counts[root] = np.bincount(packed, minlength=1 << (k + 1))
+        # from the integer counts, so the TV is at most 1 after its one rounding
+        tv_hat = float(np.abs(counts[1] - counts[0]).sum() / (2 * trials))
         fp = counts[1] / trials
         fm = counts[0] / trials
-        tv_hat = 0.5 * float(np.abs(fp - fm).sum())
         dev = 0.5 * float(
             (np.sqrt(fp * (1.0 - fp) / trials) + np.sqrt(fm * (1.0 - fm) / trials)).sum()
         )

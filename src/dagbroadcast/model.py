@@ -9,13 +9,14 @@ inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .rng import derive_seed, uniform_matrix, uniforms
+from .rng import derive_seed, uniforms
 
 __all__ = [
     "BudgetExceededError",
@@ -85,6 +86,19 @@ class Gate:
         for i, b in enumerate(bits):
             w |= (int(b) & 1) << i
         return self.table[w]
+
+    def noisy_output_probs(self, delta: float) -> np.ndarray:
+        """P(output = 1) for each input word, every input read through its own BSC(delta)."""
+        d = as_delta(delta, noiseless_ok=True)
+        table = np.asarray(self.table, dtype=np.float64)
+        words = np.arange(len(table))
+        probs = np.zeros(len(table))
+        for flips in itertools.product((0, 1), repeat=self.arity):
+            weight = 1.0
+            for z in flips:
+                weight *= d if z else 1.0 - d
+            probs += weight * table[words ^ sum(z << i for i, z in enumerate(flips))]
+        return probs
 
 
 MAJ3 = Gate.from_function("MAJ3", 3, lambda a, b, c: int(a + b + c >= 2))
@@ -200,8 +214,7 @@ def sample_random_dag(seed: int, d: int, schedule: LayerSchedule, depth: int) ->
     sizes = tuple(schedule.size(k) for k in range(depth + 1))
     parents = []
     for k in range(1, depth + 1):
-        level_seed = derive_seed(seed, TAG_DAG, k)
-        u = uniform_matrix(level_seed, (sizes[k], d))
+        u = uniforms(derive_seed(seed, TAG_DAG, k), sizes[k] * d).reshape(sizes[k], d)
         parents.append(np.minimum((u * sizes[k - 1]).astype(np.int64), sizes[k - 1] - 1))
     return DagRealization(depth, d, sizes, tuple(parents), seed)
 

@@ -49,7 +49,7 @@ _XSM = (np.uint64(30), np.uint64(_M1)), (np.uint64(27), np.uint64(_M2))
 _WEYL = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
 _WEYL.flags.writeable = False
 
-__all__ = ["mix64", "derive_seed", "uniforms", "uniform_matrix"]
+__all__ = ["mix64", "derive_seed", "uniforms"]
 
 
 def mix64(x: int) -> int:
@@ -169,10 +169,3 @@ def _mix(n: int, block: int, counters, threshold) -> np.ndarray:
             np.less(z, threshold, out=out[start:stop])
     return out
 
-
-def uniform_matrix(seed: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Counter stream reshaped to ``shape`` (row-major counter order)."""
-    n = 1
-    for i, s in enumerate(shape):
-        n *= _check_size(s, f"shape[{i}]")
-    return uniforms(seed, n).reshape(shape)

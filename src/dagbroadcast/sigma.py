@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BudgetExceededError, DagRealization, LayerSchedule, as_delta, convolve
-from .rng import derive_seed, uniform_matrix
+from .rng import derive_seed, uniforms
 from .stats import wilson_interval
 
 __all__ = [
@@ -439,10 +439,9 @@ def exact_chain(
     mirror, and ``minus`` is ``plus`` reversed.  For andor2,
     g_or(s) = 1 - g_and(1 - s), so the OR kernel is the AND kernel reversed
     on both axes: only AND kernels are built, and an OR step applies one to
-    the reversed pair and reverses the result.  The two most recent
-    kernels, keyed by (L_prev, L_next), are kept for reuse, so constant
-    schedules pay the kernel cost once or twice and memory holds O(1)
-    kernels.
+    the reversed pair and reverses the result.  The last kernel, keyed by
+    (L_prev, L_next), is kept for reuse, so constant schedules pay the
+    kernel cost once or twice and memory holds one kernel.
     """
     model = _check_model(model)
     d = as_delta(delta, noiseless_ok=True)
@@ -457,21 +456,17 @@ def exact_chain(
     pair = np.array([[0.0, 1.0], [1.0, 0.0]])  # andor2 carries plus and minus as one array
     dist = SigmaDistribution(0, 1, *pair)
     dists = [dist]
-    # (L_prev, L_next) -> (kernel, what one step through it adds to ``dropped``)
-    kernels: dict[tuple[int, int], tuple[BinomialKernel, float]] = {}
+    key = None  # (L_prev, L_next) of ``kernel``
     for k, L_next in enumerate(sizes, start=1):
         L = dist.L
-        entry = kernels.get((L, L_next))
-        if entry is None:
+        if key != (L, L_next):
             g, rows = (g_majority, L // 2 + 1) if model == MODEL_MAJ3 else (g_and, L + 1)
             kernel = binomial_pmf_table(L_next, g(np.arange(rows) / L, d))
-            if len(kernels) == 2:
-                del kernels[next(iter(kernels))]
+            key = L, L_next
             # truncation changes each conditional by <= max drop in L1, and
             # renormalizing it afterwards by as much again; a mirrored row
             # misses exactly the mass of the row it mirrors
-            entry = kernels[L, L_next] = kernel, 2.0 * float(kernel.drop.max())
-        kernel, step_drop = entry
+            step_drop = 2.0 * float(kernel.drop.max())
         if model == MODEL_MAJ3:
             # rows above L//2 enter as the head of reversed plus, through the
             # reversed kernel; an even L's middle row is counted in the first half
@@ -490,8 +485,7 @@ def exact_chain(
             plus, minus = pair
         dist = SigmaDistribution(k, L_next, plus, minus, dist.dropped + step_drop)
         dists.append(dist)
-        # the same sum as ``tv(dist)``, so the stop agrees with it bit for bit
-        if stop_below > 0.0 and 0.5 * float(np.abs(plus - minus).sum()) < stop_below:
+        if stop_below > 0.0 and tv(dist) < stop_below:
             break
     return dists
 
@@ -576,7 +570,7 @@ def coupled_mc(
         g = _stage_g(model, d, k)
         pp = np.asarray(g(sp))
         pm = np.asarray(g(sm))
-        u = uniform_matrix(derive_seed(seed, TAG_COUPLED, k), (trials, L))
+        u = uniforms(derive_seed(seed, TAG_COUPLED, k), trials * L).reshape(trials, L)
         # a count of 0/1 values is exact, so this equals the mean bit for bit
         sp = np.count_nonzero(u < pp[:, None], axis=1) / L
         sm = np.count_nonzero(u < pm[:, None], axis=1) / L

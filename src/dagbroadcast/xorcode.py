@@ -27,7 +27,7 @@ nodes have only one of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable
 
 import numpy as np
@@ -158,12 +158,14 @@ def check_k(k: int) -> None:
         raise BudgetExceededError(f"k = {k} exceeds the cap {DEFAULT_K_CAP}")
 
 
+@cache
 def build_Hk(k: int) -> tuple[BitMatrix, EdgeIndex]:
     """Parity-check matrix of the level-k XOR grid by symbolic propagation.
 
     Each node carries its coefficient vector over {root} + edges as a
     bit-packed int; a node's vector is the XOR of its parents' vectors
-    plus the indicator bits of its incoming edges.
+    plus the indicator bits of its incoming edges.  Built once per k and
+    shared: both results are immutable.
     """
     check_k(k)
     idx = EdgeIndex(k)

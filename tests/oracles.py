@@ -15,7 +15,7 @@ import numpy as np
 from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U, TAG_COUPLE, TAG_PERC
 from dagbroadcast.grid import TAG_GRID
 from dagbroadcast.model import TAG_TRIAL, Gate, LayerSchedule, as_delta
-from dagbroadcast.rng import derive_seed, uniform_matrix
+from dagbroadcast.rng import derive_seed, uniforms
 from dagbroadcast.sigma import BLOCK_ROWS, BinomialKernel, exact_chain, g_and, g_majority, g_or, tv
 
 
@@ -464,6 +464,14 @@ def uniforms_reference(seed: int, n: int) -> np.ndarray:
 # Dense Monte Carlo: every draw of every level, whether or not a result reads it.
 # The library's consumers evaluate only the stream positions they read; these
 # draw each level's whole block, so the two must agree bit for bit.
+
+
+def uniform_matrix(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The counter stream of ``seed`` reshaped to ``shape``, in row-major counter order."""
+    for i, s in enumerate(shape):
+        if s < 0:
+            raise ValueError(f"shape[{i}] must be >= 0, got {s}")
+    return uniforms(seed, math.prod(shape)).reshape(shape)
 
 
 def propagate_many_dense(dag, gate_at, delta: float, roots: np.ndarray, seed: int) -> np.ndarray:

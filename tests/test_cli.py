@@ -2,9 +2,12 @@
 
 import csv
 import math
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +70,11 @@ class TestExperimentConfig:
 
     def test_missing_equals_rejected(self, tmp_path, capsys):
         assert "key=value" in _sweep_file_error("model grid-xor\n", tmp_path, capsys)
+
+    def test_tv_epsilon_is_not_a_field(self, tmp_path, capsys):
+        # the summary's crossing level is the constant TV_EPSILON, not a setting
+        assert len(fields(ExperimentConfig)) == 11
+        assert "unknown field 'tv_epsilon'" in _sweep_file_error("tv_epsilon=0.05\n", tmp_path, capsys)
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="model"):
@@ -333,6 +341,16 @@ class TestMain:
     def test_grid_and_couple_command(self, capsys):
         assert main(["grid-and-couple", "--delta", "0.35", "--depth", "20", "--trials", "300"]) == 0
         assert "P(T > 20)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gate, depth, seed", [("xor", "6", "1"), ("nand", "4", "25")])
+    def test_grid_mc_with_every_word_distinct(self, gate, depth, seed, tmp_path, capsys):
+        # at delta 0.02 the two batches of 50 runs often share no level word: an estimate of exactly 1
+        out = tmp_path / "rows.csv"
+        argv = ["grid-exact", "--gate", gate, "--delta", "0.02", "--depth", depth, "--trials", "50", "--seed", seed]
+        assert main([*argv, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            mc = [r for r in csv.DictReader(fh) if r["metric"] == "tv_mc"]
+        assert len(mc) == int(depth) and all(float(r["value"]) <= 1.0 for r in mc)
 
     def test_grid_xor_command_with_export(self, tmp_path, capsys):
         path = tmp_path / "h.txt"
@@ -650,3 +668,23 @@ class TestBisectTermination:
     def test_tol_below_float_spacing(self, tol):
         lo, hi = threshold_bisect("maj3", LayerSchedule.parse("const:4"), 3, tol=tol)
         assert hi == math.nextafter(lo, 1)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples() -> list[str]:
+    """Every ``dagbroadcast ...`` line of the README's ``sh`` blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("dagbroadcast ")]
+
+
+def test_readme_has_examples():
+    assert len(_readme_examples()) >= 5
+
+
+@pytest.mark.parametrize("line", _readme_examples())
+def test_readme_example_runs(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text("model=random-dag-maj3\ndelta_start=0.1\ndelta_stop=0.2\ndelta_count=2\ndepth=10\n")
+    assert main(shlex.split(line)[1:]) == 0

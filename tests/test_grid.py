@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dagbroadcast.model import AND2, IDENTITY, OR2, XOR2, BudgetExceededError, Gate
+from dagbroadcast.model import AND2, IDENTITY, NAND2, OR2, XOR2, BudgetExceededError, Gate
 from dagbroadcast import grid as grid_mod
 from dagbroadcast.grid import (
     GridDistribution,
@@ -132,6 +132,19 @@ class TestExactDp:
         dists = grid_exact_distribution(XOR2, IDENTITY, 0.2, 10)
         assert dists[10].tv() < 0.05 * dists[1].tv()
 
+    @pytest.mark.parametrize("delta", [0.01, 0.07, 0.2])
+    def test_or_grid_is_the_and_grid_relabelled(self, delta):
+        # De Morgan with a symmetric BSC: flipping every bit of an OR grid
+        # (the root included) gives an AND grid, so word w of one conditional
+        # is word ~w of the other conditional of the other gate
+        or_dists = grid_exact_distribution(OR2, IDENTITY, delta, 14)
+        and_dists = grid_exact_distribution(AND2, IDENTITY, delta, 14)
+        for o, a in zip(or_dists, and_dists, strict=True):
+            complement = np.arange(len(o.plus))[::-1]  # ~w within level-k words
+            np.testing.assert_allclose(o.plus, a.minus[complement], rtol=0, atol=4e-15)
+            np.testing.assert_allclose(o.minus, a.plus[complement], rtol=0, atol=4e-15)
+            assert abs(o.tv() - a.tv()) <= 4e-15
+
 
 class TestMcTvEstimate:
     def test_agrees_with_dp(self):
@@ -155,6 +168,17 @@ class TestMcTvEstimate:
     def test_depth_guard(self):
         with pytest.raises(BudgetExceededError):
             grid_mc_tv_estimate(XOR2, IDENTITY, 0.2, 21, 10, seed=1)
+
+    @pytest.mark.parametrize(
+        "gate, seed",
+        [(XOR2, 0), (XOR2, 1), (XOR2, 16), (XOR2, 17), (NAND2, 25), (OR2, 6), (OR2, 23)],
+        ids=lambda v: v.name if isinstance(v, Gate) else str(v),
+    )
+    def test_tv_at_most_one_when_every_word_is_distinct(self, gate, seed):
+        # at small noise and few trials the two batches often share no level
+        # word, and then a float sum of |fp - fm| can round above 1
+        for est in grid_mc_tv_estimate(gate, IDENTITY, 0.02, 12, 50, seed):
+            assert 0.0 <= est.tv <= 1.0
 
 
 def test_dp_and_mc_share_one_depth_cap(monkeypatch):

@@ -77,6 +77,51 @@ class TestGate:
         assert MAJ3(1, 0, 0) == 0
 
 
+def _noisy_by_enumeration(gate, delta, word):
+    """P(gate = 1) at input ``word``, summed over every flip pattern through ``Gate.__call__``."""
+    total = 0.0
+    for flips in range(1 << gate.arity):
+        bits = [((word ^ flips) >> i) & 1 for i in range(gate.arity)]
+        weight = delta ** flips.bit_count() * (1.0 - delta) ** (gate.arity - flips.bit_count())
+        total += weight * gate(*bits)
+    return total
+
+
+def _grid_tables_by_loops(f1, f2, delta):
+    """The grid's per-node tables as four explicit loops: p2[b] and p11[a, b]."""
+    p2 = np.array([(1.0 - delta) * f2.table[b] + delta * f2.table[1 - b] for b in range(2)])
+    p11 = np.zeros((2, 2))
+    for a in range(2):
+        for b in range(2):
+            for z1 in range(2):
+                for z2 in range(2):
+                    w = (delta if z1 else 1.0 - delta) * (delta if z2 else 1.0 - delta)
+                    p11[a, b] += w * f1.table[(a ^ z1) | ((b ^ z2) << 1)]
+    return p2, p11
+
+
+class TestNoisyOutputProbs:
+    @pytest.mark.parametrize("gate", [MAJ3, AND2, OR2, XOR2, NAND2, IDENTITY])
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.13, 0.3, 0.49])
+    def test_matches_enumeration(self, gate, delta):
+        got = gate.noisy_output_probs(delta)
+        want = [_noisy_by_enumeration(gate, delta, w) for w in range(1 << gate.arity)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("f1", [AND2, OR2, XOR2, NAND2])
+    def test_grid_tables_bit_for_bit(self, f1):
+        # the grid DP reads p2 from the boundary gate and p11[a, b] from the
+        # interior gate's table of words a | b << 1
+        for delta in np.linspace(0.0, 0.49, 50):
+            p2, p11 = _grid_tables_by_loops(f1, IDENTITY, float(delta))
+            assert IDENTITY.noisy_output_probs(delta).tobytes() == p2.tobytes()
+            assert f1.noisy_output_probs(delta).reshape(2, 2).T.tobytes() == p11.tobytes()
+
+    def test_delta_checked(self):
+        with pytest.raises(ValueError):
+            AND2.noisy_output_probs(0.5)
+
+
 class TestGateOutputProb:
     def test_self_dual_at_half(self):
         assert gate_output_prob(MAJ3, 0.5) == pytest.approx(0.5)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
-from dagbroadcast.rng import _BLOCK, GOLDEN, MASK64, _threshold, derive_seed, mix64, uniform_matrix, uniforms
+from dagbroadcast.rng import _BLOCK, GOLDEN, MASK64, _threshold, derive_seed, mix64, uniforms
 from dagbroadcast.stats import wilson_interval
-from oracles import uniforms_reference
+from oracles import uniform_matrix, uniforms_reference
 
 
 class TestMix64:

@@ -100,6 +100,26 @@ def test_single_threshold_draws_use_below(path):
     assert not lines, f"{path.name} compares a uniforms(...) result with < on lines {lines}; pass below= instead"
 
 
+def _rng_imports(tree: ast.AST) -> list[str]:
+    """Names a module takes from the package's ``rng`` module, and ``rng`` itself if it imports the module."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("rng", "dagbroadcast.rng"):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "dagbroadcast"):
+            names += [alias.name for alias in node.names if alias.name == "rng"]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if alias.name == "dagbroadcast.rng"]
+    return names
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.stem != "rng"], ids=lambda p: p.stem)
+def test_draws_enter_through_uniforms(path):
+    """``src/`` draws only through ``rng.uniforms``, the one RNG entry point the benchmark's tracer counts."""
+    other = [name for name in _rng_imports(ast.parse(path.read_text(encoding="utf-8"))) if name not in ("derive_seed", "uniforms")]
+    assert not other, f"{path.name} takes {other} from rng; draw through uniforms instead"
+
+
 def test_package_root_reexports_nothing():
     init = ROOT / "src" / "dagbroadcast" / "__init__.py"
     tree = ast.parse(init.read_text(encoding="utf-8"))

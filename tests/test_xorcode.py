@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dagbroadcast import xorcode
+from dagbroadcast.cli import main
 from dagbroadcast.model import IDENTITY, XOR2, BudgetExceededError
 from dagbroadcast.grid import grid_exact_distribution
 from dagbroadcast.xorcode import (
@@ -179,6 +181,17 @@ class TestBuildHk:
             build_Hk(65)
         with pytest.raises(ValueError):
             build_Hk(0)
+
+    def test_built_once_per_k(self):
+        assert build_Hk(9) is build_Hk(9)
+
+    def test_grid_xor_builds_once(self, monkeypatch, capsys):
+        # the subcommand, check_omega and the erasure bound all read H_16
+        builds = []
+        monkeypatch.setattr(xorcode, "EdgeIndex", lambda k: builds.append(k) or EdgeIndex(k))
+        build_Hk.cache_clear()
+        assert main(["grid-xor", "--k", "16", "--delta", "0.1", "--trials", "10"]) == 0
+        assert builds == [16]
 
 
 class TestOmegaCertificate:

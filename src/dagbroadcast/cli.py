@@ -391,13 +391,20 @@ _MC_MODELS = ("grid-and-couple", "percolation")
 _SCHEDULE_MODELS = ("random-dag-maj3", "random-dag-andor2", "bounds")
 
 
+def _write(path: str, text: str, field: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"field {field}: {exc}") from None
+
+
 def run(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     """Execute a config, write CSV if requested, return rows and summary."""
     config.validate()
     rows, summary_lines = _DRIVERS[config.model](config)
     if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rows_to_csv(rows))
+        _write(config.out, rows_to_csv(rows), "out")
         summary_lines.append(f"wrote {len(rows)} rows to {config.out}")
     return rows, "\n".join(summary_lines)
 
@@ -608,6 +615,7 @@ def _cmd_fixed_points(args) -> int:
 def _cmd_grid_xor(args) -> int:
     _require(args.k >= 1, "k", "must be >= 1")
     _require_delta(args.delta, "delta")
+    _require(args.trials >= 0, "trials", "must be >= 0")
     h, idx = xorcode_mod.build_Hk(args.k)
     lucas = [xorcode_mod.binom_parity(args.k, j) for j in range(args.k + 1)]
     col_ok = all(h.get(j, 0) == lucas[j] for j in range(args.k + 1))
@@ -622,8 +630,7 @@ def _cmd_grid_xor(args) -> int:
             f"(ML error lower bound {est.error_bound:.4f}, CI [{est.ci_low:.4f}, {est.ci_high:.4f}])"
         )
     if args.export_h:
-        with open(args.export_h, "w", encoding="utf-8", newline="") as fh:
-            fh.write(xorcode_mod.export_parity_check(h))
+        _write(args.export_h, xorcode_mod.export_parity_check(h), "export_h")
         print(f"wrote parity-check matrix to {args.export_h}")
     return 0
 

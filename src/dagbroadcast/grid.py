@@ -64,11 +64,10 @@ def _grid_level_step(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int,
     f1_table = np.asarray(f1.table, dtype=np.uint8)
     f2_table = np.asarray(f2.table, dtype=np.uint8)
     out = np.empty(shape + (k + 1,), dtype=np.uint8)
-    out[..., 0] = f2_table[noisy_right[..., 0]]
-    out[..., k] = f2_table[noisy_left[..., k - 1]]
+    out[..., 0] = np.take(f2_table, noisy_right[..., 0])
+    out[..., k] = np.take(f2_table, noisy_left[..., k - 1])
     if k >= 2:
-        word = noisy_left[..., :-1].astype(np.int64) | (noisy_right[..., 1:].astype(np.int64) << 1)
-        out[..., 1:k] = f1_table[word]
+        out[..., 1:k] = np.take(f1_table, noisy_left[..., :-1] | (noisy_right[..., 1:] << 1))
     return out
 
 
@@ -159,7 +158,7 @@ def grid_mc_tv_estimate(
         counts = {}
         for root in (0, 1):
             states[root] = _grid_level_step(f1, f2, d, states[root], k, derive_seed(seed, TAG_GRID_MC, root))
-            packed = (states[root].astype(np.int64) << np.arange(k + 1)).sum(axis=1)
+            packed = states[root] @ (1 << np.arange(k + 1))
             counts[root] = np.bincount(packed, minlength=1 << (k + 1))
         # from the integer counts, so the TV is at most 1 after its one rounding
         tv_hat = float(np.abs(counts[1] - counts[0]).sum() / (2 * trials))

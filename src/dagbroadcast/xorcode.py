@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 TAG_ERASE = 10
+_PATTERN_CELLS = 1 << 18  # erasure indicators drawn in one call, at most: memory stays flat in the trials
 
 DEFAULT_K_CAP = 64
 
@@ -230,11 +231,18 @@ def erasure_ml_fails(h: BitMatrix, erased: Iterable[int]) -> bool:
     return _reduce(h.column(0), basis) == 0
 
 
+def _erasure_patterns(n_edges: int, d: float, seed: int, start: int, stop: int) -> Iterator[list[int]]:
+    """Erased edge columns of trials start .. stop-1, one uniforms call (<= _PATTERN_CELLS cells) per batch."""
+    step = max(_PATTERN_CELLS // n_edges, 1)
+    for t0 in range(start, stop, step):
+        seeds = np.array([derive_seed(seed, TAG_ERASE, t) for t in range(t0, min(t0 + step, stop))], dtype=np.uint64)
+        for erased in uniforms(seeds, n_edges, below=2.0 * d):
+            yield (np.flatnonzero(erased) + 1).tolist()
+
+
 def sample_erasure_pattern(idx: EdgeIndex, delta, seed: int, trial: int = 0) -> list[int]:
     """Edge columns erased i.i.d. with probability 2*delta."""
-    d = as_delta(delta, noiseless_ok=True)
-    erased = uniforms(derive_seed(seed, TAG_ERASE, trial), idx.n_edges, below=2.0 * d)
-    return (np.flatnonzero(erased) + 1).tolist()
+    return next(_erasure_patterns(idx.n_edges, as_delta(delta, noiseless_ok=True), seed, trial, trial + 1))
 
 
 @dataclass(frozen=True)
@@ -261,11 +269,7 @@ def erasure_mc_error_bound(k: int, delta, trials: int, seed: int) -> ErasureEsti
         raise ValueError("trials must be >= 1")
     d = as_delta(delta, noiseless_ok=True)
     h, idx = build_Hk(k)
-    failures = 0
-    for t in range(trials):
-        pattern = sample_erasure_pattern(idx, d, seed, t)
-        if erasure_ml_fails(h, pattern):
-            failures += 1
+    failures = sum(erasure_ml_fails(h, pattern) for pattern in _erasure_patterns(idx.n_edges, d, seed, 0, trials))
     freq = failures / trials
     lo, hi = wilson_interval(failures, trials)
     return ErasureEstimate(k, d, freq, 0.5 * freq, 0.5 * lo, 0.5 * hi, trials)

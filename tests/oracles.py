@@ -17,6 +17,7 @@ from dagbroadcast.grid import TAG_GRID
 from dagbroadcast.model import TAG_TRIAL, Gate, LayerSchedule, as_delta
 from dagbroadcast.rng import derive_seed, uniforms
 from dagbroadcast.sigma import BLOCK_ROWS, BinomialKernel, exact_chain, g_and, g_majority, g_or, tv
+from dagbroadcast.xorcode import TAG_ERASE, build_Hk
 
 
 def gate_output_prob(gate: Gate, p: float) -> float:
@@ -210,6 +211,21 @@ def f2_rank(rows: list[int]) -> int:
         if row:
             basis = sorted([*basis, row], reverse=True)
     return len(basis)
+
+
+def erasure_failures_by_trial(k: int, delta: float, trials: int, seed: int) -> int:
+    """Erasure-bound failures with one draw per trial, and the span test by rank.
+
+    The root column lies in the span of the erased columns exactly when
+    adding it leaves their rank unchanged.
+    """
+    h, idx = build_Hk(k)
+    failures = 0
+    for t in range(trials):
+        erased = uniforms(derive_seed(seed, TAG_ERASE, t), idx.n_edges, below=2.0 * delta)
+        cols = [h.column(int(c) + 1) for c in np.flatnonzero(erased)]
+        failures += f2_rank(cols) == f2_rank([*cols, h.column(0)])
+    return failures
 
 
 def rank_by_span_enumeration(rows: list[int]) -> int:

@@ -662,6 +662,22 @@ class TestExitCodes:
             main([*argv, "--seed", "3"])
         assert exc.value.code == 2
 
+    def test_grid_xor_negative_trials(self, capsys):
+        # refused like grid-exact's, rather than skipping the erasure run
+        _assert_config_error(["grid-xor", "--k", "8", "--delta", "0.1", "--trials", "-3"], "trials", capsys)
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["exact-chain", "--model", "maj3", "--delta", "0.1", "--depth", "3", "--out"], "out"),
+            (["sweep", "--model", "bounds", "--depth", "2", "--out"], "out"),
+            (["grid-xor", "--k", "8", "--delta", "0.1", "--trials", "0", "--export-h"], "export_h"),
+        ],
+    )
+    def test_unwritable_output_path(self, argv, field, tmp_path, capsys):
+        _assert_config_error([*argv, str(tmp_path / "missing" / "x.txt")], field, capsys)
+        assert not (tmp_path / "missing").exists()
+
 
 class TestBisectTermination:
     @pytest.mark.parametrize("tol", [0.0, -1.0])

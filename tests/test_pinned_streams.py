@@ -8,8 +8,10 @@ update these values and say so in CHANGES.md.
 import hashlib
 
 import numpy as np
+import pytest
 
 from dagbroadcast import coupling, model, sigma, xorcode
+from dagbroadcast import grid
 
 
 def _sha(a: np.ndarray) -> str:
@@ -50,3 +52,44 @@ def test_estimate_alpha():
 
 def test_erasure_failure_frequency():
     assert xorcode.erasure_mc_error_bound(12, 0.1, 200, 8).failure_freq == 0.865
+
+
+GRID_MC = {
+    "AND2": (
+        [0.832, 0.77, 0.688, 0.59, 0.518, 0.448],
+        [0.04610543965280808, 0.08444188207137415, 0.123216478268354,
+         0.1607731628202587, 0.1918601097646893, 0.221898222326405],
+    ),
+    "XOR2": (
+        [0.832, 0.646, 0.586, 0.45, 0.422, 0.432],
+        [0.04610543965280808, 0.09565356893163186, 0.1545287265399318,
+         0.23444197413280798, 0.336042801872598, 0.4692565273715026],
+    ),
+    "NAND2": (
+        [0.832, 0.77, 0.56, 0.462, 0.416, 0.406],
+        [0.04610543965280808, 0.08444188207137415, 0.13621081238256358,
+         0.20562583574350748, 0.27271963143638733, 0.3889644483760881],
+    ),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GRID_MC))
+def test_grid_mc_tv_estimate(gate):
+    est = grid.grid_mc_tv_estimate(getattr(model, gate), model.IDENTITY, 0.1, 6, 500, 3)
+    tv, dev = GRID_MC[gate]
+    assert [e.level for e in est] == [1, 2, 3, 4, 5, 6]
+    assert [e.tv for e in est] == tv
+    assert [e.dev for e in est] == dev
+
+
+@pytest.mark.parametrize(
+    "k, delta, trials, failures",
+    [
+        (32, 0.05, 300, 273),  # 528 edges a trial: the patterns span several blocks of the stream
+        (64, 0.02, 40, 34),
+        (1, 0.2, 50, 4),
+    ],
+)
+def test_erasure_failures_at_seed_7(k, delta, trials, failures):
+    est = xorcode.erasure_mc_error_bound(k, delta, trials, 7)
+    assert (round(est.failure_freq * trials), est.trials) == (failures, trials)

@@ -237,6 +237,49 @@ class TestBelow:
         assert got.shape == (0,) and got.dtype == bool
 
 
+class TestSeedArray:
+    """A 1-D seed array gives one row per seed, each the count form of that seed, bit for bit."""
+
+    SEEDS = np.array([0, 1, 2**63, 2**64 - 1, GOLDEN, derive_seed(3, 10, 7)], dtype=np.uint64)
+
+    @pytest.mark.parametrize("below", [None, 0.1, 0.5])
+    @pytest.mark.parametrize("n", [0, 1, 155, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_rows_are_single_seed_streams(self, n, below):
+        got = uniforms(self.SEEDS, n, below=below)
+        assert got.shape == (len(self.SEEDS), n)
+        assert got.dtype == (np.float64 if below is None else bool)
+        for r, seed in enumerate(self.SEEDS):
+            assert got[r].tobytes() == uniforms(seed, n, below=below).tobytes(), f"row {r}"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int16])
+    def test_many_rows_across_blocks(self, dtype):
+        # 155-element rows: each block holds _BLOCK // 155 whole rows, and 500 rows span three blocks
+        seeds = (np.arange(500) * 37).astype(dtype)
+        got = uniforms(seeds, 155)
+        want = np.stack([uniforms(int(s), 155) for s in seeds])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_empty_seed_array(self, n):
+        assert uniforms(np.array([], dtype=np.int64), n).shape == (0, n)
+        assert uniforms(np.array([], dtype=np.uint64), n, below=0.5).shape == (0, n)
+
+    @pytest.mark.parametrize(
+        "seeds, n, error, match",
+        [
+            (np.zeros((2, 3), dtype=np.int64), 4, TypeError, r"1-D .*shape \(2, 3\)"),
+            (np.array([3, -1]), 4, ValueError, "seeds must be >= 0, got -1"),
+            (np.array([1.0, 2.0]), 4, TypeError, "dtype float64"),
+            (np.array([1, 2]), range(4), TypeError, "'range' object cannot be interpreted as an integer"),
+            (np.array([1, 2]), np.arange(4), TypeError, "only integer scalar arrays"),
+            (np.array([1, 2]), -1, ValueError, "n must be >= 0, got -1"),
+        ],
+    )
+    def test_refused(self, seeds, n, error, match):
+        with pytest.raises(error, match=match):
+            uniforms(seeds, n)
+
+
 class TestWilsonInterval:
     def test_frozen_value(self):
         lo, hi = wilson_interval(8, 10)

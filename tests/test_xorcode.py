@@ -12,6 +12,7 @@ from dagbroadcast import xorcode
 from dagbroadcast.cli import main
 from dagbroadcast.model import IDENTITY, XOR2, BudgetExceededError
 from dagbroadcast.grid import grid_exact_distribution
+from dagbroadcast.rng import uniforms
 from dagbroadcast.xorcode import (
     SLOT_LEFT,
     SLOT_RIGHT,
@@ -30,6 +31,7 @@ from oracles import (
     canonical_edges,
     coding_problem_ml_error,
     columns_by_bit_loop,
+    erasure_failures_by_trial,
     f2_rank,
     inference_problem_ml_error,
     lemma_coupling_identity_holds,
@@ -315,6 +317,42 @@ class TestErasure:
     def test_mc_bound_pinned(self):
         # guards the random stream and the span test together
         assert erasure_mc_error_bound(12, 0.05, 400, 7).failure_freq == 0.3525
+
+
+class TestErasureBatches:
+    """Patterns drawn a batch of trials at a time are the one-trial patterns, bit for bit."""
+
+    def test_sample_is_row_of_batch(self):
+        idx = EdgeIndex(64)
+        step = xorcode._PATTERN_CELLS // idx.n_edges
+        batch = list(xorcode._erasure_patterns(idx.n_edges, 0.05, 5, 0, 2 * step + 3))
+        assert len(batch) == 2 * step + 3
+        for t, pattern in enumerate(batch):
+            assert sample_erasure_pattern(idx, 0.05, 5, t) == pattern, f"trial {t}"
+        # a run that starts past zero reads the same trials
+        assert list(xorcode._erasure_patterns(idx.n_edges, 0.05, 5, step - 2, step + 5)) == batch[step - 2 : step + 5]
+
+    @pytest.mark.parametrize(
+        "k, delta, trials, seed",
+        [(1, 0.2, 50, 7), (12, 0.1, 200, 8), (32, 0.05, 600, 7)],  # k = 32: 496 trials a batch
+    )
+    def test_bound_matches_per_trial_loop(self, k, delta, trials, seed):
+        est = erasure_mc_error_bound(k, delta, trials, seed)
+        assert est.failure_freq == erasure_failures_by_trial(k, delta, trials, seed) / trials
+
+    def test_draws_stay_within_batch_size(self, monkeypatch):
+        sizes = []
+
+        def recording(seed, n, below=None):
+            out = uniforms(seed, n, below=below)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(xorcode, "uniforms", recording)
+        erasure_mc_error_bound(64, 0.05, 1000, 1)
+        assert sum(sizes) == 1000 * EdgeIndex(64).n_edges
+        assert max(sizes) <= xorcode._PATTERN_CELLS
+        assert len(sizes) == math.ceil(1000 / (xorcode._PATTERN_CELLS // EdgeIndex(64).n_edges))
 
 
 class TestExport:

@@ -89,6 +89,12 @@ def _require_delta(value: float, field: str, model: str = "") -> None:
         _require(0.0 < value < 0.5, field, f"{value} out of range (0, 1/2)")
 
 
+def _require_writable(path: str, field: str) -> None:
+    """Refuse an output path whose directory is missing or not writable, before any work is done."""
+    folder = os.path.dirname(os.path.abspath(path))
+    _require(os.path.isdir(folder) and os.access(folder, os.W_OK), field, f"directory {folder} is missing or not writable")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: model, parameter sweep, sizes, seed, output path.
@@ -133,6 +139,8 @@ class ExperimentConfig:
             raise ConfigError("field budget: must be >= 1")
         if self.d < 1:
             raise ConfigError("field d: must be >= 1")
+        if self.out:
+            _require_writable(self.out, "out")
         # every model's schedule must parse; the models that read it need a size at every level
         try:
             LayerSchedule.parse(self.schedule).size(self.depth if self.model in _SCHEDULE_MODELS else 0)
@@ -616,6 +624,8 @@ def _cmd_grid_xor(args) -> int:
     _require(args.k >= 1, "k", "must be >= 1")
     _require_delta(args.delta, "delta")
     _require(args.trials >= 0, "trials", "must be >= 0")
+    if args.export_h:
+        _require_writable(args.export_h, "export_h")
     h, idx = xorcode_mod.build_Hk(args.k)
     lucas = [xorcode_mod.binom_parity(args.k, j) for j in range(args.k + 1)]
     col_ok = all(h.get(j, 0) == lucas[j] for j in range(args.k + 1))

@@ -15,14 +15,21 @@ edge applies a coupled channel whose rows are, over (0c, 1u, 1c):
     1c: (delta,   0,         1-delta)
 
 and each interior node takes the symbol-wise AND (the minimum under the
-encoding 0c=0 < 1u=1 < 1c=2).  Once a level is free of 1u the two runs
-have coalesced and stay equal forever, so P(T > k), with T the first
-1u-free level, upper-bounds the TV distance between the root-conditional
-laws at level k.
+encoding 0c=0 < 1u=1 < 1c=2), so P(node >= s) is the product of its
+parents' channel tails (a boundary node has one parent).  Every edge
+feeds one node, so given a level the next level's nodes are independent,
+and each is one uniform u, drawn as [u < P(node >= 1u)] + [u < P(node >= 1c)].
+Once a level is free of 1u the two runs have coalesced and stay equal
+forever, so P(T > k), with T the first 1u-free level, upper-bounds the
+TV distance between the root-conditional laws at level k.
 
 The percolation helpers estimate when disagreements can spread at all:
 each grid edge is open independently with probability p and the root's
-open cluster is tracked via its leftmost and rightmost reached nodes.
+open cluster is tracked via its leftmost and rightmost reached nodes; a
+node with c reached parents is reached with probability 1 - (1 - p)^c.
+
+Both samplers draw node j of trial t at level k from position (k + 1)t + j
+of the level-k stream.
 """
 
 from __future__ import annotations
@@ -54,24 +61,13 @@ TAG_COUPLE = 8
 TAG_PERC = 9
 
 
-# _CHANNEL[3 * sym + band]: band 0 is u < delta, band 1 is delta <= u < 2*delta, band 2 the rest.
-# 0c: -> 1c w.p. delta, else 0c.          (never 1u)
-# 1u: -> 0c w.p. delta, 1c w.p. delta, else stays 1u.
-# 1c: -> 0c w.p. delta, else 1c.          (never 1u)
-_CHANNEL = np.array(
-    [SYM_1C, SYM_0C, SYM_0C, SYM_0C, SYM_1C, SYM_1U, SYM_0C, SYM_1C, SYM_1C], dtype=np.int8
-)
+_NONE = 3  # the missing parent of a boundary node, which lets the other parent's symbol through
 
 
-def _channel_step_array(sym: np.ndarray, delta: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized coupled channel: thresholds chosen to match the matrix rows above.
-
-    ``sym`` (int8 symbol codes) broadcasts against ``u``, which has the output shape.
-    """
-    idx = (u >= delta).view(np.int8)
-    idx += u >= 2.0 * delta
-    idx += 3 * sym
-    return _CHANNEL.take(idx)
+def _node_tails(delta: float) -> np.ndarray:
+    """P(node >= 1u) in row 0 and P(node >= 1c) in row 1, for the parent pair 4 * left + right."""
+    tail = np.array([[delta, delta], [1.0 - delta, delta], [1.0 - delta, 1.0 - delta], [1.0, 1.0]])
+    return (tail[:, None] * tail[None, :]).reshape(16, 2).T
 
 
 def coupled_grid_runs(
@@ -87,25 +83,21 @@ def coupled_grid_runs(
         raise ValueError("max_depth must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    at_least_1u, at_least_1c = _node_tails(d)
     # a coalesced run holds no 1u and never regains one, so its counts stay 0
-    # and only the live runs are stepped; run t's level-k draws are its row
-    # of the (trials, k, 2) stream, positions 2kt .. 2kt + 2k - 1
+    # and only the live runs are stepped
     live = np.arange(trials)
     state = np.full((trials, 1), SYM_1U, dtype=np.int8)
     times = np.full(trials, -1, dtype=np.int64)
     counts = np.zeros((trials, max_depth + 1), dtype=np.int32)
     counts[:, 0] = 1
     for k in range(1, max_depth + 1):
-        width = k  # previous level width
-        pos = (2 * width * live)[:, None] + np.arange(2 * width)
-        u = uniforms(derive_seed(seed, TAG_COUPLE, k), pos).reshape(live.size, width, 2)
-        left = _channel_step_array(state, d, u[..., 0])
-        right = _channel_step_array(state, d, u[..., 1])
-        new = np.empty((live.size, k + 1), dtype=np.int8)
-        new[:, 0] = right[:, 0]
-        new[:, k] = left[:, width - 1]
-        if k >= 2:
-            new[:, 1:k] = np.minimum(left[:, :-1], right[:, 1:])
+        pair = np.full((live.size, k + 1), 5 * _NONE, dtype=np.int8)
+        pair[:, :k] += state - _NONE  # right parent of nodes 0 .. k-1
+        pair[:, 1:] += 4 * (state - _NONE)  # left parent of nodes 1 .. k
+        u = uniforms(derive_seed(seed, TAG_COUPLE, k), ((k + 1) * live)[:, None] + np.arange(k + 1))
+        new = (u < at_least_1u.take(pair)).view(np.int8)
+        new += u < at_least_1c.take(pair)
         ones = np.count_nonzero(new == SYM_1U, axis=1)
         counts[live, k] = ones
         done = ones == 0
@@ -145,31 +137,32 @@ def coupling_tv_bound(delta, depth: int, trials: int, seed: int) -> CouplingTvBo
 # Oriented bond percolation
 
 
+def _reach_probs(p: float) -> np.ndarray:
+    """P(node reached) by its number of reached parents, 0, 1 or 2: some edge from them is open."""
+    return np.array([0.0, p, 1.0 - (1.0 - p) ** 2])
+
+
 def _percolation_reach(p: float, depth: int, trials: int, seed: int):
     """Vectorized reachability; returns (reach mask final, R, L) arrays.
 
     Only the trials alive at the previous level are stepped, over the columns
-    between their leftmost and rightmost reached nodes: trial t's node j at
-    level k - 1 owns positions 2(kt + j) and 2(kt + j) + 1 of the level-k
-    stream, and no draw outside that rectangle can open a reached edge.
+    from their leftmost reached node to one past their rightmost: no node
+    outside that rectangle has a reached parent, so none of its draws is read.
     """
+    reach_probs = _reach_probs(p)
     right = np.full((trials, depth + 1), -1, dtype=np.int64)
     left = np.full((trials, depth + 1), -1, dtype=np.int64)
-    right[:, 0] = 0
-    left[:, 0] = 0
+    right[:, 0] = left[:, 0] = 0
     live = np.arange(trials)
     reach = np.ones((trials, 1), dtype=bool)  # live trials x columns lo .. hi
     lo = hi = 0
     for k in range(1, depth + 1):
         w = hi - lo + 1
-        pos = (2 * (k * live + lo))[:, None] + np.arange(2 * w)
-        # each node's pair of open flags read as one uint16: bit 0 is the edge
-        # (k-1, j) -> (k, j), bit 8 the edge (k-1, j) -> (k, j+1)
-        opened = uniforms(derive_seed(seed, TAG_PERC, k), pos, below=p).view("<u2")
-        opened *= reach
-        new = np.zeros((live.size, w + 1), dtype=bool)
-        new[:, :w] = opened & 1
-        new[:, 1:] |= opened > 0xFF
+        parents = np.zeros((live.size, w + 1), dtype=np.uint8)
+        parents[:, :w] = reach
+        parents[:, 1:] += reach
+        u = uniforms(derive_seed(seed, TAG_PERC, k), ((k + 1) * live + lo)[:, None] + np.arange(w + 1))
+        new = u < reach_probs.take(parents)
         alive = new.any(axis=1)
         live, new = live[alive], new[alive]
         if live.size == 0:

@@ -55,12 +55,12 @@ def _check_args(f1: Gate, f2: Gate, depth: int) -> None:
 
 def _grid_level_step(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Advance bit arrays of shape (..., k) to level k (shape (..., k + 1))."""
+    # parent j's two out-edges own positions 2j (to node j) and 2j + 1 (to node j + 1) of a trial's 2k
     shape = prev.shape[:-1]
-    flips = uniforms(derive_seed(seed, TAG_GRID, k), math.prod(shape) * (k + 1) * 2, below=delta)
-    flips = flips.view(np.uint8).reshape(shape + (k + 1, 2))
-    flip_left, flip_right = flips[..., 0], flips[..., 1]
-    noisy_left = prev ^ flip_left[..., 1:]  # input to nodes 1..k from parent j-1
-    noisy_right = prev ^ flip_right[..., :k]  # input to nodes 0..k-1 from parent j
+    flips = uniforms(derive_seed(seed, TAG_GRID, k), math.prod(shape) * k * 2, below=delta)
+    flips = flips.view(np.uint8).reshape(shape + (k, 2))
+    noisy_right = prev ^ flips[..., 0]  # input to nodes 0..k-1 from parent j
+    noisy_left = prev ^ flips[..., 1]  # input to nodes 1..k from parent j-1
     f1_table = np.asarray(f1.table, dtype=np.uint8)
     f2_table = np.asarray(f2.table, dtype=np.uint8)
     out = np.empty(shape + (k + 1,), dtype=np.uint8)

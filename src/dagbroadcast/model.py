@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -219,51 +219,43 @@ def sample_random_dag(seed: int, d: int, schedule: LayerSchedule, depth: int) ->
     return DagRealization(depth, d, sizes, tuple(parents), seed)
 
 
-def _gate_schedule(gates: "Gate | Sequence[Gate] | Callable[[int], Gate]") -> Callable[[int], Gate]:
-    if isinstance(gates, Gate):
-        return lambda k: gates
-    if callable(gates):
-        return gates
-    seq = list(gates)
-    return lambda k: seq[k - 1]
-
-
 def propagate_many(
     dag: DagRealization,
-    gates: "Gate | Sequence[Gate] | Callable[[int], Gate]",
+    gates: "Gate | Callable[[int], Gate]",
     delta: float,
     roots: np.ndarray,
     seed: int,
 ) -> np.ndarray:
     """Simulate many independent broadcasts on one fixed DAG.
 
-    ``roots`` is a 1-D bit array, one entry per trial.  Returns the final
-    level's bits with shape (trials, L_depth).  Each edge is a BSC(delta)
-    drawn as copy-or-refresh: with probability 2*delta the parent bit is
-    replaced by a fair bit, else copied.  The draws do not depend on the
-    bits, so calls that differ only in ``roots`` are coupled.  Noise comes
-    from one derived counter stream per level, partitioned across trials,
+    ``gates`` is one gate or a function from level k to its gate, and
+    ``roots`` a 1-D bit array, one entry per trial.  Returns the final
+    level's bits with shape (trials, L_depth).  Every edge feeds exactly one
+    node and the edge noises are independent, so given level k - 1 the
+    nodes of level k are independent: a node is 1 with probability
+    ``gate.noisy_output_probs(delta)[w]`` for the word w of its noiseless
+    parent bits, and is drawn as one uniform below that probability.  The
+    draws do not depend on the bits, so calls that differ only in ``roots``
+    are coupled.  Noise comes from one derived counter stream per level,
     so the result is a pure function of (dag, gates, delta, roots, seed).
 
-    Edge e = (trial, node, slot), in row-major order, owns stream positions
-    2e (refresh uniform) and 2e + 1 (fair-bit uniform); the fair bit is
-    drawn only for the edges that refresh.
+    Node v of trial t at level k owns position t * L_k + v of the level's stream.
     """
     dval = as_delta(delta, noiseless_ok=True)
-    gate_at = _gate_schedule(gates)
+    gate_at = (lambda k: gates) if isinstance(gates, Gate) else gates
     trials = len(roots)
+    probs: dict[Gate, np.ndarray] = {}
     bits = np.asarray(roots, dtype=np.uint8).reshape(trials, 1)
     for k in range(1, dag.depth + 1):
         gate = gate_at(k)
         if gate.arity != dag.d:
             raise ValueError(f"gate arity {gate.arity} != dag degree {dag.d} at level {k}")
-        s = derive_seed(seed, TAG_TRIAL, k)
-        noisy = bits.take(dag.parents[k - 1], axis=1)  # (trials, L_k, d)
-        flat = noisy.reshape(-1)
-        fresh = np.flatnonzero(uniforms(s, range(0, 2 * flat.size, 2), below=2.0 * dval))
-        flat[fresh] = uniforms(s, 2 * fresh + 1, below=0.5)
-        word = noisy[..., 0].astype(np.min_scalar_type((1 << gate.arity) - 1))
+        if gate not in probs:
+            probs[gate] = gate.noisy_output_probs(dval)
+        parents = dag.parents[k - 1]
+        word = bits.take(parents[:, 0], axis=1).astype(np.min_scalar_type((1 << gate.arity) - 1), copy=False)
         for i in range(1, gate.arity):
-            word |= np.left_shift(noisy[..., i], i, dtype=word.dtype)
-        bits = np.asarray(gate.table, dtype=np.uint8).take(word)
+            word |= np.left_shift(bits.take(parents[:, i], axis=1), i, dtype=word.dtype)
+        u = uniforms(derive_seed(seed, TAG_TRIAL, k), word.size).reshape(word.shape)
+        bits = (u < probs[gate].take(word)).view(np.uint8)
     return bits

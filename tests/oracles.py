@@ -34,6 +34,15 @@ def gate_output_prob(gate: Gate, p: float) -> float:
     return total
 
 
+def gate_node_law(gate: Gate, delta: float) -> np.ndarray:
+    """P(node = 1) for each word of noiseless parent bits: the output through
+    ``Gate.__call__`` summed over every flip pattern of the node's incoming edges."""
+    n = 1 << gate.arity
+    out = [gate(*(((x >> i) & 1) for i in range(gate.arity))) for x in range(n)]
+    weight = [delta ** z.bit_count() * (1.0 - delta) ** (gate.arity - z.bit_count()) for z in range(n)]
+    return np.array([sum(weight[z] * out[word ^ z] for z in range(n)) for word in range(n)])
+
+
 def canonical_edges(k: int) -> list[tuple[int, int, int]]:
     """Every grid edge above level k as (level, node, slot), in H_k's column order.
 
@@ -412,36 +421,51 @@ def coupled_grid_coalesced(delta: float, depth: int) -> list[float]:
     return out
 
 
-def channel_step_where(sym: np.ndarray, delta: float, u: np.ndarray) -> np.ndarray:
-    """The coupled channel as nested ``np.where`` over the matrix rows, one symbol at a time."""
-    out = np.where(
-        sym == SYM_1U,
-        np.where(u < delta, SYM_0C, np.where(u < 2.0 * delta, SYM_1C, SYM_1U)),
-        np.where(
-            sym == SYM_0C,
-            np.where(u < delta, SYM_1C, SYM_0C),
-            np.where(u < delta, SYM_0C, SYM_1C),
-        ),
-    )
+NO_PARENT = 3  # the missing parent of a boundary node
+
+
+def coupled_node_law(delta: float) -> np.ndarray:
+    """P(node = s) over (0c, 1u, 1c), indexed [left parent, right parent] with
+    NO_PARENT for a boundary node's missing one: the coupled AND of the two
+    parents' channel outputs, summed over both; a missing parent gives 1c,
+    the AND's identity."""
+    rows = np.vstack([coupled_channel_matrix(delta), [0.0, 0.0, 1.0]])
+    law = np.zeros((4, 4, 3))
+    for x, y, a, b in itertools.product(range(4), range(4), range(3), range(3)):
+        law[x, y, coupled_and(a, b)] += rows[x, a] * rows[y, b]
+    return law
+
+
+def channel_step_where(left: np.ndarray, right: np.ndarray, delta: float, u: np.ndarray) -> np.ndarray:
+    """Coupled-grid nodes from their parent symbols and uniforms, as nested ``np.where``
+    over the node law: 1c below P(1c), 1u below P(1c) + P(1u), else 0c."""
+    law = coupled_node_law(delta)[left, right]
+    top = law[..., SYM_1C]
+    out = np.where(u < top, SYM_1C, np.where(u < top + law[..., SYM_1U], SYM_1U, SYM_0C))
     return out.astype(np.int8)
+
+
+def percolation_node_law(p: float) -> np.ndarray:
+    """P(node reached) with c = 0, 1, 2 reached parents, summed over the open
+    patterns of their c edges that open at least one."""
+    return np.array([
+        sum(p ** opened.bit_count() * (1.0 - p) ** (c - opened.bit_count()) for opened in range(1, 1 << c))
+        for c in range(3)
+    ])
 
 
 def percolation_edges_by_loop(p: float, depth: int, trials: int, seed: int):
     """Rightmost and leftmost reached node per (trial, level), -1 once the cluster
-    has died, by walking each trial's open edges node by node over the same uniforms."""
+    has died, by walking each trial's nodes one by one over the same uniforms."""
+    law = percolation_node_law(p)
     right = np.full((trials, depth + 1), -1, dtype=np.int64)
     left = np.full((trials, depth + 1), -1, dtype=np.int64)
     reached = [{0} for _ in range(trials)]
     right[:, 0] = left[:, 0] = 0
     for k in range(1, depth + 1):
-        u = uniform_matrix(derive_seed(seed, TAG_PERC, k), (trials, k, 2))
+        u = uniform_matrix(derive_seed(seed, TAG_PERC, k), (trials, k + 1))
         for t in range(trials):
-            nxt = set()
-            for j in reached[t]:
-                if u[t, j, 0] < p:
-                    nxt.add(j)
-                if u[t, j, 1] < p:
-                    nxt.add(j + 1)
+            nxt = {j for j in range(k + 1) if u[t, j] < law[(j - 1 in reached[t]) + (j in reached[t])]}
             reached[t] = nxt
             if nxt:
                 right[t, k], left[t, k] = max(nxt), min(nxt)
@@ -450,13 +474,13 @@ def percolation_edges_by_loop(p: float, depth: int, trials: int, seed: int):
 
 def grid_level_step_by_floats(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int, seed: int) -> np.ndarray:
     """``grid._grid_level_step`` node by node from the float draws: node j's edge
-    from parent j - 1 flips where u[..., j, 0] < delta, from parent j where u[..., j, 1] < delta."""
-    u = uniform_matrix(derive_seed(seed, TAG_GRID, k), prev.shape[:-1] + (k + 1, 2))
+    from parent j - 1 flips where u[..., j - 1, 1] < delta, from parent j where u[..., j, 0] < delta."""
+    u = uniform_matrix(derive_seed(seed, TAG_GRID, k), prev.shape[:-1] + (k, 2))
     flip = (u < delta).astype(np.uint8)
     out = np.empty(prev.shape[:-1] + (k + 1,), dtype=np.uint8)
     for j in range(k + 1):
-        left = prev[..., j - 1] ^ flip[..., j, 0] if j > 0 else None
-        right = prev[..., j] ^ flip[..., j, 1] if j < k else None
+        left = prev[..., j - 1] ^ flip[..., j - 1, 1] if j > 0 else None
+        right = prev[..., j] ^ flip[..., j, 0] if j < k else None
         if left is None or right is None:
             out[..., j] = np.asarray(f2.table)[right if left is None else left]
         else:
@@ -491,38 +515,36 @@ def uniform_matrix(seed: int, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def propagate_many_dense(dag, gate_at, delta: float, roots: np.ndarray, seed: int) -> np.ndarray:
-    """``model.propagate_many`` drawing both uniforms of every edge, as the
-    (trials, L_k, d, 2) block of each level's stream; ``gate_at(k)`` is level k's gate."""
+    """``model.propagate_many`` from the (trials, L_k) block of each level's stream:
+    a node is 1 where its uniform is below the gate's node law at the word of its
+    noiseless parent bits; ``gate_at(k)`` is level k's gate."""
     d = as_delta(delta, noiseless_ok=True)
+    laws: dict[Gate, np.ndarray] = {}
     trials = len(roots)
     bits = np.asarray(roots, dtype=np.uint8).reshape(trials, 1)
     for k in range(1, dag.depth + 1):
-        u = uniform_matrix(derive_seed(seed, TAG_TRIAL, k), (trials, dag.layer_sizes[k], dag.d, 2))
-        fair = (u[..., 1] < 0.5).astype(np.uint8)
-        noisy = np.where(u[..., 0] < 2.0 * d, fair, bits[:, dag.parents[k - 1]])
-        word = np.zeros(noisy.shape[:-1], dtype=np.int64)
+        gate = gate_at(k)
+        if gate not in laws:
+            laws[gate] = gate_node_law(gate, d)
+        u = uniform_matrix(derive_seed(seed, TAG_TRIAL, k), (trials, dag.layer_sizes[k]))
+        word = np.zeros(u.shape, dtype=np.int64)
         for i in range(dag.d):
-            word |= noisy[..., i].astype(np.int64) << i
-        bits = np.asarray(gate_at(k).table, dtype=np.uint8)[word]
+            word |= bits[:, dag.parents[k - 1][:, i]].astype(np.int64) << i
+        bits = (u < laws[gate][word]).astype(np.uint8)
     return bits
 
 
 def coupled_grid_runs_dense(delta: float, max_depth: int, trials: int, seed: int):
     """``coupling.coupled_grid_runs`` stepping every run at every level, coalesced
-    or not, through the nested-``where`` channel; returns (times, counts)."""
+    or not, through the nested-``where`` node step; returns (times, counts)."""
     state = np.full((trials, 1), SYM_1U, dtype=np.int8)
     times = np.full(trials, -1, dtype=np.int64)
     counts = np.zeros((trials, max_depth + 1), dtype=np.int32)
     counts[:, 0] = 1
+    none = np.full((trials, 1), NO_PARENT, dtype=np.int8)
     for k in range(1, max_depth + 1):
-        u = uniform_matrix(derive_seed(seed, TAG_COUPLE, k), (trials, k, 2))
-        left = channel_step_where(state, delta, u[..., 0])
-        right = channel_step_where(state, delta, u[..., 1])
-        new = np.empty((trials, k + 1), dtype=np.int8)
-        new[:, 0] = right[:, 0]
-        new[:, k] = left[:, k - 1]
-        new[:, 1:k] = np.minimum(left[:, :-1], right[:, 1:])
-        state = new
+        u = uniform_matrix(derive_seed(seed, TAG_COUPLE, k), (trials, k + 1))
+        state = channel_step_where(np.hstack([none, state]), np.hstack([state, none]), delta, u)
         counts[:, k] = (state == SYM_1U).sum(axis=1)
         times[(times < 0) & (counts[:, k] == 0)] = k
     return times, counts
@@ -531,17 +553,17 @@ def coupled_grid_runs_dense(delta: float, max_depth: int, trials: int, seed: int
 def percolation_reach_dense(p: float, depth: int, trials: int, seed: int):
     """``coupling._percolation_reach`` drawing every trial's every node at every
     level; returns (reach mask of the last level drawn, R, L)."""
+    law = percolation_node_law(p)
     reach = np.ones((trials, 1), dtype=bool)
     right = np.full((trials, depth + 1), -1, dtype=np.int64)
     left = np.full((trials, depth + 1), -1, dtype=np.int64)
     right[:, 0] = left[:, 0] = 0
     for k in range(1, depth + 1):
-        u = uniform_matrix(derive_seed(seed, TAG_PERC, k), (trials, k, 2))
-        opened = (u < p) & reach[..., None]
-        new = np.zeros((trials, k + 1), dtype=bool)
-        new[:, :k] = opened[..., 0]
-        new[:, 1:] |= opened[..., 1]
-        reach = new
+        u = uniform_matrix(derive_seed(seed, TAG_PERC, k), (trials, k + 1))
+        reached_parents = np.zeros((trials, k + 1), dtype=np.int64)
+        reached_parents[:, :k] += reach
+        reached_parents[:, 1:] += reach
+        reach = u < law[reached_parents]
         alive = reach.any(axis=1)
         cols = np.arange(k + 1)
         right[alive, k] = np.where(reach, cols, -1).max(axis=1)[alive]

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from dagbroadcast import grid as grid_mod
+from dagbroadcast import sigma as sigma_mod
+from dagbroadcast import xorcode as xorcode_mod
 from dagbroadcast.model import BudgetExceededError, LayerSchedule
 from dagbroadcast.sigma import exact_chain, tv
 from dagbroadcast.cli import (
@@ -677,6 +679,20 @@ class TestExitCodes:
     def test_unwritable_output_path(self, argv, field, tmp_path, capsys):
         _assert_config_error([*argv, str(tmp_path / "missing" / "x.txt")], field, capsys)
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "argv, field, module, work",
+        [
+            (["exact-chain", "--model", "maj3", "--delta", "0.1", "--depth", "3", "--out"], "out", sigma_mod, "exact_chain"),
+            (["grid-xor", "--k", "8", "--delta", "0.1", "--export-h"], "export_h", xorcode_mod, "build_Hk"),
+        ],
+    )
+    def test_unwritable_output_path_refused_before_work(self, argv, field, module, work, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output path was checked")
+
+        monkeypatch.setattr(module, work, never)
+        _assert_config_error([*argv, str(tmp_path / "missing" / "x.csv")], field, capsys)
 
 
 class TestBisectTermination:

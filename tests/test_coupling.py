@@ -11,22 +11,25 @@ from dagbroadcast.coupling import (
     SYM_0C,
     SYM_1C,
     SYM_1U,
-    _channel_step_array,
+    _NONE,
+    _node_tails,
     _percolation_reach,
+    _reach_probs,
     coupled_grid_runs,
     coupling_tv_bound,
     estimate_alpha,
 )
-from dagbroadcast.rng import uniforms
 from oracles import (
-    channel_step_where,
+    NO_PARENT,
     coupled_and,
     coupled_channel_matrix,
     coupled_grid_coalesced,
     coupled_grid_runs_dense,
+    coupled_node_law,
     decode_symbol,
     encode_pair,
     percolation_edges_by_loop,
+    percolation_node_law,
     percolation_reach_dense,
 )
 
@@ -50,7 +53,7 @@ class TestSymbols:
                 assert decode_symbol(coupled_and(a, b)) == (am & bm, ap & bp)
 
     def test_and_is_min(self):
-        # coupled_grid_runs applies the AND as np.minimum on the symbol codes
+        # coupled_grid_runs draws P(AND >= s) as a product of tails, which needs the AND to be the min
         for a in SYMBOLS:
             for b in SYMBOLS:
                 assert coupled_and(a, b) == np.minimum(np.int8(a), np.int8(b))
@@ -66,9 +69,11 @@ class TestCoupledChannel:
         m = coupled_channel_matrix(0.3)
         assert m[SYM_0C, SYM_1U] == 0
         assert m[SYM_1C, SYM_1U] == 0
-        u = uniforms(5, 10_000)
-        for sym in (SYM_0C, SYM_1C):
-            assert (_channel_step_array(np.full(10_000, sym, dtype=np.int8), 0.3, u) != SYM_1U).all()
+        # parents in {0c, 1c, none}: P(node >= 1u) == P(node >= 1c), so no uniform falls on 1u
+        agreed = [4 * a + b for a in (SYM_0C, SYM_1C, _NONE) for b in (SYM_0C, SYM_1C, _NONE)]
+        for delta in (0.0, 0.01, 0.3, 0.49):
+            tails = _node_tails(delta)
+            np.testing.assert_array_equal(tails[0, agreed], tails[1, agreed])
 
     def test_marginals_are_bsc(self):
         # each coordinate of the decoded pair flips with probability delta
@@ -82,31 +87,29 @@ class TestCoupledChannel:
             assert p_plus == pytest.approx(delta if plus_in == 0 else 1 - delta)
 
     @pytest.mark.parametrize("delta", [0.0, 0.01, 0.25, 0.49])
-    def test_table_matches_nested_where(self, delta):
-        # u at each threshold and one ulp either side, then a random spread
-        edges = [delta, 2.0 * delta]
-        u = np.array([x for e in edges for x in (np.nextafter(e, -1.0), e, np.nextafter(e, 2.0))])
-        u = np.concatenate([u[(u >= 0.0) & (u < 1.0)], [0.0, np.nextafter(1.0, 0.0)], uniforms(3, 997)])
-        for sym in SYMBOLS:
-            syms = np.full(u.size, sym, dtype=np.int8)
-            got = _channel_step_array(syms, delta, u)
-            assert got.dtype == np.int8
-            np.testing.assert_array_equal(got, channel_step_where(syms, delta, u))
-        # mixed symbols broadcast against a wider draw array, as at the grid's first level
-        syms = np.array([[SYM_0C], [SYM_1U], [SYM_1C]], dtype=np.int8)
-        wide = np.tile(u, (3, 1))
-        np.testing.assert_array_equal(_channel_step_array(syms, delta, wide), channel_step_where(syms, delta, wide))
+    def test_node_law_matches_enumeration(self, delta):
+        # every parent pair, boundary nodes' missing parent included, against the
+        # coupled AND summed over both parents' channel outputs
+        assert _NONE == NO_PARENT
+        law = coupled_node_law(delta)
+        tails = _node_tails(delta).reshape(2, 4, 4)
+        for left in (*SYMBOLS, _NONE):
+            for right in (*SYMBOLS, _NONE):
+                if left == right == _NONE:
+                    continue
+                at_least = law[left, right, ::-1].cumsum()[::-1]  # P(node >= 0c, 1u, 1c)
+                np.testing.assert_allclose(tails[:, left, right], at_least[1:], rtol=0, atol=1e-15)
 
     def test_step_frequencies_match_matrix(self):
+        # level 1's two boundary nodes each read the root 1u through one channel
         delta = 0.15
         m = coupled_channel_matrix(delta)
-        n = 10_000
-        for sym in SYMBOLS:
-            outs = _channel_step_array(np.full(n, sym, dtype=np.int8), delta, uniforms(31 + sym, n))
-            freq = np.bincount(outs, minlength=3) / n
-            for out in SYMBOLS:
-                se = np.sqrt(max(m[sym, out] * (1 - m[sym, out]), 1e-4) / n)
-                assert abs(freq[out] - m[sym, out]) < 4 * se
+        n = 40_000
+        _, counts = coupled_grid_runs(delta, 1, n, seed=31)
+        freq = np.bincount(counts[:, 1], minlength=3) / n
+        stay = m[SYM_1U, SYM_1U]
+        for ones, p in enumerate([(1 - stay) ** 2, 2 * stay * (1 - stay), stay**2]):
+            assert abs(freq[ones] - p) < 4 * np.sqrt(p * (1 - p) / n)
 
 
 class TestCoupledGrid:
@@ -164,6 +167,11 @@ class TestCoupledGrid:
 
 
 class TestPercolation:
+    @pytest.mark.parametrize("p", [0.0, 1e-9, 0.3, 0.645, 0.99, 1.0])
+    def test_node_law_matches_enumeration(self, p):
+        # c = 0, 1, 2 reached parents against the open patterns of their c edges
+        np.testing.assert_allclose(_reach_probs(p), percolation_node_law(p), rtol=0, atol=1e-15)
+
     def test_full_open_survives(self):
         reach, right, left = _percolation_reach(1.0, 20, 3, seed=1)
         assert reach.all()
@@ -221,7 +229,7 @@ class TestPercolation:
 
 class TestMatchesDense:
     """The coupled grid steps only uncoalesced runs and percolation only the live
-    clusters' columns; the dense oracles draw everything.  Outputs agree exactly."""
+    clusters' columns; the dense oracles draw every node.  Outputs agree exactly."""
 
     @staticmethod
     def _grid(delta, depth, trials, seed):

@@ -54,7 +54,7 @@ class TestGridPropagate:
     @pytest.mark.parametrize("f1, f2", [(ANDN, NOT), (XOR2, IDENTITY), (AND2, IDENTITY)])
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3, 0.5])
     def test_step_matches_float_draws(self, f1, f2, delta):
-        # the step's noise is exactly the float compare of the level's (trials, k + 1, 2) stream
+        # the step's noise is exactly the float compare of the level's (trials, k, 2) stream
         prev = np.random.default_rng(4).integers(0, 2, size=(300, 1), dtype=np.uint8)
         for k in range(1, 9):
             got = _grid_level_step(f1, f2, delta, prev, k, seed=21)

@@ -19,7 +19,10 @@ from dagbroadcast.model import (
     propagate_many,
     sample_random_dag,
 )
-from oracles import gate_output_prob, propagate_many_dense
+from oracles import gate_node_law, gate_output_prob, propagate_many_dense
+
+
+PAR9 = Gate.from_function("PAR9", 9, lambda *b: sum(b) % 2)
 
 
 class TestCrossoverProb:
@@ -77,16 +80,6 @@ class TestGate:
         assert MAJ3(1, 0, 0) == 0
 
 
-def _noisy_by_enumeration(gate, delta, word):
-    """P(gate = 1) at input ``word``, summed over every flip pattern through ``Gate.__call__``."""
-    total = 0.0
-    for flips in range(1 << gate.arity):
-        bits = [((word ^ flips) >> i) & 1 for i in range(gate.arity)]
-        weight = delta ** flips.bit_count() * (1.0 - delta) ** (gate.arity - flips.bit_count())
-        total += weight * gate(*bits)
-    return total
-
-
 def _grid_tables_by_loops(f1, f2, delta):
     """The grid's per-node tables as four explicit loops: p2[b] and p11[a, b]."""
     p2 = np.array([(1.0 - delta) * f2.table[b] + delta * f2.table[1 - b] for b in range(2)])
@@ -101,12 +94,19 @@ def _grid_tables_by_loops(f1, f2, delta):
 
 
 class TestNoisyOutputProbs:
-    @pytest.mark.parametrize("gate", [MAJ3, AND2, OR2, XOR2, NAND2, IDENTITY])
+    @pytest.mark.parametrize("gate", [MAJ3, AND2, OR2, XOR2, NAND2, IDENTITY, PAR9])
     @pytest.mark.parametrize("delta", [0.0, 0.01, 0.13, 0.3, 0.49])
     def test_matches_enumeration(self, gate, delta):
-        got = gate.noisy_output_probs(delta)
-        want = [_noisy_by_enumeration(gate, delta, w) for w in range(1 << gate.arity)]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        # the node law propagate_many draws from, against the sum over the node's edge flips
+        np.testing.assert_allclose(gate.noisy_output_probs(delta), gate_node_law(gate, delta), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("gate", [MAJ3, AND2, OR2, IDENTITY, PAR9])
+    @pytest.mark.parametrize("delta", [0.0, 0.07, 0.31])
+    def test_equal_parent_bits_match_gate_output_prob(self, gate, delta):
+        # equal parent bits reach the gate as i.i.d. Bernoulli(delta) or Bernoulli(1 - delta) inputs
+        law = gate.noisy_output_probs(delta)
+        assert law[0] == pytest.approx(gate_output_prob(gate, delta), abs=1e-14)
+        assert law[-1] == pytest.approx(gate_output_prob(gate, 1.0 - delta), abs=1e-14)
 
     @pytest.mark.parametrize("f1", [AND2, OR2, XOR2, NAND2])
     def test_grid_tables_bit_for_bit(self, f1):
@@ -289,13 +289,14 @@ class TestPropagate:
         assert p > 0.01
 
 
-# 2*delta just below 1 exceeds every uniform but the largest, 1 - 2^-53, so every edge refreshes
-_ALL_REFRESH = float(np.nextafter(0.5, 0.0))
+# delta just below 1/2: every node's law lies within a few ulps of 1/2 whatever its parents hold
+_NEAR_HALF = float(np.nextafter(0.5, 0.0))
 
 
 class TestPropagateMatchesDense:
-    """``propagate_many`` draws fair bits only where an edge refreshes; the dense
-    oracle draws both uniforms of every edge.  The bits must agree exactly."""
+    """``propagate_many`` reads each node's law from ``Gate.noisy_output_probs``; the
+    dense oracle sums each node's edge noise itself.  Both draw one uniform per
+    node, and the bits must agree exactly."""
 
     @staticmethod
     def _both(d, gate_at, schedule, depth, delta, trials, seed):
@@ -312,7 +313,7 @@ class TestPropagateMatchesDense:
         st.integers(0, 2**64 - 1),
         st.integers(1, 60),
         st.integers(1, 12),
-        st.sampled_from([0.0, 0.01, 0.1, 0.23, _ALL_REFRESH]),
+        st.sampled_from([0.0, 0.01, 0.1, 0.23, _NEAR_HALF]),
     )
     def test_maj3(self, seed, trials, depth, delta):
         self._both(3, lambda k: MAJ3, LayerSchedule.logarithmic(3), depth, delta, trials, seed)
@@ -322,7 +323,7 @@ class TestPropagateMatchesDense:
     def test_andor_alternating(self, seed, trials, depth, delta):
         self._both(2, lambda k: AND2 if k % 2 else OR2, LayerSchedule.constant(6), depth, delta, trials, seed)
 
-    @pytest.mark.parametrize("gate", [IDENTITY, Gate.from_function("PAR9", 9, lambda *b: sum(b) % 2)])
+    @pytest.mark.parametrize("gate", [IDENTITY, PAR9])
     def test_arity_1_and_9(self, gate):
         # nine inputs need a 16-bit gate word
         self._both(gate.arity, lambda k: gate, LayerSchedule.constant(5), 4, 0.2, 30, 8)
@@ -334,10 +335,10 @@ class TestPropagateMatchesDense:
     def test_every_edge_refreshes(self):
         # the output forgets the root: both root vectors give the same bits
         dag = sample_random_dag(2, 3, LayerSchedule.constant(9), 5)
-        a = propagate_many(dag, MAJ3, _ALL_REFRESH, np.zeros(50, dtype=np.uint8), 3)
-        b = propagate_many(dag, MAJ3, _ALL_REFRESH, np.ones(50, dtype=np.uint8), 3)
+        a = propagate_many(dag, MAJ3, _NEAR_HALF, np.zeros(50, dtype=np.uint8), 3)
+        b = propagate_many(dag, MAJ3, _NEAR_HALF, np.ones(50, dtype=np.uint8), 3)
         np.testing.assert_array_equal(a, b)
-        self._both(3, lambda k: MAJ3, LayerSchedule.constant(9), 5, _ALL_REFRESH, 50, 3)
+        self._both(3, lambda k: MAJ3, LayerSchedule.constant(9), 5, _NEAR_HALF, 50, 3)
 
     def test_half_refused(self):
         dag = sample_random_dag(2, 3, LayerSchedule.constant(4), 2)

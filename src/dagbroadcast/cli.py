@@ -496,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
         return p
 
-    p = add("fixed-points", "closed-form fixed points of the g-curve")
+    p = add("fixed-points", "fixed points and Lipschitz constant of the g-curve")
     p.add_argument("--model", choices=["maj3", "andor2"], required=True)
     p.add_argument("--delta", type=float, required=True)
 
@@ -612,7 +612,10 @@ def _cmd_rows(args) -> int:
 
 def _cmd_fixed_points(args) -> int:
     _require_delta(args.delta, "delta")
-    report = sigma_mod.fixed_points(args.model, args.delta)
+    try:
+        report = sigma_mod.fixed_points(args.model, args.delta)
+    except sigma_mod.DegenerateThresholdError as exc:
+        raise ConfigError(f"field delta: {exc}") from None
     print(f"model={report.model} delta={report.delta:g} lipschitz={report.lipschitz:.6f}")
     for pt in report.points:
         kind = "stable" if pt.stable else "unstable"

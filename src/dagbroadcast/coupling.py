@@ -194,6 +194,8 @@ class AlphaEstimate:
 
 
 def estimate_alpha(p: float, depth: int, trials: int, seed: int) -> AlphaEstimate:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     reach, right, left = _percolation_reach(p, depth, trials, seed)
     alive = reach.any(axis=1)
     n_alive = int(alive.sum())

@@ -14,11 +14,10 @@ Scheme
 * ``uniforms(seed, n)`` is the counter stream: element at position ``p``
   is ``mix64(seed + GOLDEN * (p + 1))`` mapped to [0, 1) with 53-bit
   resolution.  ``n`` names the positions: an ``int`` for the first ``n``,
-  a ``range`` for an arithmetic progression, or an integer array for a
-  gather (the result takes the array's shape).  Each element is a pure
-  function of its position, so the stream is evaluated in cache-resident
-  blocks with in-place array steps, and a consumer evaluates only the
-  positions it reads; neither changes a value.
+  or an integer array for a gather (the result takes the array's shape).
+  Each element is a pure function of its position, so the stream is
+  evaluated in cache-resident blocks with in-place array steps, and a
+  consumer evaluates only the positions it reads; neither changes a value.
 * ``uniforms(seeds, n)`` with a 1-D integer array of seeds has row r equal
   to ``uniforms(seeds[r], n)``, and a block holds whole rows: the erasure
   bound draws a whole batch of trials' patterns in one call.
@@ -89,38 +88,28 @@ def _threshold(p) -> np.uint64:
     return np.uint64(1 << 53 if x >= 2.0**53 else math.ceil(x))
 
 
-def uniforms(seed: "int | np.ndarray", n: "int | range | np.ndarray", below=None) -> np.ndarray:
+def uniforms(seed: "int | np.ndarray", n: "int | np.ndarray", below=None) -> np.ndarray:
     """Return the uniforms in [0, 1) at positions ``n`` of the counter stream of ``seed``.
 
-    ``n`` is a count (positions ``0 .. n-1``), a ``range`` of positions with
-    step > 0, or an integer array of positions (the result has its shape).
-    A 1-D integer array of seeds with a count ``n`` gives one row per seed.
-    With ``below=p`` the result is ``uniforms(seed, n) < p`` as bools,
-    compared in integers without forming the floats.
+    ``n`` is a count (positions ``0 .. n-1``) or an integer array of
+    positions (the result has its shape); anything else, a ``range`` say,
+    raises ``TypeError``.  A 1-D integer array of seeds with a count ``n``
+    gives one row per seed.  With ``below=p`` the result is
+    ``uniforms(seed, n) < p`` as bools, compared in integers without
+    forming the floats.
     """
     threshold = None if below is None else _threshold(below)
     if isinstance(seed, np.ndarray):
         return _rows(seed, n, threshold)
-    if isinstance(n, range):
-        if n.start < 0:
-            raise ValueError(f"positions must be >= 0, got start {n.start}")
-        if n.step <= 0:
-            raise ValueError(f"step must be > 0, got {n.step}")
-        start, step, count = n.start, n.step, len(n)
-    elif isinstance(n, np.ndarray):
+    if isinstance(n, np.ndarray):
         return _gather(int(seed), n, threshold)
-    else:
-        start, step, count = 0, 1, _check_size(n, "n")
-    # element i of a block starting at element b is at position start + step*(b + i):
-    # its counter is seed + GOLDEN*(start + step*b) + GOLDEN*(step*i + 1) = base_b + _WEYL[step*i],
-    # so a block holds ceil(_BLOCK / step) elements
-    weyl = _WEYL if step == 1 else _WEYL[::step]
-    base, stride = int(seed) + GOLDEN * start, GOLDEN * step
+    # element i of a block starting at element b has counter seed + GOLDEN*(b + i + 1) = base_b + _WEYL[i]
+    base = int(seed)
 
     def counters(z, b):
-        np.add(weyl[: z.size], np.uint64((base + stride * b) & MASK64), out=z)
+        np.add(_WEYL[: z.size], np.uint64((base + GOLDEN * b) & MASK64), out=z)
 
-    return _mix(count, weyl.size, counters, threshold)
+    return _mix(_check_size(n, "n"), _BLOCK, counters, threshold)
 
 
 def _rows(seeds: np.ndarray, n, threshold) -> np.ndarray:
@@ -128,7 +117,7 @@ def _rows(seeds: np.ndarray, n, threshold) -> np.ndarray:
         raise TypeError(f"a seed array must be 1-D of integers, got shape {seeds.shape} dtype {seeds.dtype}")
     if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
         raise ValueError(f"seeds must be >= 0, got {seeds.min()}")
-    n, seeds = _check_size(n, "n"), seeds.astype(np.uint64)  # a range or an array n is no count: TypeError
+    n, seeds = _check_size(n, "n"), seeds.astype(np.uint64)  # an array n is no count: TypeError
     # row r's counters are seeds[r] + GOLDEN * (1 .. n); a block holds as many whole rows as fit, or one
     weyl = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN)
 

@@ -5,8 +5,9 @@ statistic for the root bit.  Conditioned on the previous fraction sigma,
 the next level's one-count is Binomial(L_next, g(sigma)) where g is the
 gate's conditional-mean curve.  This module propagates the two
 root-conditional distributions of that chain exactly, analyzes the
-g-curves (fixed points, Lipschitz constants), and provides the coupled
-and quenched Monte Carlo estimators.
+g-curves, and provides the coupled and quenched Monte Carlo estimators.
+The g-curve analysis (g', Lipschitz constant, fixed points) is derived from
+one period map, each model's gates in level order, each reading BSC(delta).
 
 Two named models are supported:
 
@@ -62,9 +63,6 @@ MODEL_ANDOR2 = "andor2"
 DELTA_MAJ = 1.0 / 6.0
 DELTA_ANDOR = (3.0 - math.sqrt(7.0)) / 4.0
 
-# Branch point of the andor2 Lipschitz formula.
-_ANDOR_LIP_BRANCH = (9.0 - math.sqrt(33.0)) / 12.0
-
 TAG_COUPLED = 4
 
 # Largest layer size ``exact_chain`` builds kernels for unless told otherwise.
@@ -72,12 +70,12 @@ DEFAULT_BUDGET = 4096
 
 
 class DegenerateThresholdError(ValueError):
-    """Raised when fixed points are requested exactly at a critical delta."""
+    """Raised when fixed points are requested within 1e-12 of a critical delta."""
 
 
 def _check_model(model: str) -> str:
     m = model.lower()
-    if m not in (MODEL_MAJ3, MODEL_ANDOR2):
+    if m not in _STAGES:
         raise ValueError(f"unknown model {model!r}")
     return m
 
@@ -87,7 +85,8 @@ def _check_model(model: str) -> str:
 
 
 # P(gate = 1) when each input bit is 1 with probability m.  The constants
-# are integers so the same code evaluates floats, arrays and Fractions.
+# are integers so the same code evaluates floats, arrays, Fractions and
+# polynomials.
 
 
 def _maj3_gate(m):
@@ -100,6 +99,11 @@ def _and_gate(m):
 
 def _or_gate(m):
     return 1 - (1 - m) ** 2
+
+
+# Each model's gates for one period, in level order: the step into level k
+# applies gate (k - 1) % len.
+_STAGES = {MODEL_MAJ3: (_maj3_gate,), MODEL_ANDOR2: (_or_gate, _and_gate)}
 
 
 def g_majority(sigma, delta):
@@ -122,32 +126,40 @@ def g_andor(sigma, delta):
     return g_and(g_or(sigma, delta), delta)
 
 
-def g_derivative(model: str, sigma, delta):
-    """d/dsigma of the model's g-curve (closed forms)."""
-    model = _check_model(model)
-    d = as_delta(delta, noiseless_ok=True)
-    s = np.asarray(sigma, dtype=float)
-    if model == MODEL_MAJ3:
-        m = convolve(s, d)
-        return 6.0 * (1.0 - 2.0 * d) * m * (1.0 - m)
-    inner = convolve(g_or(s, d), d)
-    return 4.0 * (1.0 - 2.0 * d) ** 2 * inner * (1.0 - convolve(s, d))
+# Each model's public period curve, which fixed points are checked against,
+# and the critical delta at which they merge.
+_PERIOD = {MODEL_MAJ3: (g_majority, DELTA_MAJ), MODEL_ANDOR2: (g_andor, DELTA_ANDOR)}
 
 
-def _stage_g(model: str, delta: float, k: int | None = None):
+def _stage_g(model: str, delta, k: int | None = None):
     """g-curve of the step into level k, or of one whole period if k is None.
 
-    maj3 applies g_majority at every level.  andor2 applies the OR stage
-    entering odd levels and the AND stage entering even levels, so its
-    period map, the one whose fixed points matter, is g_andor.
+    Each stage reads its input through BSC(delta) and applies its gate.  It
+    evaluates floats and arrays bit for bit as the public curves do,
+    ``Fraction``s exactly for a ``Fraction`` delta, and ``np.poly1d``s.
     """
-    if model == MODEL_MAJ3:
-        g = g_majority
-    elif k is None:
-        g = g_andor
-    else:
-        g = g_or if k % 2 == 1 else g_and
-    return lambda s: g(s, delta)
+    gates = _STAGES[model]
+    if k is not None:
+        gates = (gates[(k - 1) % len(gates)],)
+
+    def g(x):
+        for gate in gates:
+            x = gate(x * (1 - delta) + delta * (1 - x))
+        return x
+
+    return g
+
+
+def _period_poly(model: str, delta: float) -> np.poly1d:
+    """The period map as a polynomial in x, with float coefficients."""
+    return _stage_g(model, delta)(np.poly1d([1.0, 0.0]))
+
+
+def g_derivative(model: str, sigma, delta):
+    """d/dsigma of the model's period g-curve, from its polynomial."""
+    model = _check_model(model)
+    d = as_delta(delta, noiseless_ok=True)
+    return _period_poly(model, d).deriv()(np.asarray(sigma, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -168,91 +180,72 @@ class FixedPointReport:
     lipschitz: float
 
 
-def _exact_residual(model: str, delta: float, x: float):
-    """g(x) - x of the period map in exact rational arithmetic (a ``Fraction``)."""
-    from fractions import Fraction  # only this rare check needs it; keeps it off start-up
-
-    d, s = Fraction(delta), Fraction(x)
-
-    def noisy(v):
-        return v * (1 - d) + d * (1 - v)
-
-    if model == MODEL_MAJ3:
-        return _maj3_gate(noisy(s)) - s
-    return _and_gate(noisy(_or_gate(noisy(s)))) - s
-
-
-def _cross_check(model: str, delta: float, value: float, tol: float = 1e-10) -> None:
-    """Verify that a root of g(x) - x lies within ``tol`` of a closed form.
-
-    The bracket [value - tol, value + tol] isolates the root from its
-    neighbours, and the residual's sign at its ends is exact, since g is a
-    polynomial in x and delta.  Near the critical delta |g' - 1| falls to
-    1e-10, so float rounding of g(x) - x alone would move a float
-    bisection's root by up to 1e-7.
-    """
-    lo = max(0.0, value - tol)
-    hi = min(1.0, value + tol)
-    f_lo = _exact_residual(model, delta, lo)
-    f_hi = _exact_residual(model, delta, hi)
-    if f_lo != 0 and f_hi != 0 and (f_lo > 0) == (f_hi > 0):
-        raise ArithmeticError(
-            f"no root of g(x) - x within {tol:g} of closed-form fixed point {value}"
-        )
+def _in_unit(points) -> list[float]:
+    """The real parts of ``points`` that lie in [0, 1]."""
+    return [float(x) for x in np.real(points) if 0.0 <= x <= 1.0]
 
 
 def lipschitz(model: str, delta) -> float:
-    """Lipschitz constant of the model's g-curve over [0, 1]."""
+    """Lipschitz constant of the model's g-curve over [0, 1]: max |g'| at 0,
+    at 1 and at the roots of g'' (a real part that is no root only adds a
+    point, which cannot raise the maximum)."""
     model = _check_model(model)
-    d = as_delta(delta, noiseless_ok=True)
-    if model == MODEL_MAJ3:
-        return 1.5 * (1.0 - 2.0 * d)
-    if d <= _ANDOR_LIP_BRANCH:
-        return (4.0 * (1.0 - d) * (1.0 - 2.0 * d) / 3.0) ** 1.5
-    return 4.0 * d * (1.0 - d) ** 2 * (1.0 - 2.0 * d) ** 2 * (3.0 - 2.0 * d)
+    slope = _period_poly(model, as_delta(delta, noiseless_ok=True)).deriv()
+    return float(np.abs(slope(np.array([0.0, 1.0, *_in_unit(slope.deriv().roots)]))).max())
 
 
 def fixed_points(model: str, delta) -> FixedPointReport:
-    """Closed-form fixed points of g, each checked to lie within 1e-10 of a root.
+    """Fixed points of g, each a float next to a root of g(x) - x.
 
-    Below the critical delta the map has three fixed points, above it a
-    single one.  Exactly at the critical value the roots merge; that case
-    is reported as degenerate rather than returning a near-singular list.
+    g(x) - x is cut into monotone pieces at the roots of its derivative, and
+    also just either side of its own float roots (an extra cut does no
+    harm).  A piece whose ends differ in sign holds one root, bisected down
+    to two adjacent floats; the one with the smaller residual is reported.
+    Signs are exact, from the period map in rationals: near the critical
+    delta |g' - 1| falls to 1e-10, and float rounding of g(x) - x alone
+    would move a float bisection's root by up to 1e-7.
+
+    Below the critical delta the map has three fixed points, above it one.
+    Within 1e-12 of the critical value the roots merge; that is refused as
+    degenerate rather than returning a near-singular list.
     """
+    from fractions import Fraction  # only this exact search needs it; keeps it off start-up
+
     model = _check_model(model)
     d = as_delta(delta, noiseless_ok=True)
-    g = _stage_g(model, d)
+    g, critical = _PERIOD[model]
+    if abs(d - critical) < 1e-12:
+        raise DegenerateThresholdError(
+            f"{d!r} lies within 1e-12 of the critical delta {critical!r} of {model}, where the fixed points merge"
+        )
+    exact = _stage_g(model, Fraction(d))
 
-    if model == MODEL_MAJ3:
-        if abs(d - DELTA_MAJ) < 1e-12:
-            raise DegenerateThresholdError("delta = 1/6 is the degenerate triple root")
-        values = [0.5]
-        if d < DELTA_MAJ:
-            sigma_hat = 0.5 * (1.0 + math.sqrt((1.0 - 6.0 * d) / (1.0 - 2.0 * d) ** 3))
-            values = [1.0 - sigma_hat, 0.5, sigma_hat]
-    else:
-        if abs(d - DELTA_ANDOR) < 1e-12:
-            raise DegenerateThresholdError("delta = (3 - sqrt(7))/4 is degenerate")
-        b = 2.0 * (1.0 - d) * (1.0 - 2.0 * d)
-        denom = 2.0 * (1.0 - 2.0 * d) ** 2
-        a = 4.0 * (1.0 - d) * (1.0 - 2.0 * d) - 3.0
-        # t = (b + 1 - sqrt(a + 4)) / denom, rationalized to avoid the
-        # catastrophic cancellation near delta = 1/2 (note a + 4 = 2b + 1)
-        t = b * b / (denom * (b + 1.0 + math.sqrt(2.0 * b + 1.0)))
-        values = [t]
-        if d < DELTA_ANDOR:
-            t0 = (b - 1.0 - math.sqrt(a)) / denom
-            t1 = (b - 1.0 + math.sqrt(a)) / denom
-            values = sorted([t0, t, t1])
+    def residual(x: float):
+        return exact(Fraction(x)) - Fraction(x)
 
-    points = []
+    h = _period_poly(model, d) - np.poly1d([1.0, 0.0])
+    near = np.concatenate((h.deriv().roots, h.roots * (1 - 2.0**-40), h.roots * (1 + 2.0**-40)))
+    cuts = sorted({0.0, 1.0, *_in_unit(near)})
+    signs = [residual(x) for x in cuts]
+    values = [x for x, f in zip(cuts, signs) if f == 0]
+    for lo, hi, f_lo, f_hi in zip(cuts, cuts[1:], signs, signs[1:]):
+        if f_lo * f_hi >= 0:
+            continue
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            f_mid = residual(mid)
+            if (f_mid > 0) == (f_lo > 0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi, f_hi = mid, f_mid
+        values.append(lo if abs(f_lo) <= abs(f_hi) else hi)
+
+    values.sort()
     for v in values:
-        if abs(g(v) - v) >= 1e-12:
+        if abs(g(v, d) - v) >= 1e-12:
             raise ArithmeticError(f"fixed-point residual too large at {v}")
-        _cross_check(model, d, v)
-        slope = float(np.abs(g_derivative(model, v, d)))
-        points.append(FixedPoint(value=float(v), stable=slope < 1.0))
-    return FixedPointReport(model, d, tuple(points), lipschitz(model, d))
+    slopes = np.abs(g_derivative(model, values, d))
+    points = tuple(FixedPoint(value=v, stable=bool(s < 1.0)) for v, s in zip(values, slopes))
+    return FixedPointReport(model, d, points, lipschitz(model, d))
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +548,8 @@ def coupled_mc(
     """
     model = _check_model(model)
     d = as_delta(delta, noiseless_ok=True)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sp = np.ones(trials)

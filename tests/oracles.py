@@ -174,6 +174,57 @@ def dense_chain(
     return out
 
 
+# ---------------------------------------------------------------------------
+# Closed forms of the g-curve analysis, worked out by hand from the period maps
+# g_majority and g_andor = g_and o g_or; the library derives the same
+# quantities from the period map's polynomial.
+
+
+def g_derivative_closed_form(model: str, sigma, delta: float):
+    """d/dsigma of the period map: 6 (1 - 2d) m (1 - m) for maj3 with m the
+    noisy input, 4 (1 - 2d)^2 m' (1 - m) for andor2 with m' the noisy OR output."""
+    s = np.asarray(sigma, dtype=float)
+    m = s * (1.0 - delta) + delta * (1.0 - s)
+    if model == "maj3":
+        return 6.0 * (1.0 - 2.0 * delta) * m * (1.0 - m)
+    inner = g_or(s, delta) * (1.0 - delta) + delta * (1.0 - g_or(s, delta))
+    return 4.0 * (1.0 - 2.0 * delta) ** 2 * inner * (1.0 - m)
+
+
+def lipschitz_closed_form(model: str, delta: float) -> float:
+    """max |g'| over [0, 1]: at sigma = 1/2 for maj3; for andor2 at the interior
+    maximum up to delta = (9 - sqrt(33)) / 12 and at an end point beyond it."""
+    d = delta
+    if model == "maj3":
+        return 1.5 * (1.0 - 2.0 * d)
+    if d <= (9.0 - math.sqrt(33.0)) / 12.0:
+        return (4.0 * (1.0 - d) * (1.0 - 2.0 * d) / 3.0) ** 1.5
+    return 4.0 * d * (1.0 - d) ** 2 * (1.0 - 2.0 * d) ** 2 * (3.0 - 2.0 * d)
+
+
+def fixed_points_closed_form(model: str, delta: float) -> list[float]:
+    """Roots of g(x) - x in [0, 1] from the quadratic formula.
+
+    maj3: 1/2, and (1 +- sqrt((1 - 6d) / (1 - 2d)^3)) / 2 below d = 1/6.
+    andor2: g(x) - x factors into two quadratics; the middle root t is
+    rationalized to avoid the cancellation near d = 1/2, and the outer two
+    are real below d = (3 - sqrt(7)) / 4.
+    """
+    d = delta
+    if model == "maj3":
+        if d >= 1.0 / 6.0:
+            return [0.5]
+        sigma_hat = 0.5 * (1.0 + math.sqrt((1.0 - 6.0 * d) / (1.0 - 2.0 * d) ** 3))
+        return [1.0 - sigma_hat, 0.5, sigma_hat]
+    b = 2.0 * (1.0 - d) * (1.0 - 2.0 * d)
+    denom = 2.0 * (1.0 - 2.0 * d) ** 2
+    a = 4.0 * (1.0 - d) * (1.0 - 2.0 * d) - 3.0
+    t = b * b / (denom * (b + 1.0 + math.sqrt(2.0 * b + 1.0)))  # (b + 1 - sqrt(a + 4)) / denom, a + 4 = 2b + 1
+    if a <= 0.0:
+        return [t]
+    return sorted([(b - 1.0 - math.sqrt(a)) / denom, t, (b - 1.0 + math.sqrt(a)) / denom])
+
+
 def xor_grid_bits_by_recursion(
     depth: int, root: int, noise: dict[tuple[int, int, int], int]
 ) -> list[int]:

@@ -510,6 +510,10 @@ class TestExitCodes:
     def test_delta_out_of_range(self, argv, delta, capsys):
         _assert_config_error([*argv, "--delta", delta], "delta", capsys)
 
+    @pytest.mark.parametrize("model, critical", [("maj3", "0.16666666666666666"), ("andor2", "0.08856217223385232")])
+    def test_fixed_points_at_critical_delta(self, model, critical, capsys):
+        _assert_config_error(["fixed-points", "--model", model, "--delta", critical], "delta", capsys)
+
     def test_sweep_delta_names_config_field(self, tmp_path, capsys):
         _assert_config_error(["sweep", "--model", "grid-and", "--delta-start", "0"], "delta_start", capsys)
         cfg_path = tmp_path / "exp.cfg"

@@ -186,6 +186,10 @@ class TestPercolation:
         assert (right[:, 1:] == -1).all()
         assert estimate_alpha(0.0, 10, 3, seed=1).surviving == 0
 
+    def test_zero_depth_refused(self):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            estimate_alpha(0.7, 0, 10, seed=1)
+
     def test_p_validated(self):
         for p in (-0.1, 1.2):
             with pytest.raises(ConfigError, match="delta_start"):

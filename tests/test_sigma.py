@@ -36,7 +36,14 @@ from dagbroadcast.sigma import (
 from dagbroadcast.model import sample_random_dag
 from dagbroadcast import sigma as sigma_mod
 
-from oracles import dense_chain, gate_output_prob, kernel_toarray
+from oracles import (
+    dense_chain,
+    fixed_points_closed_form,
+    g_derivative_closed_form,
+    gate_output_prob,
+    kernel_toarray,
+    lipschitz_closed_form,
+)
 
 
 def make_dist(level, plus, minus):
@@ -156,6 +163,34 @@ class TestLipschitz:
         grid = np.linspace(0, 1, 10_001)
         sup = np.abs(g_derivative(model, grid, delta)).max()
         assert lipschitz(model, delta) >= sup - 1e-9
+
+
+def _deltas_around(critical: float) -> list[float]:
+    """A grid on both sides of the critical delta, from 0 to just below 1/2, and points within 1e-8 of it."""
+    below = np.linspace(0.0, critical - 1e-3, 25)
+    above = np.linspace(critical + 1e-3, 0.4999, 25)
+    return [float(d) for d in (*below, *above, *(critical + o for o in (-1e-8, -1e-10, 1e-10, 1e-8)))]
+
+
+class TestClosedForms:
+    """The analysis derived from the period map's polynomial agrees with the hand-worked closed forms."""
+
+    @pytest.mark.parametrize("model, critical", [("maj3", DELTA_MAJ), ("andor2", DELTA_ANDOR)])
+    def test_fixed_points_and_lipschitz(self, model, critical):
+        for d in _deltas_around(critical):
+            report = fixed_points(model, d)
+            want = fixed_points_closed_form(model, d)
+            assert len(report.points) == len(want), d
+            np.testing.assert_allclose([p.value for p in report.points], want, rtol=0, atol=1e-11, err_msg=str(d))
+            stable = np.abs(g_derivative_closed_form(model, np.array(want), d)) < 1.0
+            assert [p.stable for p in report.points] == stable.tolist(), d
+            assert abs(report.lipschitz - lipschitz_closed_form(model, d)) < 1e-14, d
+
+    @pytest.mark.parametrize("model", ["maj3", "andor2"])
+    def test_derivative(self, model):
+        xs = np.linspace(0.0, 1.0, 101)
+        for d in np.linspace(0.0, 0.4999, 30):
+            np.testing.assert_allclose(g_derivative(model, xs, d), g_derivative_closed_form(model, xs, d), rtol=0, atol=1e-14)
 
 
 class TestLogComb:
@@ -425,6 +460,10 @@ class TestCoupledMc:
         a = coupled_mc("maj3", 0.2, LayerSchedule.constant(8), 10, 500, seed=7)
         b = coupled_mc("maj3", 0.2, LayerSchedule.constant(8), 10, 500, seed=7)
         np.testing.assert_array_equal(a.mean_gap, b.mean_gap)
+
+    def test_zero_depth_refused(self):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            coupled_mc("maj3", 0.2, LayerSchedule.constant(8), 0, 10, seed=7)
 
 
 class TestQuenched:

@@ -127,8 +127,8 @@ def test_package_root_reexports_nothing():
 
 
 def test_cli_import_leaves_out_scipy_and_fractions():
-    """Start-up pays for numpy only: scipy and fractions stay unimported."""
+    """Start-up pays for numpy only: scipy, fractions and numpy.polynomial stay unimported."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = "import sys, dagbroadcast.cli; print(sorted({'scipy', 'fractions'} & set(sys.modules)))"
+    code = "import sys, dagbroadcast.cli; print(sorted({'scipy', 'fractions', 'numpy.polynomial'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"

@@ -18,7 +18,8 @@ and each interior node takes the symbol-wise AND (the minimum under the
 encoding 0c=0 < 1u=1 < 1c=2), so P(node >= s) is the product of its
 parents' channel tails (a boundary node has one parent).  Every edge
 feeds one node, so given a level the next level's nodes are independent,
-and each is one uniform u, drawn as [u < P(node >= 1u)] + [u < P(node >= 1c)].
+and each is one Bernoulli draw ranked against the nested cuts
+P(node >= 1u) >= P(node >= 1c), which gives the symbol 0c, 1u or 1c.
 Once a level is free of 1u the two runs have coalesced and stay equal
 forever, so P(T > k), with T the first 1u-free level, upper-bounds the
 TV distance between the root-conditional laws at level k.
@@ -28,8 +29,9 @@ each grid edge is open independently with probability p and the root's
 open cluster is tracked via its leftmost and rightmost reached nodes; a
 node with c reached parents is reached with probability 1 - (1 - p)^c.
 
-Both samplers draw node j of trial t at level k from position (k + 1)t + j
-of the level-k stream.
+Both samplers draw node j of trial t at level k from position s t + j of
+the level-k Bernoulli stream, s = k + 1 rounded up to a multiple of 4, so a
+trial's nodes start a word of the stream and are read four to a word.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ TAG_PERC = 9
 _NONE = 3  # the missing parent of a boundary node, which lets the other parent's symbol through
 
 
+def _stride(k: int) -> int:
+    """Stream positions per trial at level k: its k + 1 nodes, rounded up to a whole word of four draws."""
+    return (k + 4) & ~3
+
+
 def _node_tails(delta: float) -> np.ndarray:
     """P(node >= 1u) in row 0 and P(node >= 1c) in row 1, for the parent pair 4 * left + right."""
     tail = np.array([[delta, delta], [1.0 - delta, delta], [1.0 - delta, 1.0 - delta], [1.0, 1.0]])
@@ -95,9 +102,8 @@ def coupled_grid_runs(
         pair = np.full((live.size, k + 1), 5 * _NONE, dtype=np.int8)
         pair[:, :k] += state - _NONE  # right parent of nodes 0 .. k-1
         pair[:, 1:] += 4 * (state - _NONE)  # left parent of nodes 1 .. k
-        u = uniforms(derive_seed(seed, TAG_COUPLE, k), ((k + 1) * live)[:, None] + np.arange(k + 1))
-        new = (u < at_least_1u.take(pair)).view(np.int8)
-        new += u < at_least_1c.take(pair)
+        rows = (_stride(k) * live, k + 1)
+        new = uniforms(derive_seed(seed, TAG_COUPLE, k), rows, below=(at_least_1u, at_least_1c), at=pair).view(np.int8)
         ones = np.count_nonzero(new == SYM_1U, axis=1)
         counts[live, k] = ones
         done = ones == 0
@@ -161,8 +167,7 @@ def _percolation_reach(p: float, depth: int, trials: int, seed: int):
         parents = np.zeros((live.size, w + 1), dtype=np.uint8)
         parents[:, :w] = reach
         parents[:, 1:] += reach
-        u = uniforms(derive_seed(seed, TAG_PERC, k), ((k + 1) * live + lo)[:, None] + np.arange(w + 1))
-        new = u < reach_probs.take(parents)
+        new = uniforms(derive_seed(seed, TAG_PERC, k), (_stride(k) * live + lo, w + 1), below=reach_probs, at=parents)
         alive = new.any(axis=1)
         live, new = live[alive], new[alive]
         if live.size == 0:

@@ -109,12 +109,14 @@ NAND2 = Gate.from_function("NAND", 2, lambda a, b: 1 - (a & b))
 IDENTITY = Gate.from_function("IDENTITY", 1, lambda a: a)
 
 
-def convolve(sigma: float, delta: float) -> float:
-    """Probability that a Bernoulli(sigma) bit survives a BSC(delta) as 1."""
-    d = as_delta(delta, noiseless_ok=True)
-    if np.isscalar(sigma) and not 0.0 <= sigma <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
-    return sigma * (1.0 - d) + d * (1.0 - sigma)
+def convolve(sigma, delta):
+    """Probability that a Bernoulli(sigma) bit survives a BSC(delta) as 1.
+
+    The constants are integers, so the same code evaluates floats, arrays,
+    ``Fraction``s and polynomials.  It checks neither argument; the public
+    g-curves in ``sigma`` check theirs.
+    """
+    return sigma * (1 - delta) + delta * (1 - sigma)
 
 
 @dataclass(frozen=True)
@@ -234,9 +236,10 @@ def propagate_many(
     node and the edge noises are independent, so given level k - 1 the
     nodes of level k are independent: a node is 1 with probability
     ``gate.noisy_output_probs(delta)[w]`` for the word w of its noiseless
-    parent bits, and is drawn as one uniform below that probability.  The
-    draws do not depend on the bits, so calls that differ only in ``roots``
-    are coupled.  Noise comes from one derived counter stream per level,
+    parent bits, and is one Bernoulli draw of ``uniforms`` against that
+    probability (``below=`` the gate's table ``at=`` the words).  The draws
+    do not depend on the bits, so calls that differ only in ``roots`` are
+    coupled.  Noise comes from one derived counter stream per level,
     so the result is a pure function of (dag, gates, delta, roots, seed).
 
     Node v of trial t at level k owns position t * L_k + v of the level's stream.
@@ -256,6 +259,5 @@ def propagate_many(
         word = bits.take(parents[:, 0], axis=1).astype(np.min_scalar_type((1 << gate.arity) - 1), copy=False)
         for i in range(1, gate.arity):
             word |= np.left_shift(bits.take(parents[:, i], axis=1), i, dtype=word.dtype)
-        u = uniforms(derive_seed(seed, TAG_TRIAL, k), word.size).reshape(word.shape)
-        bits = (u < probs[gate].take(word)).view(np.uint8)
+        bits = uniforms(derive_seed(seed, TAG_TRIAL, k), word.shape, below=probs[gate], at=word).view(np.uint8)
     return bits

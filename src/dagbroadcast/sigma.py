@@ -106,19 +106,28 @@ def _or_gate(m):
 _STAGES = {MODEL_MAJ3: (_maj3_gate,), MODEL_ANDOR2: (_or_gate, _and_gate)}
 
 
+def _curve(model: str, k: int | None, sigma, delta):
+    """``_stage_g(model, delta, k)`` at sigma, both checked: sigma in [0, 1], delta in [0, 1/2)."""
+    x = np.asarray(sigma, dtype=float)
+    outside = ~((x >= 0.0) & (x <= 1.0))  # NaN too
+    if outside.any():
+        raise ValueError(f"sigma must lie in [0, 1], got {x[outside].flat[0]}")
+    return _stage_g(model, as_delta(delta, noiseless_ok=True), k)(x)
+
+
 def g_majority(sigma, delta):
     """Conditional mean map for the degree-3 majority model."""
-    return _maj3_gate(convolve(np.asarray(sigma, dtype=float), delta))
+    return _curve(MODEL_MAJ3, None, sigma, delta)
 
 
 def g_and(sigma, delta):
     """AND-stage map: probability both noisy inputs are 1."""
-    return _and_gate(convolve(np.asarray(sigma, dtype=float), delta))
+    return _curve(MODEL_ANDOR2, 2, sigma, delta)
 
 
 def g_or(sigma, delta):
     """OR-stage map: probability at least one noisy input is 1."""
-    return _or_gate(convolve(np.asarray(sigma, dtype=float), delta))
+    return _curve(MODEL_ANDOR2, 1, sigma, delta)
 
 
 def g_andor(sigma, delta):
@@ -134,9 +143,10 @@ _PERIOD = {MODEL_MAJ3: (g_majority, DELTA_MAJ), MODEL_ANDOR2: (g_andor, DELTA_AN
 def _stage_g(model: str, delta, k: int | None = None):
     """g-curve of the step into level k, or of one whole period if k is None.
 
-    Each stage reads its input through BSC(delta) and applies its gate.  It
-    evaluates floats and arrays bit for bit as the public curves do,
-    ``Fraction``s exactly for a ``Fraction`` delta, and ``np.poly1d``s.
+    Each stage reads its input through BSC(delta) (``model.convolve``) and
+    applies its gate.  It evaluates floats and arrays, ``Fraction``s exactly
+    for a ``Fraction`` delta, and ``np.poly1d``s; the public curves are its
+    views with checked arguments.
     """
     gates = _STAGES[model]
     if k is not None:
@@ -144,7 +154,7 @@ def _stage_g(model: str, delta, k: int | None = None):
 
     def g(x):
         for gate in gates:
-            x = gate(x * (1 - delta) + delta * (1 - x))
+            x = gate(convolve(x, delta))
         return x
 
     return g
@@ -542,9 +552,10 @@ def coupled_mc(
 ) -> CoupledChainStats:
     """Simulate the root=1 and root=0 chains under a monotone coupling.
 
-    Each node's Bernoulli draw in the two chains shares one uniform, so
-    the draws are comonotone given the pair of success probabilities and
-    the plus-chain fraction dominates the minus-chain fraction pathwise.
+    Each node's Bernoulli draws in the two chains are one draw against the
+    nested pair of success probabilities (``below=(pp, pm)``), so they are
+    comonotone, ties included, and the plus-chain fraction dominates the
+    minus-chain fraction pathwise.
     """
     model = _check_model(model)
     d = as_delta(delta, noiseless_ok=True)
@@ -564,11 +575,14 @@ def coupled_mc(
         L = schedule.size(k)
         g = _stage_g(model, d, k)
         pp = np.asarray(g(sp))
-        pm = np.asarray(g(sm))
-        u = uniforms(derive_seed(seed, TAG_COUPLED, k), trials * L).reshape(trials, L)
+        # g is increasing, so pm <= pp; near delta = 1/2 the floats can cross by an
+        # ulp, and the clamp keeps the two cuts nested
+        pm = np.minimum(g(sm), pp)
+        # a node's rank is 2 where both chains hold a 1, 1 where only the plus chain does
+        rank = uniforms(derive_seed(seed, TAG_COUPLED, k), (trials, L), below=(pp[:, None], pm[:, None]))
         # a count of 0/1 values is exact, so this equals the mean bit for bit
-        sp = np.count_nonzero(u < pp[:, None], axis=1) / L
-        sm = np.count_nonzero(u < pm[:, None], axis=1) / L
+        sp = np.count_nonzero(rank, axis=1) / L
+        sm = np.count_nonzero(rank == 2, axis=1) / L
         gap = sp - sm
         prob_unequal[k - 1] = float((gap != 0).mean())
         mean_gap[k - 1] = float(gap.mean())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -507,14 +508,14 @@ def percolation_node_law(p: float) -> np.ndarray:
 
 def percolation_edges_by_loop(p: float, depth: int, trials: int, seed: int):
     """Rightmost and leftmost reached node per (trial, level), -1 once the cluster
-    has died, by walking each trial's nodes one by one over the same uniforms."""
+    has died, by walking each trial's nodes one by one over the same draws."""
     law = percolation_node_law(p)
     right = np.full((trials, depth + 1), -1, dtype=np.int64)
     left = np.full((trials, depth + 1), -1, dtype=np.int64)
     reached = [{0} for _ in range(trials)]
     right[:, 0] = left[:, 0] = 0
     for k in range(1, depth + 1):
-        u = uniform_matrix(derive_seed(seed, TAG_PERC, k), (trials, k + 1))
+        u = node_matrix(derive_seed(seed, TAG_PERC, k), trials, k)
         for t in range(trials):
             nxt = {j for j in range(k + 1) if u[t, j] < law[(j - 1 in reached[t]) + (j in reached[t])]}
             reached[t] = nxt
@@ -524,9 +525,10 @@ def percolation_edges_by_loop(p: float, depth: int, trials: int, seed: int):
 
 
 def grid_level_step_by_floats(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """``grid._grid_level_step`` node by node from the float draws: node j's edge
-    from parent j - 1 flips where u[..., j - 1, 1] < delta, from parent j where u[..., j, 0] < delta."""
-    u = uniform_matrix(derive_seed(seed, TAG_GRID, k), prev.shape[:-1] + (k, 2))
+    """``grid._grid_level_step`` node by node from the uniforms behind its Bernoulli
+    draws: node j's edge from parent j - 1 flips where u[..., j - 1, 1] < delta,
+    from parent j where u[..., j, 0] < delta."""
+    u = bernoulli_matrix(derive_seed(seed, TAG_GRID, k), prev.shape[:-1] + (k, 2))
     flip = (u < delta).astype(np.uint8)
     out = np.empty(prev.shape[:-1] + (k + 1,), dtype=np.uint8)
     for j in range(k + 1):
@@ -539,22 +541,69 @@ def grid_level_step_by_floats(f1: Gate, f2: Gate, delta: float, prev: np.ndarray
     return out
 
 
-def uniforms_reference(seed: int, n: int) -> np.ndarray:
-    """The counter stream in one shot: element i is the SplitMix64 finalizer of
-    seed + golden * (i + 1) mod 2^64, its top 53 bits scaled into [0, 1)."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
+def _splitmix_words(seed: int, positions: np.ndarray) -> np.ndarray:
+    """Words at ``positions`` of the counter stream in one shot: the SplitMix64
+    finalizer of seed + golden * (position + 1) mod 2^64."""
     with np.errstate(over="ignore"):
-        z = np.uint64(seed % (1 << 64)) + np.uint64(0x9E3779B97F4A7C15) * idx
+        z = np.uint64(seed % (1 << 64)) + np.uint64(0x9E3779B97F4A7C15) * (positions + np.uint64(1))
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
+        return z ^ (z >> np.uint64(31))
+
+
+def uniforms_reference(seed: int, n: int) -> np.ndarray:
+    """The counter stream in one shot: element i is word i's top 53 bits scaled into [0, 1)."""
+    z = _splitmix_words(seed, np.arange(n, dtype=np.uint64))
     return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def bernoulli_uniforms_reference(seed: int, positions: np.ndarray) -> np.ndarray:
+    """The uniform m * 2^-53 behind each Bernoulli draw, in one shot: m is lane q mod 4
+    (16 bits, lowest first) of word q div 4 over the top 37 bits of word
+    q div 4 + (2 (q mod 4) + 1) * 2^61.  A Bernoulli draw below p is this uniform below p."""
+    q = np.asarray(positions, dtype=np.uint64)
+    word, lane = q >> np.uint64(2), q & np.uint64(3)
+    with np.errstate(over="ignore"):
+        refine = word + ((np.uint64(2) * lane + np.uint64(1)) << np.uint64(61))
+    top = (_splitmix_words(seed, word) >> (np.uint64(16) * lane)) & np.uint64(0xFFFF)
+    m = (top << np.uint64(37)) | (_splitmix_words(seed, refine) >> np.uint64(27))
+    return m.astype(np.float64) * (2.0 ** -53)
+
+
+def _splitmix(x: int) -> int:
+    x &= (1 << 64) - 1
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) % (1 << 64)
+    return x ^ (x >> 31)
+
+
+def bernoulli_draw_reference(seed: int, q: int) -> int:
+    """The 53-bit integer behind Bernoulli draw q, in Python integers: lane
+    q mod 4 of word q div 4 (bits 16 (q mod 4) and up) times 2^37, plus the
+    top 37 bits of word q div 4 + (2 (q mod 4) + 1) * 2^61 (the refinement)."""
+    w, lane = divmod(q, 4)
+    word = _splitmix(seed + 0x9E3779B97F4A7C15 * (w + 1))
+    refinement = _splitmix(seed + 0x9E3779B97F4A7C15 * (w + (2 * lane + 1) * 2**61 + 1))
+    return ((word >> (16 * lane)) & 0xFFFF) * 2**37 + (refinement >> 27)
+
+
+def threshold_reference(p: float) -> int:
+    """ceil(p * 2^53) clamped to [0, 2^53], from the exact rational value of p (NaN gives 0):
+    a 53-bit m is below p * 2^53 exactly when it is below this."""
+    p = float(p)
+    if math.isnan(p) or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return 2**53
+    return math.ceil(Fraction(p) * 2**53)
 
 
 # ---------------------------------------------------------------------------
 # Dense Monte Carlo: every draw of every level, whether or not a result reads it.
 # The library's consumers evaluate only the stream positions they read; these
-# draw each level's whole block, so the two must agree bit for bit.
+# draw each level's whole block, so the two must agree bit for bit.  They read
+# the uniform m * 2^-53 behind each Bernoulli draw from the one-shot reference
+# and compare it in floats, which is exact: m * 2^-53 < p iff m < ceil(p * 2^53).
 
 
 def uniform_matrix(seed: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -563,6 +612,18 @@ def uniform_matrix(seed: int, shape: tuple[int, ...]) -> np.ndarray:
         if s < 0:
             raise ValueError(f"shape[{i}] must be >= 0, got {s}")
     return uniforms(seed, math.prod(shape)).reshape(shape)
+
+
+def bernoulli_matrix(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The uniforms behind the first Bernoulli draws of ``seed``, reshaped to ``shape``."""
+    return bernoulli_uniforms_reference(seed, np.arange(math.prod(shape))).reshape(shape)
+
+
+def node_matrix(seed: int, trials: int, k: int) -> np.ndarray:
+    """The uniforms behind the level-k nodes of the coupled grid and percolation:
+    trial t's k + 1 nodes start at position s t, s = k + 1 rounded up to a multiple of 4."""
+    stride = -(-(k + 1) // 4) * 4
+    return bernoulli_matrix(seed, (trials, stride))[:, : k + 1]
 
 
 def propagate_many_dense(dag, gate_at, delta: float, roots: np.ndarray, seed: int) -> np.ndarray:
@@ -577,7 +638,7 @@ def propagate_many_dense(dag, gate_at, delta: float, roots: np.ndarray, seed: in
         gate = gate_at(k)
         if gate not in laws:
             laws[gate] = gate_node_law(gate, d)
-        u = uniform_matrix(derive_seed(seed, TAG_TRIAL, k), (trials, dag.layer_sizes[k]))
+        u = bernoulli_matrix(derive_seed(seed, TAG_TRIAL, k), (trials, dag.layer_sizes[k]))
         word = np.zeros(u.shape, dtype=np.int64)
         for i in range(dag.d):
             word |= bits[:, dag.parents[k - 1][:, i]].astype(np.int64) << i
@@ -594,7 +655,7 @@ def coupled_grid_runs_dense(delta: float, max_depth: int, trials: int, seed: int
     counts[:, 0] = 1
     none = np.full((trials, 1), NO_PARENT, dtype=np.int8)
     for k in range(1, max_depth + 1):
-        u = uniform_matrix(derive_seed(seed, TAG_COUPLE, k), (trials, k + 1))
+        u = node_matrix(derive_seed(seed, TAG_COUPLE, k), trials, k)
         state = channel_step_where(np.hstack([none, state]), np.hstack([state, none]), delta, u)
         counts[:, k] = (state == SYM_1U).sum(axis=1)
         times[(times < 0) & (counts[:, k] == 0)] = k
@@ -610,7 +671,7 @@ def percolation_reach_dense(p: float, depth: int, trials: int, seed: int):
     left = np.full((trials, depth + 1), -1, dtype=np.int64)
     right[:, 0] = left[:, 0] = 0
     for k in range(1, depth + 1):
-        u = uniform_matrix(derive_seed(seed, TAG_PERC, k), (trials, k + 1))
+        u = node_matrix(derive_seed(seed, TAG_PERC, k), trials, k)
         reached_parents = np.zeros((trials, k + 1), dtype=np.int64)
         reached_parents[:, :k] += reach
         reached_parents[:, 1:] += reach

@@ -2,8 +2,8 @@
 
 Each value is a pure function of (config, seed).  A deliberate change to
 a stream must update these values and say so in CHANGES.md.  The draw
-counts pin each sampler's stream layout: one uniform per node, or per
-grid edge, that the result can read.
+counts pin each sampler's stream layout: one draw per node, or per grid
+edge, that the result can read.
 """
 
 import hashlib
@@ -23,54 +23,54 @@ def _sha(a: np.ndarray) -> str:
 def test_quenched_error_count():
     dag = model.sample_random_dag(3, 3, model.LayerSchedule.parse("log:10"), 30)
     est = sigma.quenched_error_estimate(dag, model.MAJ3, 0.12, sigma.majority_rule, 400, 5)
-    assert (round(est.p_err * est.trials), est.trials) == (40, 400)
+    assert (round(est.p_err * est.trials), est.trials) == (28, 400)
 
 
 def test_coupled_mc():
     stats = sigma.coupled_mc("maj3", 0.12, model.LayerSchedule.parse("const:8"), 12, 200, 9)
     assert stats.prob_unequal.tolist() == [
-        1.0, 1.0, 1.0, 1.0, 0.99, 0.985, 0.97, 0.96, 0.935, 0.89, 0.885, 0.855,
+        1.0, 1.0, 1.0, 1.0, 1.0, 0.99, 0.98, 0.965, 0.94, 0.935, 0.91, 0.88,
     ]
     assert stats.mean_gap.tolist() == [
-        0.926875, 0.884375, 0.860625, 0.815625, 0.7775, 0.75,
-        0.703125, 0.685, 0.675625, 0.650625, 0.625625, 0.58625,
+        0.9025, 0.851875, 0.82, 0.79625, 0.775625, 0.738125,
+        0.7125, 0.69375, 0.665, 0.62625, 0.61625, 0.59375,
     ]
 
 
 def test_coupled_grid_runs():
     times, counts = coupling.coupled_grid_runs(0.05, 30, 40, 4)
     assert times.tolist() == [
-        -1, 27, 12, -1, 27, 3, 1, 28, 2, 9, 7, 18, 11, 13, -1, 13, 24, 9, 16, 29,
-        18, 8, 20, 5, 13, 14, 27, -1, 21, 9, 14, 13, -1, -1, 9, 7, 16, 22, 14, 24,
+        4, 16, 11, 7, 9, 13, 17, 13, -1, 16, 7, 17, 6, 8, 18, -1, 13, -1, 3, 11,
+        8, 10, 23, -1, 19, -1, 19, 15, 21, 12, 20, 14, -1, 17, 2, 10, -1, 6, 18, 2,
     ]
     assert counts.dtype == np.int32 and counts.shape == (40, 31)
-    assert _sha(counts) == "0a8fe8f6061169dfd7423cf7e1e0869f216e9f4e538900f20486da430eec19c0"
+    assert _sha(counts) == "83548a527fed4854d38972fb9afa8fc97d5947c39ffb9fb674f611f773da820a"
 
 
 def test_estimate_alpha():
     est = coupling.estimate_alpha(0.65, 60, 100, 6)
-    assert (est.alpha, est.surviving) == (0.102102534562212, 56)
+    assert (est.alpha, est.surviving) == (0.13280645161290322, 50)
 
 
 def test_erasure_failure_frequency():
-    assert xorcode.erasure_mc_error_bound(12, 0.1, 200, 8).failure_freq == 0.865
+    assert xorcode.erasure_mc_error_bound(12, 0.1, 200, 8).failure_freq == 0.88
 
 
 GRID_MC = {
     "AND2": (
-        [0.828, 0.764, 0.692, 0.622, 0.542, 0.464],
-        [0.04610635285972026, 0.08479524750168238, 0.1183695250854365,
-         0.15734722911778587, 0.1896739262481221, 0.22543196871399707],
+        [0.85, 0.806, 0.704, 0.61, 0.494, 0.43],
+        [0.04293818105387501, 0.08024836937378772, 0.12138561904905423,
+         0.1604866185526305, 0.19265681843045512, 0.21406897055045376],
     ),
     "XOR2": (
-        [0.828, 0.654, 0.566, 0.466, 0.406, 0.394],
-        [0.04610635285972026, 0.0957176969050188, 0.15435089606491836,
-         0.2328739392958295, 0.337005805603672, 0.47278880900713494],
+        [0.85, 0.686, 0.586, 0.472, 0.422, 0.406],
+        [0.04293818105387501, 0.09134016980202173, 0.15139225645284776,
+         0.23139647907137822, 0.33541890014296616, 0.4689284154828933],
     ),
     "NAND2": (
-        [0.828, 0.764, 0.592, 0.52, 0.426, 0.418],
-        [0.04610635285972026, 0.08479524750168238, 0.13865766647564637,
-         0.2052955198147413, 0.27518253216476185, 0.3853904175900145],
+        [0.85, 0.806, 0.618, 0.538, 0.444, 0.404],
+        [0.04293818105387501, 0.08024836937378772, 0.13420943386521894,
+         0.20219343632628575, 0.27312270033184827, 0.3850726210881929],
     ),
 }
 
@@ -87,9 +87,9 @@ def test_grid_mc_tv_estimate(gate):
 @pytest.mark.parametrize(
     "k, delta, trials, failures",
     [
-        (32, 0.05, 300, 273),  # 528 edges a trial: the patterns span several blocks of the stream
-        (64, 0.02, 40, 34),
-        (1, 0.2, 50, 4),
+        (32, 0.05, 300, 278),  # 528 edges a trial: a batch spans several blocks of the stream
+        (64, 0.02, 40, 37),
+        (1, 0.2, 50, 9),
     ],
 )
 def test_erasure_failures_at_seed_7(k, delta, trials, failures):

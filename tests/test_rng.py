@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
-from dagbroadcast.rng import _BLOCK, GOLDEN, MASK64, _threshold, derive_seed, mix64, uniforms
+from dagbroadcast.rng import _BLOCK, _LANE_WORDS, GOLDEN, MASK64, _threshold, derive_seed, mix64, uniforms
 from dagbroadcast.stats import wilson_interval
-from oracles import uniform_matrix, uniforms_reference
+from oracles import (
+    bernoulli_draw_reference,
+    bernoulli_uniforms_reference,
+    threshold_reference,
+    uniform_matrix,
+    uniforms_reference,
+)
 
 
 class TestMix64:
@@ -121,6 +127,27 @@ class TestPositionForms:
         assert got.dtype == np.float64
         assert got.tobytes() == self.REF[start:stop:step].tobytes()
 
+    @pytest.mark.parametrize("width", [0, 1, 9, _BLOCK + 3])
+    def test_segments_are_rows_of_the_stream(self, width):
+        starts = np.array([0, 5, 7, 2 * _BLOCK - 4, 40], dtype=np.int64)
+        got = uniforms(self.SEED, (starts, width))
+        assert got.shape == (5, width) and got.dtype == np.float64
+        assert got.tobytes() == self.REF[starts[:, None] + np.arange(width)].tobytes()
+
+    @pytest.mark.parametrize(
+        "n, error, match",
+        [
+            ((np.zeros((2, 2), dtype=np.int64), 3), TypeError, "starts must be 1-D"),
+            ((np.array([1, -2]), 3), ValueError, "positions must be >= 0"),
+            ((np.array([1.0]), 3), TypeError, "positions must be integers"),
+            ((np.array([1, 2]), -1), ValueError, "width must be >= 0"),
+        ],
+    )
+    def test_segments_refused(self, n, error, match):
+        for below in (None, 0.5):
+            with pytest.raises(error, match=match):
+                uniforms(self.SEED, n, below=below)
+
     def test_range_refused(self):
         for below in (None, 0.5):
             with pytest.raises(TypeError, match="'range' object cannot be interpreted as an integer"):
@@ -186,7 +213,9 @@ class TestPositionForms:
 
 
 class TestBelow:
-    """``below=p`` is the float compare ``uniforms(...) < p``, element for element, in every position form."""
+    """``below=`` draws equal the Python-integer reference bit for bit: draw q is
+    m < ceil(p * 2^53) for the 53-bit m = lane * 2^37 + refinement, which is the
+    float compare u < p of the uniform u = m * 2^-53 behind the draw."""
 
     SEED = derive_seed(11, 4)
     THRESHOLDS = [0.0, -0.0, 5e-324, 2.0**-53, 0.1, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.5, -0.3,
@@ -196,22 +225,126 @@ class TestBelow:
     def _positions(form: str, n: int):
         if form == "count":
             return n
-        if form == "range":
+        if form == "range":  # strided: no two draws share a word
             return np.arange(5, 5 + 3 * n, 3)
+        if form == "segments":  # rows of 9 consecutive positions, each from lane 3 of a word
+            return 12 * np.arange(n // 9) + 3, 9
+        if form == "mixed-segments":  # rows from different lanes: drawn a position at a time
+            return np.arange(n // 9) * 13 + 1, 9
         return np.random.default_rng(n).integers(0, 4 * _BLOCK, size=(n, 1))
 
-    @pytest.mark.parametrize("form", ["count", "range", "gather"])
+    @classmethod
+    def _draws(cls, pos) -> np.ndarray:
+        """The reference's 53-bit draws at ``pos`` (a count, positions or row segments), shaped as the result."""
+        if isinstance(pos, tuple):
+            pos = pos[0][:, None] + np.arange(pos[1])
+        flat = range(pos) if isinstance(pos, int) else pos.reshape(-1).tolist()
+        m = np.array([bernoulli_draw_reference(cls.SEED, q) for q in flat], dtype=np.uint64)
+        return m if isinstance(pos, int) else m.reshape(pos.shape)
+
+    @staticmethod
+    def _tie_thresholds(m: np.ndarray) -> list[float]:
+        """Thresholds that tie with drawn lanes: a draw's own value (excluded) and the
+        next 53-bit value (included), and k * 2^-16 for its lane k with both float neighbours."""
+        out = []
+        for v in (int(m.flat[m.size // 2]), int(m.min()), int(m.max())):
+            lane_cut = (v >> 37) * 2.0**-16
+            out += [v * 2.0**-53, (v + 1) * 2.0**-53, lane_cut, np.nextafter(lane_cut, 0.0), np.nextafter(lane_cut, 1.0)]
+        return out
+
+    @pytest.mark.parametrize("form", ["count", "range", "gather", "segments", "mixed-segments"])
     @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK + 1])
     def test_equals_float_compare(self, form, n):
         pos = self._positions(form, n)
-        u = uniforms(self.SEED, pos)
-        # a threshold equal to a drawn value excludes it; the next float up includes it
-        # (below 1/2 that float lies between two multiples of 2^-53)
-        hits = [u.flat[n // 2], u.min(), u.max()]
-        for p in [*self.THRESHOLDS, *hits, *np.nextafter(hits, 1.0)]:
+        m = self._draws(pos)
+        for p in [*self.THRESHOLDS, *self._tie_thresholds(m)]:
             got = uniforms(self.SEED, pos, below=p)
-            assert got.dtype == bool and got.shape == u.shape
-            np.testing.assert_array_equal(got, u < p, err_msg=f"p = {p!r}")
+            assert got.dtype == bool and got.shape == m.shape
+            want = m < np.uint64(threshold_reference(p))
+            np.testing.assert_array_equal(got, want, err_msg=f"p = {p!r}")
+        # a draw's own value is a tie that its refinement excludes
+        v = int(m.flat[m.size // 2])
+        assert not uniforms(self.SEED, pos, below=v * 2.0**-53).flat[m.size // 2]
+        assert uniforms(self.SEED, pos, below=(v + 1) * 2.0**-53).flat[m.size // 2]
+
+    @pytest.mark.parametrize("n", [4 * _LANE_WORDS - 1, 4 * _LANE_WORDS + 5])
+    def test_across_lane_blocks(self, n):
+        m = self._draws(n)
+        for p in [0.3, *self._tie_thresholds(m)]:
+            np.testing.assert_array_equal(uniforms(self.SEED, n, below=p), m < np.uint64(threshold_reference(p)))
+
+    def test_seed_rows(self):
+        seeds = np.array([0, 1, 2**63, 2**64 - 1, derive_seed(3, 10, 7)], dtype=np.uint64)
+        m = np.array([[bernoulli_draw_reference(int(s), q) for q in range(301)] for s in seeds], dtype=np.uint64)
+        for p in [0.0, 0.37, 1.0, np.nan, *self._tie_thresholds(m)]:
+            np.testing.assert_array_equal(uniforms(seeds, 301, below=p), m < np.uint64(threshold_reference(p)))
+
+    @pytest.mark.parametrize("form", ["count", "gather", "segments", "mixed-segments"])
+    def test_table_at_index(self, form):
+        pos = self._positions(form, 2000)
+        m = self._draws(pos)
+        table = np.array([*self.THRESHOLDS, *self._tie_thresholds(m)])
+        at = np.random.default_rng(1).integers(0, table.size, size=m.shape)
+        shape = m.shape if form == "count" else pos
+        got = uniforms(self.SEED, shape, below=table, at=at)
+        assert got.dtype == bool and got.shape == m.shape
+        cuts = np.array([threshold_reference(p) for p in table], dtype=np.uint64)
+        np.testing.assert_array_equal(got, m < cuts[at])
+
+    def test_threshold_array_broadcasts(self):
+        pos = self._positions("segments", 2000)
+        m = self._draws(pos)
+        per_row = np.resize(self._tie_thresholds(m) + [0.5, np.nan], len(pos[0]))[:, None]  # (222, 1) against (222, 9)
+        got = uniforms(self.SEED, pos, below=per_row)
+        assert got.dtype == bool and got.shape == m.shape == (len(per_row), 9)
+        cuts = np.array([threshold_reference(p) for p in per_row[:, 0]], dtype=np.uint64)[:, None]
+        np.testing.assert_array_equal(got, m < cuts)
+        with pytest.raises(ValueError):
+            uniforms(self.SEED, (4, 5), below=np.full(3, 0.5))
+
+    @pytest.mark.parametrize("form", ["count", "gather", "segments", "mixed-segments"])
+    def test_nested_cuts(self, form):
+        pos = self._positions(form, 2000)
+        m = self._draws(pos)
+        v = int(m.flat[7])
+        pairs = [(0.5, 0.2), (1.0, 0.0), (0.3, 0.3), (np.nan, -1.0), (np.inf, 1.0),
+                 ((v + 1) * 2.0**-53, v * 2.0**-53), (v * 2.0**-53, (v >> 37) * 2.0**-16)]
+        t1, t2 = (np.array(t) for t in zip(*pairs))
+        at = np.random.default_rng(2).integers(0, len(pairs), size=m.shape)
+        shape = m.shape if form == "count" else pos
+        got = uniforms(self.SEED, shape, below=(t1, t2), at=at)
+        assert got.dtype == np.uint8 and got.shape == m.shape
+        cut1 = np.array([threshold_reference(t) for t in t1], dtype=np.uint64)[at]
+        cut2 = np.array([threshold_reference(t) for t in t2], dtype=np.uint64)[at]
+        np.testing.assert_array_equal(got, (m < cut1).astype(np.uint8) + (m < cut2))
+        # one scalar pair draws the same ranks as a table of that pair
+        np.testing.assert_array_equal(uniforms(self.SEED, shape, below=(0.5, 0.2)), (m < 2**52).astype(np.uint8) + (m < np.uint64(threshold_reference(0.2))))
+
+    def test_nested_cuts_must_nest(self):
+        with pytest.raises(ValueError, match="t1 >= t2"):
+            uniforms(self.SEED, 10, below=(0.2, 0.5))
+        with pytest.raises(ValueError, match="t1 >= t2"):
+            uniforms(self.SEED, 10, below=(np.array([0.5, 0.1]), np.array([0.2, 0.2])), at=np.zeros(10, dtype=np.intp) + 1)
+        with pytest.raises(ValueError, match="a pair"):
+            uniforms(self.SEED, 10, below=(0.5, 0.4, 0.3))
+        with pytest.raises(TypeError, match="needs below="):
+            uniforms(self.SEED, 10, at=np.zeros(10, dtype=np.intp))
+
+    def test_positions_below_2_63(self):
+        p = 2**63 - 1
+        got = uniforms(self.SEED, np.array([p], dtype=np.uint64), below=0.5)
+        assert got[0] == (bernoulli_draw_reference(self.SEED, p) < 2**52)
+        with pytest.raises(ValueError, match="< 2\\^63"):
+            uniforms(self.SEED, np.array([2**63], dtype=np.uint64), below=0.5)
+        assert uniforms(self.SEED, (np.array([p - 3], dtype=np.uint64), 4), below=0.5).shape == (1, 4)
+        with pytest.raises(ValueError, match="< 2\\^63"):
+            uniforms(self.SEED, (np.array([p - 3], dtype=np.uint64), 5), below=0.5)
+
+    def test_matches_one_shot_reference(self):
+        # the numpy one-shot reference the dense oracles use agrees with the integer one
+        pos = np.random.default_rng(5).integers(0, 2**40, size=3000)
+        want = np.array([bernoulli_draw_reference(self.SEED, int(q)) for q in pos]) * 2.0**-53
+        assert bernoulli_uniforms_reference(self.SEED, pos).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "p, want",
@@ -221,12 +354,49 @@ class TestBelow:
     )
     def test_integer_threshold(self, p, want):
         # the largest draw m = 2^53 - 1 is below 1.0, so the clamp must be 2^53, not 2^53 - 1
-        assert _threshold(p) == want
+        assert _threshold(p) == want == threshold_reference(p)
 
     def test_empty(self):
-        got = uniforms(self.SEED, 0, below=0.5)
-        assert got.shape == (0,) and got.dtype == bool
+        for n, shape in ((0, (0,)), ((3, 0), (3, 0)), (np.zeros((2, 0), dtype=np.int64), (2, 0)),
+                         ((np.array([], dtype=np.int64), 4), (0, 4)), ((np.array([3, 6]), 0), (2, 0))):
+            got = uniforms(self.SEED, n, below=0.5)
+            assert got.shape == shape and got.dtype == bool
+        assert uniforms(self.SEED, 0, below=(0.5, 0.2)).dtype == np.uint8
 
+
+class TestNestedCutsAtTies:
+    """Two cuts sharing their lane cut hi: the one refinement decides both, so the
+    rank stays monotone, (u < t2) never without (u < t1)."""
+
+    SEED = derive_seed(8, 1)
+    N = 1 << 20
+
+    def test_refinement_decides_both(self):
+        m = (bernoulli_uniforms_reference(self.SEED, np.arange(self.N)) * 2.0**53).astype(np.uint64)
+        lanes = m >> np.uint64(37)
+        lane = int(np.bincount(lanes).argmax())
+        tied = lanes == lane
+        r = np.sort(m[tied] & np.uint64(2**37 - 1))
+        cut1, cut2 = (lane << 37) + int(r[2 * r.size // 3]), (lane << 37) + int(r[r.size // 3])
+        rank = uniforms(self.SEED, self.N, below=(cut1 * 2.0**-53, cut2 * 2.0**-53))
+        assert rank.dtype == np.uint8 and set(np.unique(rank).tolist()) <= {0, 1, 2}
+        np.testing.assert_array_equal(rank, (m < np.uint64(cut1)).astype(np.uint8) + (m < np.uint64(cut2)))
+        assert set(rank[tied].tolist()) == {0, 1, 2}  # the refinement put tied draws on all three sides
+        for q in np.flatnonzero(tied):
+            assert bernoulli_draw_reference(self.SEED, int(q)) == int(m[q])
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5 - 2.0**-30])
+    def test_coupled_grid_tables_never_give_one_zero(self, delta):
+        # at delta = 1/2 - 2^-30, P(>= 1u) and P(>= 1c) of a 1u parent share hi
+        from dagbroadcast.coupling import _node_tails
+
+        at_least_1u, at_least_1c = _node_tails(delta)
+        pair = np.random.default_rng(3).integers(0, 16, size=(600, 100))
+        rank = uniforms(self.SEED, pair.shape, below=(at_least_1u, at_least_1c), at=pair)
+        u = bernoulli_uniforms_reference(self.SEED, np.arange(pair.size)).reshape(pair.shape)
+        plus, minus = u < at_least_1u[pair], u < at_least_1c[pair]
+        assert not (minus & ~plus).any()  # the root-0 run never holds a 1 the root-1 run lacks
+        np.testing.assert_array_equal(rank, plus.astype(np.uint8) + minus)
 
 class TestSeedArray:
     """A 1-D seed array gives one row per seed, each the count form of that seed, bit for bit."""

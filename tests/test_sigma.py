@@ -86,6 +86,29 @@ class TestGCurves:
         for s in np.linspace(0, 1, 33):
             assert g_majority(1 - s, 0.2) == pytest.approx(1 - g_majority(s, 0.2))
 
+    @pytest.mark.parametrize("curve", [g_majority, g_and, g_or, g_andor], ids=lambda g: g.__name__)
+    @pytest.mark.parametrize(
+        "sigma", [1.5, -0.6, -1e-300, 1.0 + 2**-52, np.nan, np.inf, np.asarray(1.5), np.asarray(-0.1), [0.2, 2.0]],
+        ids=repr,
+    )
+    def test_sigma_outside_unit_refused(self, curve, sigma):
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            curve(sigma, 0.1)
+
+    @pytest.mark.parametrize("curve", [g_majority, g_and, g_or, g_andor], ids=lambda g: g.__name__)
+    def test_bit_for_bit_the_bsc_then_gate_formula(self, curve):
+        # the curves read sigma through x (1 - d) + d (1 - x) in floats and apply
+        # each stage's gate; ends and subnormals of [0, 1] are accepted
+        s = np.concatenate([np.linspace(0.0, 1.0, 1001), [5e-324, np.nextafter(1.0, 0.0)]])
+        stages = {g_majority: ("maj",), g_and: ("and",), g_or: ("or",), g_andor: ("or", "and")}[curve]
+        gates = {"maj": lambda m: m**2 * (3 - 2 * m), "and": lambda m: m**2, "or": lambda m: 1 - (1 - m) ** 2}
+        for d in (0.0, 0.1, DELTA_MAJ, 0.3, float(np.nextafter(0.5, 0.0))):
+            want = s
+            for stage in stages:
+                want = gates[stage](want * (1.0 - d) + d * (1.0 - want))
+            assert curve(s, d).tobytes() == want.tobytes()
+            assert curve(float(s[321]), d) == want[321]
+
     @given(st.floats(0, 1), st.floats(0.01, 0.49))
     def test_derivative_matches_finite_difference(self, s, d):
         h = 1e-6
@@ -447,6 +470,14 @@ class TestCoupledMc:
         stats = coupled_mc("maj3", 0.25, LayerSchedule.constant(16), 20, 20_000, seed=2)
         assert stats.min_gap >= 0
         assert stats.monotone_fraction == 1.0
+
+    @pytest.mark.parametrize("model", ["maj3", "andor2"])
+    @pytest.mark.parametrize("delta", [0.5 - 2.0**-20, float(np.nextafter(0.5, 0.0))])
+    def test_monotone_where_the_cuts_share_hi(self, model, delta):
+        # near delta = 1/2 both chains' node laws lie within 2^-16 of 1/2, so they
+        # share their lane cut and the one refinement decides both
+        stats = coupled_mc(model, delta, LayerSchedule.constant(1000), 6, 40, 3)
+        assert stats.monotone_fraction == 1.0 and stats.min_gap >= 0
         for i, k in enumerate(stats.levels):
             bound = 0.75 ** int(k)
             assert stats.mean_gap[i] <= bound + 3 * stats.sem_gap[i]

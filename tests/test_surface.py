@@ -7,8 +7,9 @@ own ``def``/``class`` statement, its ``__all__`` entry and its imports do
 not count, and neither do unit tests: a function only they call belongs
 in ``tests/oracles.py`` as a reference, or nowhere.  Likewise every public
 method of a library class must be reached as an attribute (``.name``) in
-those same files.  And a ``src/`` draw compared with one threshold asks
-``uniforms`` for ``below=`` rather than comparing the floats it returns.
+those same files.  And a ``src/`` draw compared with a threshold asks
+``uniforms`` for ``below=`` rather than comparing the floats it returns,
+directly or through a name.
 """
 
 import ast
@@ -98,6 +99,50 @@ def test_single_threshold_draws_use_below(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if _draw_compared_below(node)]
     assert not lines, f"{path.name} compares a uniforms(...) result with < on lines {lines}; pass below= instead"
+
+
+def _draw_names(tree: ast.AST) -> set[str]:
+    """Names assigned from an expression that calls ``uniforms``, such as ``u = uniforms(...).reshape(...)``."""
+    return {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", "")) == "uniforms"
+                for call in ast.walk(node.value))
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def _named_draws_compared_below(tree: ast.AST) -> list[int]:
+    """Lines where a name holding a ``uniforms(...)`` result is compared with ``<``."""
+    names = _draw_names(tree)
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, ast.Lt) for op in node.ops)
+        and any(isinstance(side, ast.Name) and side.id in names for side in (node.left, *node.comparators))
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_threshold_draws_never_compare_floats(path):
+    """No draw reaches a ``<`` through a name either: threshold draws are Bernoulli draws
+    (``below=``), and the float stream only feeds arithmetic such as ``u * size``."""
+    lines = _named_draws_compared_below(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} compares a name holding a uniforms(...) result with < on lines {lines}; pass below= instead"
+
+
+def test_named_draw_guard_sees_the_old_float_compares():
+    # the three shapes the node-law samplers once had
+    for code in (
+        "u = uniforms(s, n).reshape(a, b)\nbits = (u < q.take(w)).view(np.uint8)",
+        "u = uniforms(s, pos)\nnew = (u < t.take(pair)).view(np.int8)\nnew += u < c.take(pair)",
+        "u = uniforms(s, n)\nsp = np.count_nonzero(u < pp[:, None], axis=1)",
+    ):
+        assert _named_draws_compared_below(ast.parse(code))
+    assert not _named_draws_compared_below(ast.parse("u = uniforms(s, n).reshape(a, d)\nx = np.minimum((u * size).astype(int), size - 1)"))
 
 
 def _rng_imports(tree: ast.AST) -> list[str]:

@@ -29,7 +29,6 @@ __all__ = [
     "IDENTITY",
     "LayerSchedule",
     "DagRealization",
-    "convolve",
     "sample_random_dag",
     "propagate_many",
 ]
@@ -112,9 +111,10 @@ IDENTITY = Gate.from_function("IDENTITY", 1, lambda a: a)
 def convolve(sigma, delta):
     """Probability that a Bernoulli(sigma) bit survives a BSC(delta) as 1.
 
-    The constants are integers, so the same code evaluates floats, arrays,
-    ``Fraction``s and polynomials.  It checks neither argument; the public
-    g-curves in ``sigma`` check theirs.
+    Internal and unchecked, so it is not exported: the constants are
+    integers, so the same code evaluates floats, arrays, ``Fraction``s and
+    polynomials, which no range check could take.  The public g-curves in
+    ``sigma`` check sigma in [0, 1] and delta in [0, 1/2) before they call it.
     """
     return sigma * (1 - delta) + delta * (1 - sigma)
 

@@ -14,10 +14,8 @@ Scheme
   finalizer at every step.
 * ``uniforms(seed, n)`` is the float stream: the uniform at position p is
   word p mapped to [0, 1) with 53-bit resolution.  ``n`` names the
-  positions: a count (or a shape) for the first ones in row-major order,
-  an integer array for a gather (the result takes the array's shape), or
-  row segments ``(starts, width)``, row r holding positions starts[r] ..
-  starts[r] + width - 1.
+  positions: a count for the first ones, or an integer array for a gather
+  (the result takes the array's shape).
   Each element is a pure function of its position, so the stream is
   evaluated in cache-resident blocks with in-place array steps, and a
   consumer evaluates only the positions it reads; neither changes a value.
@@ -25,7 +23,11 @@ Scheme
   to ``uniforms(seeds[r], n)``, and a block holds whole rows.
 * ``uniforms(seed, n, below=p)`` is the Bernoulli stream: bools, draw q
   true with probability exactly T / 2^53, T = ceil(p * 2^53) clamped to
-  [0, 2^53] (NaN gives 0), and no float is formed.  Draw q is the 53-bit
+  [0, 2^53] (NaN gives 0), and no float is formed.  Besides a count, a
+  gather and a seed array, ``n`` may be a shape (the first positions in
+  row-major order) or row segments ``(starts, width)``, row r holding
+  positions starts[r] .. starts[r] + width - 1, where every start lies
+  at the same lane offset (start mod 4).  Draw q is the 53-bit
   integer m = lane * 2^37 + r compared with T, where the lane is 16-bit
   lane q mod 4 (bits 16 l .. 16 l + 15) of word q div 4, and r is the top
   37 bits of word q div 4 + (2 l + 1) * 2^61.  Lane and r are independent
@@ -112,14 +114,15 @@ def _threshold(p) -> np.ndarray:
 def uniforms(seed: "int | np.ndarray", n, below=None, at=None) -> np.ndarray:
     """Return the draws at positions ``n`` of the counter stream of ``seed``.
 
-    ``n`` is a count or a shape (the first positions, row-major), an integer
-    array of positions (the result has its shape), or row segments
-    ``(starts, width)`` (row r holds positions starts[r] .. starts[r] +
-    width - 1); anything else, a ``range`` say, raises ``TypeError``.  A
-    1-D integer array of seeds with a count ``n`` gives one row per seed.
+    ``n`` is a count or an integer array of positions (the result has its
+    shape); anything else, a ``range`` say, raises ``TypeError``.  A 1-D
+    integer array of seeds with a count ``n`` gives one row per seed.
     Without ``below`` the draws are uniforms in [0, 1); with it they are
     Bernoulli draws (see the module docstring): bools for one threshold or
-    table (``at=``), a uint8 rank for a pair of nested cuts ``(t1, t2)``.
+    table (``at=``), a uint8 rank for a pair of nested cuts ``(t1, t2)``,
+    and ``n`` may also be a shape (the first positions, row-major) or row
+    segments ``(starts, width)`` (row r holds positions starts[r] ..
+    starts[r] + width - 1) whose starts share one lane offset, start mod 4.
     """
     if below is None:
         if at is not None:
@@ -128,22 +131,18 @@ def uniforms(seed: "int | np.ndarray", n, below=None, at=None) -> np.ndarray:
     return _bernoulli(*_lane_rows(seed, n), below, at)
 
 
-def _is_segments(n) -> bool:
-    return isinstance(n, tuple) and len(n) == 2 and isinstance(n[0], np.ndarray)
-
-
-def _segments(n, bernoulli: bool) -> tuple[np.ndarray, int]:
+def _segments(n) -> tuple[np.ndarray, int, int]:
+    """(starts, width, off) of Bernoulli row segments, off their one lane offset."""
     starts, width = _positions(n[0], False), _check_size(n[1], "width")
     if starts.ndim != 1:
         raise TypeError(f"segment starts must be 1-D, got shape {starts.shape}")
     starts = starts.astype(np.uint64)
-    if bernoulli and starts.size and width and int(starts.max()) + width > 1 << 63:
+    if starts.size and width and int(starts.max()) + width > 1 << 63:
         raise ValueError(f"Bernoulli positions must be < 2^63, got {int(starts.max()) + width - 1}")
-    return starts, width
-
-
-def _shape(n) -> tuple[int, ...]:
-    return tuple(_check_size(s, "n") for s in n) if isinstance(n, tuple) else (_check_size(n, "n"),)
+    off = starts & np.uint64(3)
+    if width and not (off == off[:1]).all():  # an empty row reads no lane
+        raise ValueError("segment starts must share one lane offset (start mod 4)")
+    return starts, width, int(off[0]) if off.size else 0
 
 
 def _seed_array(seeds: np.ndarray) -> np.ndarray:
@@ -181,9 +180,6 @@ def _mix_in_place(z: np.ndarray, t: np.ndarray) -> None:
 
 
 def _floats(seed, n) -> np.ndarray:
-    if _is_segments(n):
-        starts, width = _segments(n, bernoulli=False)
-        n = starts[:, None] + np.arange(width, dtype=np.uint64)
     if isinstance(seed, np.ndarray):
         seeds, n = _seed_array(seed), _check_size(n, "n")
         # row r's counters are seeds[r] + GOLDEN * (1 .. n); a block holds as many whole rows as fit, or one
@@ -204,12 +200,12 @@ def _floats(seed, n) -> np.ndarray:
 
         return _mix(flat.size, _BLOCK, counters).reshape(n.shape)
     # element i of a block starting at element b has counter seed + GOLDEN*(b + i + 1) = base_b + _WEYL[i]
-    base, shape = int(seed), _shape(n)
+    base = int(seed)
 
     def counters(z, b):
         np.add(_WEYL[: z.size], np.uint64((base + GOLDEN * b) & MASK64), out=z)
 
-    return _mix(math.prod(shape), _BLOCK, counters).reshape(shape)
+    return _mix(_check_size(n, "n"), _BLOCK, counters)
 
 
 def _mix(n: int, block: int, counters) -> np.ndarray:
@@ -236,10 +232,10 @@ def _mix(n: int, block: int, counters) -> np.ndarray:
 #
 # A call draws rows: row r reads lanes off .. off + width - 1 of the words
 # whose counters are bases[r] + GOLDEN * (1, 2, ...), and its draws fill the
-# result's flat entries r * width .. (r + 1) * width - 1.  A count is one
-# row from base seed, a seed array a row per seed, a segment a row from the
-# word its start lies in, and a gather a row of width 1 per position, each
-# with its own lane offset.
+# result's flat entries r * width .. (r + 1) * width - 1.  A count or a
+# shape is one row from base seed, a seed array a row per seed, a segment a
+# row from the word its start lies in, and a gather a row of width 1 per
+# position, each with its own lane offset.
 
 
 def _lane_rows(seed, n) -> tuple[np.ndarray, "int | np.ndarray", int, tuple]:
@@ -248,16 +244,13 @@ def _lane_rows(seed, n) -> tuple[np.ndarray, "int | np.ndarray", int, tuple]:
         bases, width = _seed_array(seed), _check_size(n, "n")  # an array n is no count: TypeError
         return bases, 0, width, (bases.size, width)
     seed = int(seed) & MASK64
-    if _is_segments(n):
-        starts, width = _segments(n, bernoulli=True)
-        off = starts & np.uint64(3)
-        if not off.size or (off == off[0]).all():
-            return _word_bases(seed, starts), int(off[0]) if off.size else 0, width, (starts.size, width)
-        n = starts[:, None] + np.arange(width, dtype=np.uint64)  # rows from several lane offsets: a gather
+    if isinstance(n, tuple) and len(n) == 2 and isinstance(n[0], np.ndarray):
+        starts, width, off = _segments(n)
+        return _word_bases(seed, starts), off, width, (starts.size, width)
     if isinstance(n, np.ndarray):
         q = _positions(n, bernoulli=True).reshape(-1)
         return _word_bases(seed, q), (q & 3).astype(np.intp), 1, n.shape
-    shape = _shape(n)
+    shape = tuple(_check_size(s, "n") for s in n) if isinstance(n, tuple) else (_check_size(n, "n"),)
     return np.array([seed], dtype=np.uint64), 0, math.prod(shape), shape
 
 

@@ -127,13 +127,6 @@ class TestPositionForms:
         assert got.dtype == np.float64
         assert got.tobytes() == self.REF[start:stop:step].tobytes()
 
-    @pytest.mark.parametrize("width", [0, 1, 9, _BLOCK + 3])
-    def test_segments_are_rows_of_the_stream(self, width):
-        starts = np.array([0, 5, 7, 2 * _BLOCK - 4, 40], dtype=np.int64)
-        got = uniforms(self.SEED, (starts, width))
-        assert got.shape == (5, width) and got.dtype == np.float64
-        assert got.tobytes() == self.REF[starts[:, None] + np.arange(width)].tobytes()
-
     @pytest.mark.parametrize(
         "n, error, match",
         [
@@ -141,12 +134,17 @@ class TestPositionForms:
             ((np.array([1, -2]), 3), ValueError, "positions must be >= 0"),
             ((np.array([1.0]), 3), TypeError, "positions must be integers"),
             ((np.array([1, 2]), -1), ValueError, "width must be >= 0"),
+            ((np.array([4, 9]), 3), ValueError, "share one lane offset"),
         ],
     )
     def test_segments_refused(self, n, error, match):
-        for below in (None, 0.5):
-            with pytest.raises(error, match=match):
-                uniforms(self.SEED, n, below=below)
+        with pytest.raises(error, match=match):
+            uniforms(self.SEED, n, below=0.5)
+
+    @pytest.mark.parametrize("n", [(3, 4), (np.array([0, 4]), 3)], ids=["shape", "segments"])
+    def test_float_stream_takes_no_shape_or_segments(self, n):
+        with pytest.raises(TypeError, match="'tuple' object cannot be interpreted as an integer"):
+            uniforms(self.SEED, n)
 
     def test_range_refused(self):
         for below in (None, 0.5):
@@ -229,8 +227,6 @@ class TestBelow:
             return np.arange(5, 5 + 3 * n, 3)
         if form == "segments":  # rows of 9 consecutive positions, each from lane 3 of a word
             return 12 * np.arange(n // 9) + 3, 9
-        if form == "mixed-segments":  # rows from different lanes: drawn a position at a time
-            return np.arange(n // 9) * 13 + 1, 9
         return np.random.default_rng(n).integers(0, 4 * _BLOCK, size=(n, 1))
 
     @classmethod
@@ -252,7 +248,7 @@ class TestBelow:
             out += [v * 2.0**-53, (v + 1) * 2.0**-53, lane_cut, np.nextafter(lane_cut, 0.0), np.nextafter(lane_cut, 1.0)]
         return out
 
-    @pytest.mark.parametrize("form", ["count", "range", "gather", "segments", "mixed-segments"])
+    @pytest.mark.parametrize("form", ["count", "range", "gather", "segments"])
     @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK + 1])
     def test_equals_float_compare(self, form, n):
         pos = self._positions(form, n)
@@ -279,7 +275,7 @@ class TestBelow:
         for p in [0.0, 0.37, 1.0, np.nan, *self._tie_thresholds(m)]:
             np.testing.assert_array_equal(uniforms(seeds, 301, below=p), m < np.uint64(threshold_reference(p)))
 
-    @pytest.mark.parametrize("form", ["count", "gather", "segments", "mixed-segments"])
+    @pytest.mark.parametrize("form", ["count", "gather", "segments"])
     def test_table_at_index(self, form):
         pos = self._positions(form, 2000)
         m = self._draws(pos)
@@ -302,7 +298,7 @@ class TestBelow:
         with pytest.raises(ValueError):
             uniforms(self.SEED, (4, 5), below=np.full(3, 0.5))
 
-    @pytest.mark.parametrize("form", ["count", "gather", "segments", "mixed-segments"])
+    @pytest.mark.parametrize("form", ["count", "gather", "segments"])
     def test_nested_cuts(self, form):
         pos = self._positions(form, 2000)
         m = self._draws(pos)

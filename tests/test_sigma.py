@@ -470,6 +470,9 @@ class TestCoupledMc:
         stats = coupled_mc("maj3", 0.25, LayerSchedule.constant(16), 20, 20_000, seed=2)
         assert stats.min_gap >= 0
         assert stats.monotone_fraction == 1.0
+        for i, k in enumerate(stats.levels):
+            bound = 0.75 ** int(k)
+            assert stats.mean_gap[i] <= bound + 3 * stats.sem_gap[i]
 
     @pytest.mark.parametrize("model", ["maj3", "andor2"])
     @pytest.mark.parametrize("delta", [0.5 - 2.0**-20, float(np.nextafter(0.5, 0.0))])
@@ -478,9 +481,6 @@ class TestCoupledMc:
         # share their lane cut and the one refinement decides both
         stats = coupled_mc(model, delta, LayerSchedule.constant(1000), 6, 40, 3)
         assert stats.monotone_fraction == 1.0 and stats.min_gap >= 0
-        for i, k in enumerate(stats.levels):
-            bound = 0.75 ** int(k)
-            assert stats.mean_gap[i] <= bound + 3 * stats.sem_gap[i]
 
     def test_subcritical_separation(self):
         stats = coupled_mc("maj3", 0.1, LayerSchedule.constant(64), 50, 4000, seed=3)

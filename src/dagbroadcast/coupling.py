@@ -199,8 +199,13 @@ class AlphaEstimate:
 
 
 def estimate_alpha(p: float, depth: int, trials: int, seed: int) -> AlphaEstimate:
+    """Estimate the edge speed alpha(p) from ``trials`` percolation runs of ``depth`` levels (see ``AlphaEstimate``)."""
+    if not 0.0 <= p <= 1.0:  # NaN fails both comparisons
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     reach, right, left = _percolation_reach(p, depth, trials, seed)
     alive = reach.any(axis=1)
     n_alive = int(alive.sum())

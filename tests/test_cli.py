@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -422,6 +423,7 @@ class TestMain:
     def test_entry_point_module(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dagbroadcast.cli", "bounds", "--delta", "0.3"],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
             capture_output=True,
             text=True,
         )

@@ -190,6 +190,16 @@ class TestPercolation:
         with pytest.raises(ValueError, match="depth must be >= 1"):
             estimate_alpha(0.7, 0, 10, seed=1)
 
+    @pytest.mark.parametrize(
+        "p, trials, match",
+        [(1.5, 20, "p must lie in \\[0, 1\\], got 1.5"), (-0.1, 20, "p must lie in \\[0, 1\\], got -0.1"),
+         (float("nan"), 20, "p must lie in \\[0, 1\\], got nan"), (0.7, 0, "trials must be >= 1"),
+         (0.7, -3, "trials must be >= 1")],
+    )
+    def test_bad_arguments_refused(self, p, trials, match):
+        with pytest.raises(ValueError, match=match):
+            estimate_alpha(p, 10, trials, seed=1)
+
     def test_p_validated(self):
         for p in (-0.1, 1.2):
             with pytest.raises(ConfigError, match="delta_start"):

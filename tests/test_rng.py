@@ -1,13 +1,14 @@
 """Tests for the counter-based RNG and shared statistics helpers."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
-from dagbroadcast.rng import _BLOCK, _LANE_WORDS, GOLDEN, MASK64, _threshold, derive_seed, mix64, uniforms
+from dagbroadcast.rng import _BLOCK, GOLDEN, MASK64, _threshold, derive_seed, mix64, uniforms
 from dagbroadcast.stats import wilson_interval
 from oracles import (
     bernoulli_draw_reference,
@@ -91,6 +92,11 @@ class TestUniforms:
             uniform_matrix(3, (2, -1))
 
 
+def _at(seed: int, p: int) -> float:
+    """Stream element at position ``p`` from the scalar finalizer, in Python integers."""
+    return (mix64((seed + GOLDEN * (p + 1)) & MASK64) >> 11) * 2.0 ** -53
+
+
 class TestStreamBitIdentity:
     """The blocked evaluation returns the one-shot counter stream, bit for bit."""
 
@@ -100,22 +106,19 @@ class TestStreamBitIdentity:
         got, want = uniforms(seed, n), uniforms_reference(seed, n)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+        assert [float(u) for u in got[-2:]] == [_at(seed, p) for p in range(max(0, n - 2), n)]
 
     def test_pinned_hash(self):
         digest = hashlib.sha256(uniforms(2718, 10**6).tobytes()).hexdigest()
         assert digest == "ce3b46950a27c8a49d05677e6d7785854fd811b5acb9e0e0458a4e6f822bf249"
 
 
-def _at(seed: int, p: int) -> float:
-    """Stream element at position ``p`` from the scalar finalizer, in Python integers."""
-    return (mix64((seed + GOLDEN * (p + 1)) & MASK64) >> 11) * 2.0 ** -53
-
-
 class TestPositionForms:
-    """Array positions read the same stream as the count form; a ``range`` is refused."""
+    """Bernoulli row segments read the same stream as the count form; the float
+    stream takes a count only, and a gather or a ``range`` is refused."""
 
     SEED = derive_seed(5, 2, 9)
-    REF = uniforms_reference(SEED, 4 * _BLOCK)
+    REF = uniforms(SEED, 4 * _BLOCK + 5, below=0.5)
 
     @pytest.mark.parametrize("step", [1, 2, 3, 100, _BLOCK + 1])
     @pytest.mark.parametrize(
@@ -123,9 +126,11 @@ class TestPositionForms:
         [(0, _BLOCK - 1), (0, _BLOCK), (0, _BLOCK + 1), (1, 2 * _BLOCK + 1), (_BLOCK - 1, 4 * _BLOCK)],
     )
     def test_range_is_strided_slice(self, start, stop, step):
-        got = uniforms(self.SEED, np.arange(start, stop, step))
-        assert got.dtype == np.float64
-        assert got.tobytes() == self.REF[start:stop:step].tobytes()
+        # starts stepping by whole words, as the coupled grid's and percolation's stride * trial + lo
+        starts = np.arange(start, stop, 4 * step)
+        got = uniforms(self.SEED, (starts, 5), below=0.5)
+        assert got.dtype == bool and got.shape == (starts.size, 5)
+        assert got.tobytes() == self.REF[starts[:, None] + np.arange(5)].tobytes()
 
     @pytest.mark.parametrize(
         "n, error, match",
@@ -151,45 +156,48 @@ class TestPositionForms:
             with pytest.raises(TypeError, match="'range' object cannot be interpreted as an integer"):
                 uniforms(self.SEED, range(4), below=below)
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.uint16])
-    def test_gather_keeps_shape(self, dtype):
-        pos = np.random.default_rng(3).integers(0, 2**16, size=(7, 11)).astype(dtype)
-        got = uniforms(self.SEED, pos)
-        assert got.shape == (7, 11)
-        assert got.tobytes() == self.REF[pos.astype(np.int64)].tobytes()
-
-    def test_gather_across_blocks(self):
-        pos = np.arange(4 * _BLOCK)[::-1].copy()
-        assert uniforms(self.SEED, pos).tobytes() == self.REF[::-1].tobytes()
+    @pytest.mark.parametrize("below", [None, 0.5])
+    @pytest.mark.parametrize("pos", [np.array([3]), np.arange(5, dtype=np.uint64), np.zeros((2, 3), dtype=np.int32)])
+    def test_gather_refused(self, pos, below):
+        with pytest.raises(TypeError, match="only integer scalar arrays"):
+            uniforms(self.SEED, pos, below=below)
 
     @pytest.mark.parametrize(
         "n, shape",
-        [(np.arange(0), (0,)), (np.arange(9, 9), (0,)), (np.arange(7, 3), (0,)), (np.arange(7, -3, 100), (0,)),
-         (np.array([], dtype=np.int64), (0,)), (np.zeros((2, 0), dtype=np.int64), (2, 0))],
+        [((0,), (0,)), ((2, 0, 3), (2, 0, 3)), ((0, 5), (0, 5)), ((np.array([], dtype=np.uint64), 0), (0, 0)),
+         ((np.array([1, 6]), 0), (2, 0)), ((np.array([], dtype=np.int32), 7), (0, 7))],
     )
     def test_empty(self, n, shape):
-        got = uniforms(self.SEED, n)
-        assert got.shape == shape and got.dtype == np.float64
+        # an empty row reads no lane, so width-0 segments may start at mixed lane offsets
+        got = uniforms(self.SEED, n, below=0.5)
+        assert got.shape == shape and got.dtype == bool
 
     @pytest.mark.parametrize("p", [2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**63 - 1])
     def test_positions_beyond_32_bits(self, p):
-        want = _at(self.SEED, p)
-        assert uniforms(self.SEED, np.array([p], dtype=np.int64))[0] == want
-        assert uniforms(self.SEED, np.arange(p - 6, p + 1, 3, dtype=np.uint64))[-1] == want
+        m = bernoulli_draw_reference(self.SEED, p)
+        for dtype in (np.int64, np.uint64):
+            # the draw's own value is excluded and the next one included, which pins all 53 bits
+            for starts, width in ((np.array([p], dtype=dtype), 1), (np.array([p - 10, p - 6], dtype=dtype), 7)):
+                assert not uniforms(self.SEED, (starts, width), below=m * 2.0**-53)[-1, -1]
+                assert uniforms(self.SEED, (starts, width), below=(m + 1) * 2.0**-53)[-1, -1]
 
     def test_top_uint64_position(self):
-        p = 2**64 - 1  # its counter is seed + GOLDEN * 2^64 = seed mod 2^64
-        assert uniforms(self.SEED, np.array([p], dtype=np.uint64))[0] == _at(self.SEED, p)
+        # a start near 2^64 is refused, not wrapped round to a low word
+        for starts in (np.array([2**64 - 1], dtype=np.uint64), np.array([4, 2**64 - 4], dtype=np.uint64)):
+            with pytest.raises(ValueError, match="< 2\\^63"):
+                uniforms(self.SEED, (starts, 1), below=0.5)
 
-    @pytest.mark.parametrize("n", [np.arange(-1, 5), np.arange(-3, -1), np.array([4, -1, 2]), np.array([[-5]])])
+    @pytest.mark.parametrize(
+        "n", [(np.array([-4, 0]), 3), (np.arange(-3, -1), 0), (np.array([4, -1, 2]), 1), (np.array([-5], dtype=np.int8), 2)]
+    )
     def test_negative_position_refused(self, n):
         with pytest.raises(ValueError, match="positions must be >= 0"):
-            uniforms(self.SEED, n)
+            uniforms(self.SEED, n, below=0.5)
 
-    @pytest.mark.parametrize("pos", [np.array([0.0, 1.0]), np.array([True, False])])
+    @pytest.mark.parametrize("pos", [np.array([0.0, 4.0]), np.array([True, False])])
     def test_non_integer_positions_refused(self, pos):
         with pytest.raises(TypeError, match="positions must be integers"):
-            uniforms(self.SEED, pos)
+            uniforms(self.SEED, (pos, 3), below=0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -197,17 +205,35 @@ class TestPositionForms:
         st.integers(0, 3 * _BLOCK),
         st.integers(0, 3 * _BLOCK),
         st.integers(1, 40),
+        st.integers(0, 9),
     )
-    def test_range_matches_reference(self, seed, start, length, step):
-        ref = uniforms_reference(seed, start + length)
-        assert uniforms(seed, np.arange(start, start + length, step)).tobytes() == ref[start::step].tobytes()
+    def test_range_matches_reference(self, seed, start, length, step, width):
+        # segments at a range of starts against the one-shot numpy reference of the uniforms behind the draws
+        starts = np.arange(start, start + length, 4 * step)
+        ref = bernoulli_uniforms_reference(seed, starts[:, None] + np.arange(width, dtype=np.int64))
+        assert np.array_equal(uniforms(seed, (starts, width), below=0.3), ref < 0.3)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, MASK64), st.lists(st.integers(0, 2 * _BLOCK), max_size=200))
-    def test_gather_matches_reference(self, seed, pos):
-        ref = uniforms_reference(seed, 2 * _BLOCK + 1)
-        got = uniforms(seed, np.array(pos, dtype=np.int64))
-        assert got.tobytes() == ref[np.array(pos, dtype=np.int64)].tobytes()
+    @given(
+        st.integers(0, MASK64),
+        st.integers(0, 3),
+        st.one_of(st.tuples(st.integers(0, 300), st.integers(0, 1200)),
+                  st.tuples(st.integers(4 * _BLOCK - 8, 4 * _BLOCK + 8), st.integers(0, 3))),
+        st.integers(_BLOCK - 400, _BLOCK),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_segments_match_count_stream(self, seed, off, size, first, spread):
+        # starts in the words around the count stream's first block edge; rows of up to 300 draws
+        # (76 words) fill a block at about 430 rows, and a row of about 4 * _BLOCK draws crosses one
+        width, rows = size
+        starts = 4 * (first + np.random.default_rng(spread).integers(0, 400, size=rows)) + off
+        cols = starts[:, None] + np.arange(width)
+        n = int(cols.max()) + 1 if cols.size else 0
+        # the cuts share the lane cut 2^15, so about one draw in 2^16 is a tie its refinement settles
+        t1, t2 = 0.5 + 2.0**-17, 0.5 + 2.0**-18
+        assert uniforms(seed, (starts, width), below=t1).tobytes() == uniforms(seed, n, below=t1)[cols].tobytes()
+        rank = uniforms(seed, (starts, width), below=(t1, t2))
+        assert rank.dtype == np.uint8 and rank.tobytes() == uniforms(seed, n, below=(t1, t2))[cols].tobytes()
 
 
 class TestBelow:
@@ -223,20 +249,19 @@ class TestBelow:
     def _positions(form: str, n: int):
         if form == "count":
             return n
-        if form == "range":  # strided: no two draws share a word
-            return np.arange(5, 5 + 3 * n, 3)
-        if form == "segments":  # rows of 9 consecutive positions, each from lane 3 of a word
-            return 12 * np.arange(n // 9) + 3, 9
-        return np.random.default_rng(n).integers(0, 4 * _BLOCK, size=(n, 1))
+        if form == "shape":  # the first positions, row-major in rows of 7
+            return n // 7, 7
+        return 12 * np.arange(n // 9) + 3, 9  # segments: rows of 9 consecutive positions, each from lane 3 of a word
 
     @classmethod
     def _draws(cls, pos) -> np.ndarray:
-        """The reference's 53-bit draws at ``pos`` (a count, positions or row segments), shaped as the result."""
-        if isinstance(pos, tuple):
-            pos = pos[0][:, None] + np.arange(pos[1])
-        flat = range(pos) if isinstance(pos, int) else pos.reshape(-1).tolist()
-        m = np.array([bernoulli_draw_reference(cls.SEED, q) for q in flat], dtype=np.uint64)
-        return m if isinstance(pos, int) else m.reshape(pos.shape)
+        """The reference's 53-bit draws at ``pos`` (a count, a shape or row segments), shaped as the result."""
+        if isinstance(pos, tuple) and isinstance(pos[0], np.ndarray):
+            q = pos[0][:, None] + np.arange(pos[1])
+        else:
+            q = np.arange(math.prod(pos) if isinstance(pos, tuple) else pos).reshape(pos)
+        m = np.array([bernoulli_draw_reference(cls.SEED, x) for x in q.reshape(-1).tolist()], dtype=np.uint64)
+        return m.reshape(q.shape)
 
     @staticmethod
     def _tie_thresholds(m: np.ndarray) -> list[float]:
@@ -248,7 +273,7 @@ class TestBelow:
             out += [v * 2.0**-53, (v + 1) * 2.0**-53, lane_cut, np.nextafter(lane_cut, 0.0), np.nextafter(lane_cut, 1.0)]
         return out
 
-    @pytest.mark.parametrize("form", ["count", "range", "gather", "segments"])
+    @pytest.mark.parametrize("form", ["count", "shape", "segments"])
     @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK + 1])
     def test_equals_float_compare(self, form, n):
         pos = self._positions(form, n)
@@ -263,7 +288,7 @@ class TestBelow:
         assert not uniforms(self.SEED, pos, below=v * 2.0**-53).flat[m.size // 2]
         assert uniforms(self.SEED, pos, below=(v + 1) * 2.0**-53).flat[m.size // 2]
 
-    @pytest.mark.parametrize("n", [4 * _LANE_WORDS - 1, 4 * _LANE_WORDS + 5])
+    @pytest.mark.parametrize("n", [4 * _BLOCK - 1, 4 * _BLOCK + 5])
     def test_across_lane_blocks(self, n):
         m = self._draws(n)
         for p in [0.3, *self._tie_thresholds(m)]:
@@ -275,7 +300,7 @@ class TestBelow:
         for p in [0.0, 0.37, 1.0, np.nan, *self._tie_thresholds(m)]:
             np.testing.assert_array_equal(uniforms(seeds, 301, below=p), m < np.uint64(threshold_reference(p)))
 
-    @pytest.mark.parametrize("form", ["count", "gather", "segments"])
+    @pytest.mark.parametrize("form", ["count", "shape", "segments"])
     def test_table_at_index(self, form):
         pos = self._positions(form, 2000)
         m = self._draws(pos)
@@ -298,7 +323,7 @@ class TestBelow:
         with pytest.raises(ValueError):
             uniforms(self.SEED, (4, 5), below=np.full(3, 0.5))
 
-    @pytest.mark.parametrize("form", ["count", "gather", "segments"])
+    @pytest.mark.parametrize("form", ["count", "shape", "segments"])
     def test_nested_cuts(self, form):
         pos = self._positions(form, 2000)
         m = self._draws(pos)
@@ -328,10 +353,10 @@ class TestBelow:
 
     def test_positions_below_2_63(self):
         p = 2**63 - 1
-        got = uniforms(self.SEED, np.array([p], dtype=np.uint64), below=0.5)
-        assert got[0] == (bernoulli_draw_reference(self.SEED, p) < 2**52)
+        got = uniforms(self.SEED, (np.array([p], dtype=np.uint64), 1), below=0.5)
+        assert got[0, 0] == (bernoulli_draw_reference(self.SEED, p) < 2**52)
         with pytest.raises(ValueError, match="< 2\\^63"):
-            uniforms(self.SEED, np.array([2**63], dtype=np.uint64), below=0.5)
+            uniforms(self.SEED, (np.array([2**63], dtype=np.uint64), 1), below=0.5)
         assert uniforms(self.SEED, (np.array([p - 3], dtype=np.uint64), 4), below=0.5).shape == (1, 4)
         with pytest.raises(ValueError, match="< 2\\^63"):
             uniforms(self.SEED, (np.array([p - 3], dtype=np.uint64), 5), below=0.5)
@@ -353,8 +378,8 @@ class TestBelow:
         assert _threshold(p) == want == threshold_reference(p)
 
     def test_empty(self):
-        for n, shape in ((0, (0,)), ((3, 0), (3, 0)), (np.zeros((2, 0), dtype=np.int64), (2, 0)),
-                         ((np.array([], dtype=np.int64), 4), (0, 4)), ((np.array([3, 6]), 0), (2, 0))):
+        for n, shape in ((0, (0,)), ((3, 0), (3, 0)), ((np.array([], dtype=np.int64), 4), (0, 4)),
+                         ((np.array([3, 6]), 0), (2, 0))):
             got = uniforms(self.SEED, n, below=0.5)
             assert got.shape == shape and got.dtype == bool
         assert uniforms(self.SEED, 0, below=(0.5, 0.2)).dtype == np.uint8
@@ -395,31 +420,32 @@ class TestNestedCutsAtTies:
         np.testing.assert_array_equal(rank, plus.astype(np.uint8) + minus)
 
 class TestSeedArray:
-    """A 1-D seed array gives one row per seed, each the count form of that seed, bit for bit."""
+    """A 1-D seed array gives one Bernoulli row per seed, each the count form of that seed, bit for bit;
+    the float stream takes no seed array."""
 
     SEEDS = np.array([0, 1, 2**63, 2**64 - 1, GOLDEN, derive_seed(3, 10, 7)], dtype=np.uint64)
 
-    @pytest.mark.parametrize("below", [None, 0.1, 0.5])
+    @pytest.mark.parametrize("below", [0.1, 0.5])
     @pytest.mark.parametrize("n", [0, 1, 155, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
     def test_rows_are_single_seed_streams(self, n, below):
         got = uniforms(self.SEEDS, n, below=below)
         assert got.shape == (len(self.SEEDS), n)
-        assert got.dtype == (np.float64 if below is None else bool)
+        assert got.dtype == bool
         for r, seed in enumerate(self.SEEDS):
             assert got[r].tobytes() == uniforms(seed, n, below=below).tobytes(), f"row {r}"
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int16])
     def test_many_rows_across_blocks(self, dtype):
-        # 155-element rows: each block holds _BLOCK // 155 whole rows, and 500 rows span three blocks
+        # rows of 620 draws, 155 words: each block holds _BLOCK // 155 whole rows, and 500 rows span three blocks
         seeds = (np.arange(500) * 37).astype(dtype)
-        got = uniforms(seeds, 155)
-        want = np.stack([uniforms(int(s), 155) for s in seeds])
+        got = uniforms(seeds, 620, below=0.3)
+        want = np.stack([uniforms(int(s), 620, below=0.3) for s in seeds])
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_empty_seed_array(self, n):
-        assert uniforms(np.array([], dtype=np.int64), n).shape == (0, n)
-        assert uniforms(np.array([], dtype=np.uint64), n, below=0.5).shape == (0, n)
+        assert uniforms(np.array([], dtype=np.int64), n, below=0.5).shape == (0, n)
+        assert uniforms(np.array([], dtype=np.uint64), n, below=(0.5, 0.2)).shape == (0, n)
 
     @pytest.mark.parametrize(
         "seeds, n, error, match",
@@ -434,7 +460,12 @@ class TestSeedArray:
     )
     def test_refused(self, seeds, n, error, match):
         with pytest.raises(error, match=match):
-            uniforms(seeds, n)
+            uniforms(seeds, n, below=0.5)
+
+    @pytest.mark.parametrize("seeds", [SEEDS, np.array([], dtype=np.int64)])
+    def test_float_rows_refused(self, seeds):
+        with pytest.raises(TypeError, match="seed array .* needs below="):
+            uniforms(seeds, 5)
 
 
 class TestWilsonInterval:

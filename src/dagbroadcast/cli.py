@@ -68,6 +68,9 @@ CSV_HEADER = [
 
 GRID_GATES = {"and": AND2, "or": OR2, "xor": XOR2, "nand": NAND2}
 
+# The random-DAG models, one per row of sigma.STAGES: CLI name -> sigma model.
+_DAG_MODELS = {f"random-dag-{m}": m for m in sigma_mod.STAGES}
+
 # The exact-chain summary reports where the final-level TV crosses this value.
 TV_EPSILON = 0.01
 
@@ -105,7 +108,7 @@ class ExperimentConfig:
     ``percolation`` are Monte Carlo only and need ``trials >= 1``.
     """
 
-    model: str = "random-dag-maj3"
+    model: str = next(iter(_DAG_MODELS))
     delta_start: float = 0.1
     delta_stop: float = 0.1
     delta_count: int = 1
@@ -126,8 +129,9 @@ class ExperimentConfig:
             _require_delta(getattr(self, name), name, self.model)
         if self.depth < 1:
             raise ConfigError("field depth: must be >= 1")
-        if self.model == "random-dag-andor2" and self.depth < 2:
-            raise ConfigError("field depth: must be >= 2 for andor2, which is read at even levels")
+        model = _DAG_MODELS.get(self.model)
+        if model and self.depth < (period := len(sigma_mod.STAGES[model])):
+            raise ConfigError(f"field depth: must be >= {period} for {model}, which is read every {period} levels")
         if self.trials < 0:
             raise ConfigError("field trials: must be >= 0")
         if self.model in _MC_MODELS and self.trials < 1:
@@ -243,7 +247,8 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
     stay equal: the fraction of unequal pairs at level k estimates P(T > k),
     an upper bound on TV(k).
     """
-    model = config.model.removeprefix("random-dag-")
+    model = _DAG_MODELS[config.model]
+    period = len(sigma_mod.STAGES[model])
     schedule = LayerSchedule.parse(config.schedule)
     rows: list[ResultRow] = []
     finals: list[tuple[float, float]] = []
@@ -252,10 +257,7 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
     for delta in config.deltas():
         chain = sigma_mod.exact_chain(model, float(delta), schedule, config.depth, config.budget)
         dropped = max(dropped, chain[-1].dropped)
-        report_levels = [
-            d for d in chain[1:] if model == "maj3" or d.level % 2 == 0
-        ]
-        for dist in report_levels:
+        for dist in chain[period::period]:
             t = sigma_mod.tv(dist)
             rows.append(_row(config, delta, dist.level, dist.L, "tv_exact", t))
             # sigma.ml_error's formula, on the TV already computed
@@ -279,18 +281,15 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
         f"banded kernels: TV within {dropped:.3g} of the untruncated chain at every level",
     ]
     crossing = next((d for d, t in finals if t < TV_EPSILON), None)
-    if crossing is not None:
-        below = [d for d, t in finals if t >= TV_EPSILON and d < crossing]
-        lo = max(below) if below else None
-        if lo is not None:
-            summary.append(
-                f"threshold crossing: final-level TV drops below {TV_EPSILON} "
-                f"between delta={lo:g} and delta={crossing:g}"
-            )
-        else:
-            summary.append(f"final-level TV already below {TV_EPSILON} at delta={crossing:g}")
-    else:
+    if crossing is None:
         summary.append(f"no crossing: final-level TV stays >= {TV_EPSILON} on the sweep")
+    elif (lo := max((d for d, t in finals if t >= TV_EPSILON and d < crossing), default=None)) is None:
+        summary.append(f"final-level TV already below {TV_EPSILON} at delta={crossing:g}")
+    else:
+        summary.append(
+            f"threshold crossing: final-level TV drops below {TV_EPSILON} "
+            f"between delta={lo:g} and delta={crossing:g}"
+        )
     return rows, summary + coupled
 
 
@@ -379,8 +378,7 @@ def _run_bounds(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
 
 
 _DRIVERS = {
-    "random-dag-maj3": _run_dag_model,
-    "random-dag-andor2": _run_dag_model,
+    **dict.fromkeys(_DAG_MODELS, _run_dag_model),
     "grid-and": _run_grid_model,
     "grid-or": _run_grid_model,
     "grid-xor": _run_grid_model,
@@ -396,7 +394,7 @@ MODELS = tuple(_DRIVERS)
 _MC_MODELS = ("grid-and-couple", "percolation")
 
 # Models that read the layer schedule.
-_SCHEDULE_MODELS = ("random-dag-maj3", "random-dag-andor2", "bounds")
+_SCHEDULE_MODELS = (*_DAG_MODELS, "bounds")
 
 
 def _write(path: str, text: str, field: str) -> None:
@@ -434,10 +432,10 @@ def threshold_bisect(
     """Bisect delta on the criterion "final-level exact TV < cutoff".
 
     The exact chain's deep-level TV is (weakly) decreasing in delta, so
-    the criterion is monotone and bisection brackets the crossing.  For
-    the andor2 model the TV is read at the last even level.  Each chain
-    stops at the first level whose TV is below the cutoff, and the
-    criterion then holds: every level passes both conditionals through
+    the criterion is monotone and bisection brackets the crossing.  TV is
+    read at the last multiple of the model's period in ``sigma.STAGES``.
+    Each chain stops at the first level whose TV is below the cutoff, and
+    the criterion then holds: every level passes both conditionals through
     the same Markov kernel, so by data processing TV never rises with
     depth, and the final level's TV is below the cutoff too.  Returns
     (lo, hi) with criterion False at lo and True at hi; if the criterion
@@ -446,17 +444,15 @@ def threshold_bisect(
     adjacent floats, so a tol below the float spacing still terminates.
     """
 
-    if model == sigma_mod.MODEL_ANDOR2 and depth < 2:
-        raise ValueError("andor2 is read at even levels, so depth must be >= 2")
+    if model not in sigma_mod.STAGES:
+        raise ValueError(f"unknown model {model!r}")
+    period = len(sigma_mod.STAGES[model])
+    if depth < period:
+        raise ValueError(f"{model} is read every {period} levels, so depth must be >= {period}")
 
     def criterion(delta: float) -> bool:
         chain = sigma_mod.exact_chain(model, delta, schedule, depth, budget, stop_below=cutoff)
-        dist = chain[-1]
-        if dist.level < depth:
-            return True
-        if model == sigma_mod.MODEL_ANDOR2 and dist.level % 2 == 1:
-            dist = chain[-2]
-        return sigma_mod.tv(dist) < cutoff
+        return chain[-1].level < depth or sigma_mod.tv(chain[depth - depth % period]) < cutoff
 
     if criterion(delta_lo):
         return (delta_lo, delta_lo)
@@ -490,24 +486,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dagbroadcast", description="Noisy broadcast on DAGs and grids: exact analysis and Monte Carlo.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, description: str, *shared: str) -> argparse.ArgumentParser:
+    def add(name: str, description: str, *shared: str, handler=None) -> argparse.ArgumentParser:
+        """A subcommand run by ``handler``, by default ``_cmd_rows``, which runs its one config."""
         p = sub.add_parser(name, help=description)
+        p.set_defaults(handler=handler or _cmd_rows)
         for flag in shared:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
         return p
 
-    p = add("fixed-points", "fixed points and Lipschitz constant of the g-curve")
-    p.add_argument("--model", choices=["maj3", "andor2"], required=True)
+    p = add("fixed-points", "fixed points and Lipschitz constant of the g-curve", handler=_cmd_fixed_points)
+    p.add_argument("--model", choices=list(sigma_mod.STAGES), required=True)
     p.add_argument("--delta", type=float, required=True)
 
     p = add("exact-chain", "exact conditional chain for one delta", "--seed", "--out", "--budget")
-    p.add_argument("--model", choices=["maj3", "andor2"], required=True)
+    p.add_argument("--model", choices=list(sigma_mod.STAGES), required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--schedule", default="const:64")
     p.add_argument("--depth", type=int, default=50)
 
     p = add("mc-chain", "exact chain plus the coupled Monte Carlo bound P(T > k)", "--seed", "--out", "--budget")
-    p.add_argument("--model", choices=["maj3", "andor2"], required=True)
+    p.add_argument("--model", choices=list(sigma_mod.STAGES), required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--schedule", default="const:64")
     p.add_argument("--depth", type=int, default=30)
@@ -524,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=200)
     p.add_argument("--trials", type=int, default=1000)
 
-    p = add("grid-xor", "XOR-grid parity-check certificates and erasure MC", "--seed")
+    p = add("grid-xor", "XOR-grid parity-check certificates and erasure MC", "--seed", handler=_cmd_grid_xor)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=2000)
@@ -551,8 +549,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule")
     p.add_argument("--trials", type=int)
 
-    p = add("bisect", "bisect the reconstruction threshold", "--budget")
-    p.add_argument("--model", choices=["maj3", "andor2"], required=True)
+    p = add("bisect", "bisect the reconstruction threshold", "--budget", handler=_cmd_bisect)
+    p.add_argument("--model", choices=list(sigma_mod.STAGES), required=True)
     p.add_argument("--schedule", default="const:128")
     p.add_argument("--depth", type=int, default=150)
     p.add_argument("--tol", type=float, default=2e-3)
@@ -655,7 +653,7 @@ def _cmd_bisect(args) -> int:
     _require(0.0 < args.cutoff <= 1.0, "cutoff", f"{args.cutoff} out of range (0, 1]")
     _require(math.isfinite(args.tol), "tol", f"{args.tol} is not finite")
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    # the exact chain's own rules: depth, andor2's even levels, the schedule and the budget
+    # the exact chain's own rules: depth and the model's period, the schedule and the budget
     ExperimentConfig(
         model=f"random-dag-{args.model}",
         delta_start=args.delta_lo,
@@ -678,24 +676,10 @@ def _cmd_bisect(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "fixed-points": _cmd_fixed_points,
-    "exact-chain": _cmd_rows,
-    "mc-chain": _cmd_rows,
-    "grid-exact": _cmd_rows,
-    "grid-and-couple": _cmd_rows,
-    "grid-xor": _cmd_grid_xor,
-    "percolation": _cmd_rows,
-    "bounds": _cmd_rows,
-    "sweep": _cmd_rows,
-    "bisect": _cmd_bisect,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -86,6 +87,36 @@ class Gate:
             w |= (int(b) & 1) << i
         return self.table[w]
 
+    @cached_property
+    def curve(self) -> Callable:
+        """P(output = 1) as a function of m, when every input is 1 with probability m.
+
+        It sums m^ones (1 - m)^zeros over the words the table maps to 1 or, if
+        fewer map to 0, is 1 minus that sum over them, taken in u = 1 - m.  The
+        sum is u^j0 times an integer polynomial in u, in Horner form, so it
+        evaluates floats, arrays, ``Fraction``s (exactly) and ``np.poly1d``s.
+        """
+        n, flip = self.arity, 2 * sum(self.table) > len(self.table)
+        coef = [0] * (n + 1)
+        for w in (w for w, out in enumerate(self.table) if out != flip):
+            j = n - w.bit_count() if flip else w.bit_count()
+            for i in range(n - j + 1):  # u^j (1 - u)^(n - j), expanded
+                coef[j + i] += (-1) ** i * math.comb(n - j, i)
+        nonzero = [j for j, c in enumerate(coef) if c] or [0]
+        j0, rest = nonzero[0], coef[nonzero[0] : nonzero[-1] + 1]
+
+        def curve(m):
+            u = 1 - m if flip else m
+            p = u**j0
+            if rest != [1]:  # multiplying by a lone 1 would cost an array pass per call
+                acc = rest[-1]
+                for c in rest[-2::-1]:
+                    acc = acc * u + c
+                p = p * acc
+            return 1 - p if flip else p
+
+        return curve
+
     def noisy_output_probs(self, delta: float) -> np.ndarray:
         """P(output = 1) for each input word, every input read through its own BSC(delta)."""
         d = as_delta(delta, noiseless_ok=True)
@@ -143,8 +174,8 @@ class LayerSchedule:
 
     @staticmethod
     def logarithmic(c: float) -> "LayerSchedule":
-        if c <= 0:
-            raise ValueError("log schedule coefficient must be positive")
+        if not 0 < c < math.inf:  # NaN too
+            raise ValueError(f"log schedule coefficient must be positive and finite, got {c}")
         return LayerSchedule("log", float(c))
 
     @staticmethod
@@ -157,10 +188,12 @@ class LayerSchedule:
     @staticmethod
     def parse(spec: str) -> "LayerSchedule":
         """Parse specs like ``const:64``, ``linear``, ``log:10``, ``list:1,2,4``."""
-        head, _, rest = spec.strip().partition(":")
+        head, sep, rest = spec.strip().partition(":")
         if head == "const":
             return LayerSchedule.constant(int(rest))
         if head == "linear":
+            if sep:
+                raise ValueError(f"linear schedule takes no parameter, got {spec!r}")
             return LayerSchedule.linear()
         if head == "log":
             return LayerSchedule.logarithmic(float(rest))
@@ -178,7 +211,9 @@ class LayerSchedule:
         if self.kind == "linear":
             return k + 1
         if self.kind == "log":
-            return max(1, math.ceil(self.param * math.log(k + 2)))
+            if (size := self.param * math.log(k + 2)) == math.inf:
+                raise ValueError(f"log schedule size overflows at level {k}")
+            return max(1, math.ceil(size))
         if k - 1 >= len(self.sizes):
             raise ValueError(f"explicit schedule has no size for level {k}")
         return self.sizes[k - 1]

@@ -21,7 +21,8 @@ Scheme
   ``(starts, width)``, row r holding positions starts[r] .. starts[r] +
   width - 1, where every start lies at the same lane offset (start mod
   4).  With a 1-D integer array of seeds and a count ``n``, row r is
-  ``uniforms(seeds[r], n, below=p)``.  Draw q is the 53-bit
+  ``uniforms(seeds[r], n, below=p)``, each seed read mod 2^64 as a
+  scalar seed is.  Draw q is the 53-bit
   integer m = lane * 2^37 + r compared with T, where the lane is 16-bit
   lane q mod 4 (bits 16 l .. 16 l + 15) of word q div 4, and r is the top
   37 bits of word q div 4 + (2 l + 1) * 2^61.  Lane and r are independent
@@ -179,8 +180,6 @@ def _lane_rows(seed, n) -> tuple[np.ndarray, int, int, tuple]:
     if isinstance(seed, np.ndarray):
         if seed.ndim != 1 or seed.dtype.kind not in "iu":
             raise TypeError(f"a seed array must be 1-D of integers, got shape {seed.shape} dtype {seed.dtype}")
-        if seed.dtype.kind == "i" and seed.size and seed.min() < 0:
-            raise ValueError(f"seeds must be >= 0, got {seed.min()}")
         width = _check_size(n, "n")  # an array n is no count: TypeError
         return seed.astype(np.uint64), 0, width, (seed.size, width)
     seed = int(seed) & MASK64

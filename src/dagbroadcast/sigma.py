@@ -6,14 +6,12 @@ the next level's one-count is Binomial(L_next, g(sigma)) where g is the
 gate's conditional-mean curve.  This module propagates the two
 root-conditional distributions of that chain exactly, analyzes the
 g-curves, and provides the coupled and quenched Monte Carlo estimators.
-The g-curve analysis (g', Lipschitz constant, fixed points) is derived from
-one period map, each model's gates in level order, each reading BSC(delta).
 
-Two named models are supported:
-
-* ``maj3``: degree 3, 3-input majority at every level.
-* ``andor2``: degree 2, AND gates at even levels and OR gates at odd
-  levels; quantities of interest are reported at even levels.
+A model is a row of ``STAGES``: its ``model.Gate``s for one period, in level
+order.  A stage reads BSC(delta) and applies its gate's ``Gate.curve``,
+derived from the truth table.  ``maj3`` is 3-majority at every level;
+``andor2`` is OR into odd and AND into even levels, read at even levels.
+Only ``exact_chain``'s kernel mirror classes are still per model.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BudgetExceededError, DagRealization, LayerSchedule, as_delta, convolve
+from .model import AND2, MAJ3, OR2, BudgetExceededError, DagRealization, LayerSchedule, as_delta, convolve
 from .rng import derive_seed, uniforms
 from .stats import wilson_interval
 
@@ -33,6 +31,7 @@ __all__ = [
     "DELTA_MAJ",
     "DELTA_ANDOR",
     "DEFAULT_BUDGET",
+    "STAGES",
     "DegenerateThresholdError",
     "SigmaDistribution",
     "FixedPoint",
@@ -74,36 +73,18 @@ class DegenerateThresholdError(ValueError):
 
 
 def _check_model(model: str) -> str:
-    m = model.lower()
-    if m not in _STAGES:
+    if model not in STAGES:
         raise ValueError(f"unknown model {model!r}")
-    return m
+    return model
 
 
 # ---------------------------------------------------------------------------
 # g-curves
 
 
-# P(gate = 1) when each input bit is 1 with probability m.  The constants
-# are integers so the same code evaluates floats, arrays, Fractions and
-# polynomials.
-
-
-def _maj3_gate(m):
-    return m ** 2 * (3 - 2 * m)
-
-
-def _and_gate(m):
-    return m ** 2
-
-
-def _or_gate(m):
-    return 1 - (1 - m) ** 2
-
-
 # Each model's gates for one period, in level order: the step into level k
-# applies gate (k - 1) % len.
-_STAGES = {MODEL_MAJ3: (_maj3_gate,), MODEL_ANDOR2: (_or_gate, _and_gate)}
+# applies gate (k - 1) % len, and the model is read every len levels.
+STAGES = {MODEL_MAJ3: (MAJ3,), MODEL_ANDOR2: (OR2, AND2)}
 
 
 def _curve(model: str, k: int | None, sigma, delta):
@@ -144,17 +125,17 @@ def _stage_g(model: str, delta, k: int | None = None):
     """g-curve of the step into level k, or of one whole period if k is None.
 
     Each stage reads its input through BSC(delta) (``model.convolve``) and
-    applies its gate.  It evaluates floats and arrays, ``Fraction``s exactly
+    applies its gate's ``Gate.curve``.  It evaluates floats and arrays, ``Fraction``s exactly
     for a ``Fraction`` delta, and ``np.poly1d``s; the public curves are its
     views with checked arguments.
     """
-    gates = _STAGES[model]
+    gates = STAGES[model]
     if k is not None:
         gates = (gates[(k - 1) % len(gates)],)
 
     def g(x):
         for gate in gates:
-            x = gate(convolve(x, delta))
+            x = gate.curve(convolve(x, delta))
         return x
 
     return g

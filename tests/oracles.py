@@ -15,24 +15,34 @@ import numpy as np
 
 from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U, TAG_COUPLE, TAG_PERC
 from dagbroadcast.grid import TAG_GRID
-from dagbroadcast.model import TAG_TRIAL, Gate, LayerSchedule, as_delta
+from dagbroadcast.model import AND2, MAJ3, OR2, TAG_TRIAL, Gate, LayerSchedule, as_delta
 from dagbroadcast.rng import derive_seed, uniforms
 from dagbroadcast.sigma import BLOCK_ROWS, BinomialKernel, exact_chain, g_and, g_majority, g_or, tv
 from dagbroadcast.xorcode import TAG_ERASE, build_Hk
 
 
-def gate_output_prob(gate: Gate, p: float) -> float:
-    """P(gate = 1) when inputs are i.i.d. Bernoulli(p), summed over the truth table."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
+def gate_output_prob(gate: Gate, p):
+    """P(gate = 1) when inputs are i.i.d. Bernoulli(p), summed over the truth table
+    word by word; exact for a ``Fraction`` p."""
+    if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     d = gate.arity
-    total = 0.0
+    total = 0
     for w in range(1 << d):
         if gate.table[w]:
             ones = w.bit_count()
-            total += p ** ones * (1.0 - p) ** (d - ones)
+            total += p ** ones * (1 - p) ** (d - ones)
     return total
+
+
+# The g-curves the sigma-chain once stated by hand, P(gate = 1) at input
+# one-probability m: references for ``Gate.curve``, which must equal them
+# bit for bit.
+CLOSED_FORM_CURVES = {
+    MAJ3: lambda m: m**2 * (3 - 2 * m),
+    AND2: lambda m: m**2,
+    OR2: lambda m: 1 - (1 - m) ** 2,
+}
 
 
 def gate_node_law(gate: Gate, delta: float) -> np.ndarray:

@@ -239,6 +239,11 @@ class TestThresholdBisect:
         with pytest.raises(ValueError, match="depth"):
             threshold_bisect("andor2", LayerSchedule.parse("const:8"), 1)
 
+    @pytest.mark.parametrize("model", ["maj5", "MAJ3", "random-dag-maj3"])
+    def test_unknown_model_refused(self, model):
+        with pytest.raises(ValueError, match="unknown model"):
+            threshold_bisect(model, LayerSchedule.parse("const:8"), 4)
+
     @pytest.mark.parametrize("model", ["maj3", "andor2"])
     @pytest.mark.parametrize("spec", ["const:16", "const:64", "log:4"])
     @pytest.mark.parametrize("depth", [40, 41])
@@ -336,6 +341,15 @@ class TestMain:
             (["bounds", "--delta", "0.1", "--schedule", "list:8,8", "--depth", "5"], "schedule"),
             (["sweep", "--model", "random-dag-andor2", "--schedule", "list:8,8", "--depth", "5"], "schedule"),
             (["bisect", "--model", "maj3", "--schedule", "list:8,8", "--depth", "5"], "schedule"),
+            # a log coefficient is positive and finite, and linear takes no parameter
+            (["exact-chain", "--model", "maj3", "--delta", "0.1", "--depth", "3", "--schedule", "log:inf"], "schedule"),
+            (["exact-chain", "--model", "maj3", "--delta", "0.1", "--depth", "3", "--schedule", "log:nan"], "schedule"),
+            (["exact-chain", "--model", "maj3", "--delta", "0.1", "--depth", "3", "--schedule", "linear:5"], "schedule"),
+            (["bounds", "--delta", "0.1", "--schedule", "log:inf"], "schedule"),
+            (["sweep", "--model", "random-dag-andor2", "--schedule", "linear:5"], "schedule"),
+            (["bisect", "--model", "maj3", "--schedule", "log:nan"], "schedule"),
+            # a finite coefficient whose size overflows at the last level
+            (["exact-chain", "--model", "maj3", "--delta", "0.1", "--depth", "100", "--schedule", "log:1e308"], "schedule"),
         ],
     )
     def test_sigma_bad_argument_exit_code(self, argv, field, capsys):

@@ -1,5 +1,8 @@
 """Tests for channels, gates, schedules, DAG sampling, and propagation."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +22,7 @@ from dagbroadcast.model import (
     propagate_many,
     sample_random_dag,
 )
-from oracles import gate_node_law, gate_output_prob, propagate_many_dense
+from oracles import CLOSED_FORM_CURVES, gate_node_law, gate_output_prob, propagate_many_dense
 
 
 PAR9 = Gate.from_function("PAR9", 9, lambda *b: sum(b) % 2)
@@ -144,6 +147,47 @@ class TestGateOutputProb:
         assert gate_output_prob(OR2, p) == pytest.approx(1 - (1 - p) ** 2)
 
 
+class TestGateCurve:
+    """``Gate.curve``, the g-curve the sigma-chain applies, derived from the truth table alone."""
+
+    GATES = [MAJ3, AND2, OR2, XOR2, NAND2, IDENTITY]
+    CONSTANT = [Gate("ZERO", 2, (0, 0, 0, 0)), Gate("ONE", 1, (1, 1))]
+
+    @pytest.mark.parametrize("gate", GATES + [PAR9] + CONSTANT, ids=lambda g: g.name)
+    def test_exact_in_fractions(self, gate):
+        for m in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7), Fraction(999, 1000)):
+            got = gate.curve(m)
+            assert got == gate_output_prob(gate, m)
+            assert isinstance(got, (int, Fraction))
+
+    @pytest.mark.parametrize("gate", GATES, ids=lambda g: g.name)
+    @pytest.mark.parametrize("delta", [0.0, 0.07, 0.31, 0.49])
+    def test_matches_the_node_law(self, gate, delta):
+        # an independent route: P(word | sigma) times the node law of each noiseless parent word
+        sigma = np.linspace(0.0, 1.0, 257)
+        ones = np.array([w.bit_count() for w in range(1 << gate.arity)])
+        weight = sigma[:, None] ** ones * (1.0 - sigma[:, None]) ** (gate.arity - ones)
+        want = weight @ gate.noisy_output_probs(delta)
+        np.testing.assert_allclose(gate.curve(convolve(sigma, delta)), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("gate", list(CLOSED_FORM_CURVES), ids=lambda g: g.name)
+    def test_bit_for_bit_the_closed_forms(self, gate):
+        closed = CLOSED_FORM_CURVES[gate]
+        m = np.concatenate([np.random.default_rng(5).random(100_000), [0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)]])
+        assert gate.curve(m).tobytes() == closed(m).tobytes()
+        assert gate.curve(float(m[7])) == closed(float(m[7]))
+        for d in (0.0, 0.1, 0.3):
+            poly = convolve(np.poly1d([1.0, 0.0]), d)
+            assert gate.curve(poly) == closed(poly)
+
+    @pytest.mark.parametrize("gate", CONSTANT, ids=lambda g: g.name)
+    def test_constant_gate_keeps_the_shape(self, gate):
+        assert gate.curve(np.linspace(0.0, 1.0, 5)).tolist() == [gate.table[0]] * 5
+
+    def test_built_once_per_gate(self):
+        assert MAJ3.curve is MAJ3.curve
+
+
 class TestLayerSchedule:
     def test_root_level_always_one(self):
         for sched in (
@@ -169,6 +213,27 @@ class TestLayerSchedule:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             LayerSchedule.parse("fancy:3")
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            ("log:inf", "positive and finite, got inf"),
+            ("log:nan", "positive and finite, got nan"),
+            ("log:-inf", "positive and finite, got -inf"),
+            ("log:0", "positive and finite, got 0.0"),
+            ("linear:5", "takes no parameter, got 'linear:5'"),
+            ("linear:", "takes no parameter"),
+        ],
+    )
+    def test_parse_refuses_bad_parameters(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            LayerSchedule.parse(spec)
+
+    def test_log_size_overflow_refused(self):
+        sched = LayerSchedule.parse("log:1e308")
+        assert sched.size(1) == math.ceil(1e308 * math.log(3))
+        with pytest.raises(ValueError, match="overflows at level 100"):
+            sched.size(100)
 
 
 class TestSampleRandomDag:

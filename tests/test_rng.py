@@ -442,6 +442,14 @@ class TestSeedArray:
         want = np.stack([uniforms(int(s), 620, below=0.3) for s in seeds])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("below", [0.3, (0.7, 0.2)])
+    def test_negative_seeds_read_mod_2_64(self, below):
+        # as a scalar seed is: a seed array has no sign rule of its own
+        seeds = np.array([3, -1, -(2**63), -GOLDEN // 2])
+        got = uniforms(seeds, 155, below=below)
+        for r, seed in enumerate(seeds):
+            assert got[r].tobytes() == uniforms(int(seed) % 2**64, 155, below=below).tobytes(), f"row {r}"
+
     @pytest.mark.parametrize("n", [0, 5])
     def test_empty_seed_array(self, n):
         assert uniforms(np.array([], dtype=np.int64), n, below=0.5).shape == (0, n)
@@ -451,7 +459,7 @@ class TestSeedArray:
         "seeds, n, error, match",
         [
             (np.zeros((2, 3), dtype=np.int64), 4, TypeError, r"1-D .*shape \(2, 3\)"),
-            (np.array([3, -1]), 4, ValueError, "seeds must be >= 0, got -1"),
+            (np.array([True, False]), 4, TypeError, "dtype bool"),
             (np.array([1.0, 2.0]), 4, TypeError, "dtype float64"),
             (np.array([1, 2]), range(4), TypeError, "'range' object cannot be interpreted as an integer"),
             (np.array([1, 2]), np.arange(4), TypeError, "only integer scalar arrays"),

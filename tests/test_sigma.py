@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dagbroadcast.model import BudgetExceededError, LayerSchedule, MAJ3
+from dagbroadcast.model import AND2, MAJ3, OR2, BudgetExceededError, LayerSchedule
 from dagbroadcast.sigma import (
     DELTA_ANDOR,
     DELTA_MAJ,
@@ -37,6 +37,7 @@ from dagbroadcast.model import sample_random_dag
 from dagbroadcast import sigma as sigma_mod
 
 from oracles import (
+    CLOSED_FORM_CURVES,
     dense_chain,
     fixed_points_closed_form,
     g_derivative_closed_form,
@@ -101,7 +102,7 @@ class TestGCurves:
         # each stage's gate; ends and subnormals of [0, 1] are accepted
         s = np.concatenate([np.linspace(0.0, 1.0, 1001), [5e-324, np.nextafter(1.0, 0.0)]])
         stages = {g_majority: ("maj",), g_and: ("and",), g_or: ("or",), g_andor: ("or", "and")}[curve]
-        gates = {"maj": lambda m: m**2 * (3 - 2 * m), "and": lambda m: m**2, "or": lambda m: 1 - (1 - m) ** 2}
+        gates = {"maj": CLOSED_FORM_CURVES[MAJ3], "and": CLOSED_FORM_CURVES[AND2], "or": CLOSED_FORM_CURVES[OR2]}
         for d in (0.0, 0.1, DELTA_MAJ, 0.3, float(np.nextafter(0.5, 0.0))):
             want = s
             for stage in stages:

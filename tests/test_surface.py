@@ -165,6 +165,29 @@ def test_draws_enter_through_uniforms(path):
     assert not other, f"{path.name} takes {other} from rng; draw through uniforms instead"
 
 
+def test_cli_takes_dag_models_from_sigma_stages():
+    """``cli.py`` names no random-DAG model itself: the model names, periods and read
+    levels all come from ``sigma.STAGES``, so a new model is one row there."""
+    tree = ast.parse((ROOT / "src" / "dagbroadcast" / "cli.py").read_text(encoding="utf-8"))
+    literals = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.removeprefix("random-dag-") in ("maj3", "andor2")
+    ]
+    constants = ("MODEL_MAJ3", "MODEL_ANDOR2")
+    refs = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in constants)
+        or (isinstance(node, ast.Attribute) and node.attr in constants)
+        or (isinstance(node, ast.alias) and node.name in constants)
+    ]
+    assert not literals, f"cli.py names a DAG model on lines {literals}; read sigma.STAGES instead"
+    assert not refs, f"cli.py refers to a sigma model constant on lines {refs}; read sigma.STAGES instead"
+
+
 def test_package_root_reexports_nothing():
     init = ROOT / "src" / "dagbroadcast" / "__init__.py"
     tree = ast.parse(init.read_text(encoding="utf-8"))

@@ -93,7 +93,9 @@ def _require_delta(value: float, field: str, model: str = "") -> None:
 
 
 def _require_writable(path: str, field: str) -> None:
-    """Refuse an output path whose directory is missing or not writable, before any work is done."""
+    """Refuse an output path that is a directory, or whose directory is missing or
+    not writable, before any work is done."""
+    _require(not os.path.isdir(path), field, f"{path} is a directory")
     folder = os.path.dirname(os.path.abspath(path))
     _require(os.path.isdir(folder) and os.access(folder, os.W_OK), field, f"directory {folder} is missing or not writable")
 
@@ -442,10 +444,16 @@ def threshold_bisect(
     holds nowhere the bracket collapses to the upper end, and if it holds
     everywhere to the lower end.  The loop also stops once lo and hi are
     adjacent floats, so a tol below the float spacing still terminates.
+    A negative or NaN cutoff, a non-finite tol, and deltas outside
+    0 < delta_lo < delta_hi < 1/2 are refused.
     """
 
     if model not in sigma_mod.STAGES:
         raise ValueError(f"unknown model {model!r}")
+    # ConfigError is a ValueError; the CLI has applied its own rules before this
+    _require(0.0 < delta_lo < delta_hi < 0.5, "delta_lo", f"need 0 < {delta_lo} < delta_hi {delta_hi} < 1/2")
+    _require(cutoff >= 0.0, "cutoff", f"{cutoff} is not >= 0")
+    _require(math.isfinite(tol), "tol", f"{tol} is not finite")
     period = len(sigma_mod.STAGES[model])
     if depth < period:
         raise ValueError(f"{model} is read every {period} levels, so depth must be >= {period}")

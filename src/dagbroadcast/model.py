@@ -87,33 +87,45 @@ class Gate:
             w |= (int(b) & 1) << i
         return self.table[w]
 
+    @property
+    def via_dual(self) -> bool:
+        """More words map to 1 than to 0, so the curve and chain kernels are the ``dual``'s, reflected."""
+        return 2 * sum(self.table) > len(self.table)
+
+    @cached_property
+    def dual(self) -> "Gate":
+        """x -> 1 - f(1 - x), the table reversed and flipped; a self-dual gate is its own, as an object."""
+        table = tuple(1 - b for b in reversed(self.table))
+        return self if table == self.table else Gate(f"dual {self.name}", self.arity, table)
+
     @cached_property
     def curve(self) -> Callable:
         """P(output = 1) as a function of m, when every input is 1 with probability m.
 
-        It sums m^ones (1 - m)^zeros over the words the table maps to 1 or, if
-        fewer map to 0, is 1 minus that sum over them, taken in u = 1 - m.  The
-        sum is u^j0 times an integer polynomial in u, in Horner form, so it
-        evaluates floats, arrays, ``Fraction``s (exactly) and ``np.poly1d``s.
+        A gate ``via_dual`` is 1 - dual(1 - m).  Any other sums m^ones (1 - m)^zeros
+        over the words mapped to 1: m^j0 times an integer polynomial in Horner
+        form, so it evaluates floats, arrays, ``Fraction``s (exactly) and ``np.poly1d``s.
         """
-        n, flip = self.arity, 2 * sum(self.table) > len(self.table)
+        if self.via_dual:
+            dual = self.dual.curve
+            return lambda m: 1 - dual(1 - m)
+        n = self.arity
         coef = [0] * (n + 1)
-        for w in (w for w, out in enumerate(self.table) if out != flip):
-            j = n - w.bit_count() if flip else w.bit_count()
-            for i in range(n - j + 1):  # u^j (1 - u)^(n - j), expanded
+        for w in (w for w, out in enumerate(self.table) if out):
+            j = w.bit_count()
+            for i in range(n - j + 1):  # m^j (1 - m)^(n - j), expanded
                 coef[j + i] += (-1) ** i * math.comb(n - j, i)
         nonzero = [j for j, c in enumerate(coef) if c] or [0]
         j0, rest = nonzero[0], coef[nonzero[0] : nonzero[-1] + 1]
 
         def curve(m):
-            u = 1 - m if flip else m
-            p = u**j0
+            p = m**j0
             if rest != [1]:  # multiplying by a lone 1 would cost an array pass per call
                 acc = rest[-1]
                 for c in rest[-2::-1]:
-                    acc = acc * u + c
+                    acc = acc * m + c
                 p = p * acc
-            return 1 - p if flip else p
+            return p
 
         return curve
 

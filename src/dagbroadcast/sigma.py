@@ -7,11 +7,12 @@ gate's conditional-mean curve.  This module propagates the two
 root-conditional distributions of that chain exactly, analyzes the
 g-curves, and provides the coupled and quenched Monte Carlo estimators.
 
-A model is a row of ``STAGES``: its ``model.Gate``s for one period, in level
-order.  A stage reads BSC(delta) and applies its gate's ``Gate.curve``,
-derived from the truth table.  ``maj3`` is 3-majority at every level;
-``andor2`` is OR into odd and AND into even levels, read at even levels.
-Only ``exact_chain``'s kernel mirror classes are still per model.
+A model is a row of ``STAGES`` plus its critical delta in ``_CRITICAL``.
+The row holds the model's ``model.Gate``s for one period, in level order.  A
+stage reads BSC(delta) and applies its gate's ``Gate.curve``, derived from
+the truth table, and ``exact_chain`` takes each stage's kernel mirror class
+from the gate's duality (``Gate.dual``).  ``maj3`` is 3-majority at every
+level; ``andor2`` is OR into odd and AND into even levels, read at even levels.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ __all__ = [
     "FixedPointReport",
     "CoupledChainStats",
     "QuenchedEstimate",
-    "g_majority",
-    "g_and",
-    "g_or",
-    "g_andor",
     "g_derivative",
     "fixed_points",
     "lipschitz",
@@ -87,38 +84,8 @@ def _check_model(model: str) -> str:
 STAGES = {MODEL_MAJ3: (MAJ3,), MODEL_ANDOR2: (OR2, AND2)}
 
 
-def _curve(model: str, k: int | None, sigma, delta):
-    """``_stage_g(model, delta, k)`` at sigma, both checked: sigma in [0, 1], delta in [0, 1/2)."""
-    x = np.asarray(sigma, dtype=float)
-    outside = ~((x >= 0.0) & (x <= 1.0))  # NaN too
-    if outside.any():
-        raise ValueError(f"sigma must lie in [0, 1], got {x[outside].flat[0]}")
-    return _stage_g(model, as_delta(delta, noiseless_ok=True), k)(x)
-
-
-def g_majority(sigma, delta):
-    """Conditional mean map for the degree-3 majority model."""
-    return _curve(MODEL_MAJ3, None, sigma, delta)
-
-
-def g_and(sigma, delta):
-    """AND-stage map: probability both noisy inputs are 1."""
-    return _curve(MODEL_ANDOR2, 2, sigma, delta)
-
-
-def g_or(sigma, delta):
-    """OR-stage map: probability at least one noisy input is 1."""
-    return _curve(MODEL_ANDOR2, 1, sigma, delta)
-
-
-def g_andor(sigma, delta):
-    """Two-level composition: OR stage followed by AND stage."""
-    return g_and(g_or(sigma, delta), delta)
-
-
-# Each model's public period curve, which fixed points are checked against,
-# and the critical delta at which they merge.
-_PERIOD = {MODEL_MAJ3: (g_majority, DELTA_MAJ), MODEL_ANDOR2: (g_andor, DELTA_ANDOR)}
+# Each model's critical delta, at which the period map's fixed points merge.
+_CRITICAL = {MODEL_MAJ3: DELTA_MAJ, MODEL_ANDOR2: DELTA_ANDOR}
 
 
 def _stage_g(model: str, delta, k: int | None = None):
@@ -126,8 +93,7 @@ def _stage_g(model: str, delta, k: int | None = None):
 
     Each stage reads its input through BSC(delta) (``model.convolve``) and
     applies its gate's ``Gate.curve``.  It evaluates floats and arrays, ``Fraction``s exactly
-    for a ``Fraction`` delta, and ``np.poly1d``s; the public curves are its
-    views with checked arguments.
+    for a ``Fraction`` delta, and ``np.poly1d``s, unchecked.
     """
     gates = STAGES[model]
     if k is not None:
@@ -204,7 +170,7 @@ def fixed_points(model: str, delta) -> FixedPointReport:
 
     model = _check_model(model)
     d = as_delta(delta, noiseless_ok=True)
-    g, critical = _PERIOD[model]
+    critical = _CRITICAL[model]
     if abs(d - critical) < 1e-12:
         raise DegenerateThresholdError(
             f"{d!r} lies within 1e-12 of the critical delta {critical!r} of {model}, where the fixed points merge"
@@ -231,8 +197,9 @@ def fixed_points(model: str, delta) -> FixedPointReport:
         values.append(lo if abs(f_lo) <= abs(f_hi) else hi)
 
     values.sort()
+    g = _stage_g(model, d)
     for v in values:
-        if abs(g(v, d) - v) >= 1e-12:
+        if abs(g(v) - v) >= 1e-12:
             raise ArithmeticError(f"fixed-point residual too large at {v}")
     slopes = np.abs(g_derivative(model, values, d))
     points = tuple(FixedPoint(value=v, stable=bool(s < 1.0)) for v, s in zip(values, slopes))
@@ -417,17 +384,18 @@ def exact_chain(
     level applies one Markov kernel to both conditionals, so by data
     processing no later level, even or odd, has a larger TV.
 
-    Kernels are built once per mirror class.  maj3 is self-dual,
-    g(1 - s) = 1 - g(s), so kernel row L - i is row i reversed: only rows
-    0 .. L//2 are built, ``plus`` is propagated through them and their
-    mirror, and ``minus`` is ``plus`` reversed.  For andor2,
-    g_or(s) = 1 - g_and(1 - s), so the OR kernel is the AND kernel reversed
-    on both axes: only AND kernels are built, and an OR step applies one to
-    the reversed pair and reverses the result.  The last kernel, keyed by
-    (L_prev, L_next), is kept for reuse, so constant schedules pay the
-    kernel cost once or twice and memory holds one kernel.
+    Kernels are built once per mirror class, read from each stage gate's
+    ``Gate.dual``.  A gate ``via_dual``, such as OR, has
+    g(s) = 1 - g_dual(1 - s), so its kernel is its dual's reversed on both
+    axes: the dual's kernel is applied to the reversed pair, and the result
+    reversed.  If every stage is self-dual, as maj3 is, kernel row L - i is
+    row i reversed: only rows 0 .. L//2 are built, ``plus`` is propagated
+    through them and their mirror, and ``minus`` is ``plus`` reversed.  The
+    last kernel, keyed by (L_prev, L_next, table), is kept for reuse, so
+    constant schedules pay the kernel cost once or twice (andor2's OR and
+    AND steps share the AND kernel) and memory holds one kernel.
     """
-    model = _check_model(model)
+    gates = STAGES[_check_model(model)]
     d = as_delta(delta, noiseless_ok=True)
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -437,21 +405,23 @@ def exact_chain(
             raise BudgetExceededError(
                 f"layer size {L_next} at level {k} exceeds budget {budget}"
             )
-    pair = np.array([[0.0, 1.0], [1.0, 0.0]])  # andor2 carries plus and minus as one array
+    half = all(gate.dual is gate for gate in gates)
+    pair = np.array([[0.0, 1.0], [1.0, 0.0]])  # plus and minus as one array, unless half
     dist = SigmaDistribution(0, 1, *pair)
     dists = [dist]
-    key = None  # (L_prev, L_next) of ``kernel``
+    key = None  # (L_prev, L_next, table) of ``kernel``
     for k, L_next in enumerate(sizes, start=1):
-        L = dist.L
-        if key != (L, L_next):
-            g, rows = (g_majority, L // 2 + 1) if model == MODEL_MAJ3 else (g_and, L + 1)
-            kernel = binomial_pmf_table(L_next, g(np.arange(rows) / L, d))
-            key = L, L_next
+        L, gate = dist.L, gates[(k - 1) % len(gates)]
+        base = gate.dual if gate.via_dual else gate
+        if key != (L, L_next, base.table):
+            rows = L // 2 + 1 if half else L + 1
+            kernel = binomial_pmf_table(L_next, base.curve(convolve(np.arange(rows) / L, d)))
+            key = L, L_next, base.table
             # truncation changes each conditional by <= max drop in L1, and
             # renormalizing it afterwards by as much again; a mirrored row
             # misses exactly the mass of the row it mirrors
             step_drop = 2.0 * float(kernel.drop.max())
-        if model == MODEL_MAJ3:
+        if half:
             # rows above L//2 enter as the head of reversed plus, through the
             # reversed kernel; an even L's middle row is counted in the first half
             h = L // 2 + 1
@@ -462,10 +432,8 @@ def exact_chain(
             plus = _renorm(r[0] + r[1, ::-1])
             minus = plus[::-1]
         else:
-            if k % 2 == 1:  # OR step: the AND kernel on the reversed pair, reversed
-                pair = _renorm(kernel.apply(pair[:, ::-1])[:, ::-1])
-            else:
-                pair = _renorm(kernel.apply(pair))
+            step = 1 if base is gate else -1  # a gate via its dual: its kernel on the reversed pair, reversed
+            pair = _renorm(kernel.apply(pair[:, ::step])[:, ::step])
             plus, minus = pair
         dist = SigmaDistribution(k, L_next, plus, minus, dist.dropped + step_drop)
         dists.append(dist)

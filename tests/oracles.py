@@ -17,7 +17,7 @@ from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U, TAG_COUPLE, TAG_PERC
 from dagbroadcast.grid import TAG_GRID
 from dagbroadcast.model import AND2, MAJ3, OR2, TAG_TRIAL, Gate, LayerSchedule, as_delta
 from dagbroadcast.rng import derive_seed, uniforms
-from dagbroadcast.sigma import BLOCK_ROWS, BinomialKernel, exact_chain, g_and, g_majority, g_or, tv
+from dagbroadcast.sigma import BLOCK_ROWS, BinomialKernel, exact_chain, tv
 from dagbroadcast.xorcode import TAG_ERASE, build_Hk
 
 
@@ -162,23 +162,25 @@ def _dense_pmf_table(n: int, p: np.ndarray) -> np.ndarray:
 
 
 def dense_chain(
-    model: str, delta: float, schedule: LayerSchedule, depth: int
+    gates: tuple[Gate, ...], delta: float, schedule: LayerSchedule, depth: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Root-1 and root-0 one-count distributions for levels 0..depth from
     full (L_prev + 1) x (L + 1) kernels, applied by two mat-vecs per level.
 
-    maj3 applies g_majority at every level; andor2 applies g_or entering
-    odd levels and g_and entering even ones.
+    The step into level k applies ``gates[(k - 1) % len(gates)]``: row i of its
+    kernel is Binomial(L, ``gate_output_prob``) at the noisy input
+    one-probability of i / L_prev, every row computed, none mirrored.
     """
     plus, minus = np.array([0.0, 1.0]), np.array([1.0, 0.0])
     out = [(plus, minus)]
     kernels: dict[tuple, np.ndarray] = {}
     for k in range(1, depth + 1):
-        g = g_majority if model == "maj3" else (g_or if k % 2 == 1 else g_and)
+        gate = gates[(k - 1) % len(gates)]
         L_prev, L = len(plus) - 1, schedule.size(k)
-        key = (g, L_prev, L)
+        key = (gate, L_prev, L)
         if key not in kernels:
-            kernels[key] = _dense_pmf_table(L, g(np.arange(L_prev + 1) / L_prev, delta))
+            noisy = [(i * (1.0 - delta) + (L_prev - i) * delta) / L_prev for i in range(L_prev + 1)]
+            kernels[key] = _dense_pmf_table(L, np.array([gate_output_prob(gate, m) for m in noisy]))
         plus, minus = plus @ kernels[key], minus @ kernels[key]
         plus, minus = plus / plus.sum(), minus / minus.sum()
         out.append((plus, minus))
@@ -187,8 +189,8 @@ def dense_chain(
 
 # ---------------------------------------------------------------------------
 # Closed forms of the g-curve analysis, worked out by hand from the period maps
-# g_majority and g_andor = g_and o g_or; the library derives the same
-# quantities from the period map's polynomial.
+# of maj3 and andor2 (OR then AND); the library derives the same quantities
+# from the period map's polynomial.
 
 
 def g_derivative_closed_form(model: str, sigma, delta: float):
@@ -198,7 +200,8 @@ def g_derivative_closed_form(model: str, sigma, delta: float):
     m = s * (1.0 - delta) + delta * (1.0 - s)
     if model == "maj3":
         return 6.0 * (1.0 - 2.0 * delta) * m * (1.0 - m)
-    inner = g_or(s, delta) * (1.0 - delta) + delta * (1.0 - g_or(s, delta))
+    m_or = 1.0 - (1.0 - m) ** 2
+    inner = m_or * (1.0 - delta) + delta * (1.0 - m_or)
     return 4.0 * (1.0 - 2.0 * delta) ** 2 * inner * (1.0 - m)
 
 

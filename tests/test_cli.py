@@ -239,6 +239,26 @@ class TestThresholdBisect:
         with pytest.raises(ValueError, match="depth"):
             threshold_bisect("andor2", LayerSchedule.parse("const:8"), 1)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"tol": math.nan}, "tol"),
+            ({"tol": math.inf}, "tol"),
+            ({"cutoff": math.nan}, "cutoff"),
+            ({"cutoff": -1.0}, "cutoff"),
+            ({"delta_lo": 0.3, "delta_hi": 0.1}, "delta_lo"),
+            ({"delta_lo": 0.2, "delta_hi": 0.2}, "delta_lo"),
+            ({"delta_lo": 0.0}, "delta_lo"),
+            ({"delta_hi": 0.5}, "delta_lo: .* delta_hi 0.5"),
+            ({"delta_lo": math.nan}, "delta_lo"),
+        ],
+        ids=repr,
+    )
+    def test_meaningless_arguments_refused_before_any_chain(self, kwargs, match, monkeypatch):
+        monkeypatch.setattr(sigma_mod, "exact_chain", lambda *a, **k: pytest.fail("a chain ran"))
+        with pytest.raises(ValueError, match=match):
+            threshold_bisect("maj3", LayerSchedule.parse("const:8"), 10, **kwargs)
+
     @pytest.mark.parametrize("model", ["maj5", "MAJ3", "random-dag-maj3"])
     def test_unknown_model_refused(self, model):
         with pytest.raises(ValueError, match="unknown model"):
@@ -713,6 +733,22 @@ class TestExitCodes:
 
         monkeypatch.setattr(module, work, never)
         _assert_config_error([*argv, str(tmp_path / "missing" / "x.csv")], field, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, field, work",
+        [
+            (["exact-chain", "--model", "maj3", "--delta", "0.1", "--depth", "3", "--out"], "out",
+             [(sigma_mod, "exact_chain")]),
+            (["grid-xor", "--k", "8", "--delta", "0.1", "--trials", "10", "--export-h"], "export_h",
+             [(xorcode_mod, "build_Hk"), (xorcode_mod, "erasure_mc_error_bound")]),
+        ],
+    )
+    def test_directory_output_path_refused_before_work(self, argv, field, work, tmp_path, monkeypatch, capsys):
+        for module, name in work:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran before the output path was checked"))
+        assert main([*argv, str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: field {field}: {tmp_path} is a directory\n"
 
 
 class TestBisectTermination:

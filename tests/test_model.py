@@ -188,6 +188,26 @@ class TestGateCurve:
         assert MAJ3.curve is MAJ3.curve
 
 
+class TestGateDual:
+    """``Gate.dual``, x -> 1 - f(1 - x), from which the sigma-chain takes its kernel mirror classes."""
+
+    @pytest.mark.parametrize("gate", TestGateCurve.GATES + [PAR9] + TestGateCurve.CONSTANT, ids=lambda g: g.name)
+    def test_complements_inputs_and_output(self, gate):
+        full = (1 << gate.arity) - 1
+        assert all(gate.dual.table[w] == 1 - gate.table[w ^ full] for w in range(full + 1))
+        assert gate.dual.dual.table == gate.table
+        assert gate.via_dual == (sum(gate.table) > sum(gate.dual.table))
+        for m in (Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1)):
+            assert gate.dual.curve(1 - m) == 1 - gate.curve(m)
+
+    def test_named_duals(self):
+        assert OR2.dual.table == AND2.table and AND2.dual.table == OR2.table
+        assert NAND2.dual.table == (1, 0, 0, 0)  # NOR
+        assert MAJ3.dual is MAJ3 and PAR9.dual is PAR9
+        assert XOR2.dual.table == (1, 0, 0, 1)  # XNOR
+        assert [g.name for g in TestGateCurve.GATES if g.via_dual] == ["OR", "NAND"]
+
+
 class TestLayerSchedule:
     def test_root_level_always_one(self):
         for sched in (

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dagbroadcast.model import AND2, MAJ3, OR2, BudgetExceededError, LayerSchedule
+from dagbroadcast.model import AND2, MAJ3, NAND2, OR2, XOR2, BudgetExceededError, Gate, LayerSchedule
 from dagbroadcast.sigma import (
     DELTA_ANDOR,
     DELTA_MAJ,
@@ -21,11 +21,7 @@ from dagbroadcast.sigma import (
     coupled_mc,
     exact_chain,
     fixed_points,
-    g_and,
-    g_andor,
     g_derivative,
-    g_majority,
-    g_or,
     lipschitz,
     majority_rule,
     ml_error,
@@ -47,6 +43,11 @@ from oracles import (
 )
 
 
+# Each model's stage gates for one period, stated here rather than read from
+# sigma.STAGES, so the dense oracle is an independent route.
+MODEL_GATES = {"maj3": (MAJ3,), "andor2": (OR2, AND2)}
+
+
 def make_dist(level, plus, minus):
     plus = np.asarray(plus, dtype=float)
     return SigmaDistribution(level, len(plus) - 1, plus, np.asarray(minus, dtype=float))
@@ -55,67 +56,63 @@ def make_dist(level, plus, minus):
 class TestGCurves:
     def test_majority_half_fixed(self):
         for d in (0.05, 0.2, 0.45):
-            assert g_majority(0.5, d) == pytest.approx(0.5)
+            assert sigma_mod._stage_g("maj3", d)(0.5) == pytest.approx(0.5)
 
     def test_majority_noiseless(self):
-        assert g_majority(0.3, 0.0) == pytest.approx(0.216)
+        assert sigma_mod._stage_g("maj3", 0.0)(0.3) == pytest.approx(0.216)
 
     def test_majority_formula(self):
-        assert g_majority(1.0, 0.1) == pytest.approx(0.972)
+        assert sigma_mod._stage_g("maj3", 0.1)(1.0) == pytest.approx(0.972)
 
     def test_majority_matches_gate_output(self):
         for s in np.linspace(0, 1, 11):
             for d in (0.1, 0.3):
                 m = s * (1 - d) + d * (1 - s)
-                assert g_majority(s, d) == pytest.approx(gate_output_prob(MAJ3, m))
+                assert sigma_mod._stage_g("maj3", d)(s) == pytest.approx(gate_output_prob(MAJ3, m))
 
     def test_andor_stages_noiseless(self):
         s = 0.37
-        assert g_and(s, 0.0) == pytest.approx(s**2)
-        assert g_or(s, 0.0) == pytest.approx(2 * s - s**2)
+        assert sigma_mod._stage_g("andor2", 0.0, 2)(s) == pytest.approx(s**2)
+        assert sigma_mod._stage_g("andor2", 0.0, 1)(s) == pytest.approx(2 * s - s**2)
 
     def test_andor_endpoints_noiseless(self):
-        assert g_andor(1.0, 0.0) == pytest.approx(1.0)
-        assert g_andor(0.0, 0.0) == pytest.approx(0.0)
+        assert sigma_mod._stage_g("andor2", 0.0)(1.0) == pytest.approx(1.0)
+        assert sigma_mod._stage_g("andor2", 0.0)(0.0) == pytest.approx(0.0)
 
     def test_andor_step_by_step(self):
         # OR stage at 0.5 gives 0.75; AND stage squares its convolution
-        assert g_or(0.5, 0.1) == pytest.approx(0.75)
-        assert g_andor(0.5, 0.1) == pytest.approx(0.49)
+        assert sigma_mod._stage_g("andor2", 0.1, 1)(0.5) == pytest.approx(0.75)
+        assert sigma_mod._stage_g("andor2", 0.1)(0.5) == pytest.approx(0.49)
 
     def test_majority_self_duality(self):
+        g = sigma_mod._stage_g("maj3", 0.2)
         for s in np.linspace(0, 1, 33):
-            assert g_majority(1 - s, 0.2) == pytest.approx(1 - g_majority(s, 0.2))
+            assert g(1 - s) == pytest.approx(1 - g(s))
 
-    @pytest.mark.parametrize("curve", [g_majority, g_and, g_or, g_andor], ids=lambda g: g.__name__)
     @pytest.mark.parametrize(
-        "sigma", [1.5, -0.6, -1e-300, 1.0 + 2**-52, np.nan, np.inf, np.asarray(1.5), np.asarray(-0.1), [0.2, 2.0]],
-        ids=repr,
+        "model, k, stages",
+        [("maj3", None, (MAJ3,)), ("andor2", 2, (AND2,)), ("andor2", 1, (OR2,)), ("andor2", None, (OR2, AND2))],
+        ids=["g_majority", "g_and", "g_or", "g_andor"],
     )
-    def test_sigma_outside_unit_refused(self, curve, sigma):
-        with pytest.raises(ValueError, match="sigma must lie in"):
-            curve(sigma, 0.1)
-
-    @pytest.mark.parametrize("curve", [g_majority, g_and, g_or, g_andor], ids=lambda g: g.__name__)
-    def test_bit_for_bit_the_bsc_then_gate_formula(self, curve):
+    def test_bit_for_bit_the_bsc_then_gate_formula(self, model, k, stages):
         # the curves read sigma through x (1 - d) + d (1 - x) in floats and apply
         # each stage's gate; ends and subnormals of [0, 1] are accepted
         s = np.concatenate([np.linspace(0.0, 1.0, 1001), [5e-324, np.nextafter(1.0, 0.0)]])
-        stages = {g_majority: ("maj",), g_and: ("and",), g_or: ("or",), g_andor: ("or", "and")}[curve]
-        gates = {"maj": CLOSED_FORM_CURVES[MAJ3], "and": CLOSED_FORM_CURVES[AND2], "or": CLOSED_FORM_CURVES[OR2]}
         for d in (0.0, 0.1, DELTA_MAJ, 0.3, float(np.nextafter(0.5, 0.0))):
             want = s
-            for stage in stages:
-                want = gates[stage](want * (1.0 - d) + d * (1.0 - want))
-            assert curve(s, d).tobytes() == want.tobytes()
-            assert curve(float(s[321]), d) == want[321]
+            for gate in stages:
+                want = CLOSED_FORM_CURVES[gate](want * (1.0 - d) + d * (1.0 - want))
+            curve = sigma_mod._stage_g(model, d, k)
+            assert curve(s).tobytes() == want.tobytes()
+            assert curve(float(s[321])) == want[321]
 
     @given(st.floats(0, 1), st.floats(0.01, 0.49))
     def test_derivative_matches_finite_difference(self, s, d):
         h = 1e-6
         lo, hi = max(0.0, s - h), min(1.0, s + h)
-        for model, g in (("maj3", g_majority), ("andor2", g_andor)):
-            fd = (g(hi, d) - g(lo, d)) / (hi - lo)
+        for model in ("maj3", "andor2"):
+            g = sigma_mod._stage_g(model, d)
+            fd = (g(hi) - g(lo)) / (hi - lo)
             assert g_derivative(model, s, d) == pytest.approx(fd, abs=1e-4)
 
 
@@ -150,19 +147,19 @@ class TestFixedPoints:
         ("andor2", np.linspace(0.095, 0.49, 20)),
     ])
     def test_residuals_tiny(self, model, deltas):
-        g = g_majority if model == "maj3" else g_andor
         for d in deltas:
+            g = sigma_mod._stage_g(model, float(d))
             for p in fixed_points(model, float(d)).points:
-                assert abs(g(p.value, float(d)) - p.value) < 1e-12
+                assert abs(g(p.value) - p.value) < 1e-12
 
     @pytest.mark.parametrize("model, critical", [("maj3", DELTA_MAJ), ("andor2", DELTA_ANDOR)])
     @pytest.mark.parametrize("offset", [-1e-8, -1e-9, -1e-10, 1e-10, 1e-9, 1e-8])
     def test_near_critical(self, model, critical, offset):
         report = fixed_points(model, critical + offset)
         assert len(report.points) == (3 if offset < 0 else 1)
-        g = g_majority if model == "maj3" else g_andor
+        g = sigma_mod._stage_g(model, critical + offset)
         for p in report.points:
-            assert abs(g(p.value, critical + offset) - p.value) < 1e-12
+            assert abs(g(p.value) - p.value) < 1e-12
 
     def test_stability_flags(self):
         report = fixed_points("maj3", 0.1)
@@ -262,7 +259,7 @@ class TestBinomialPmf:
     def test_row_drop_bounds_missing_mass(self, n):
         from scipy.stats import binom
 
-        p = np.concatenate([np.linspace(0, 1, 300), g_majority(np.linspace(0, 1, 300), 0.1)])
+        p = np.concatenate([np.linspace(0, 1, 300), sigma_mod._stage_g("maj3", 0.1)(np.linspace(0, 1, 300))])
         kernel = binomial_pmf_table(n, p)
         table = kernel_toarray(kernel)
         assert kernel.size < table.size
@@ -280,22 +277,23 @@ class TestBinomialPmf:
     def test_mirror_classes(self, n, L, delta):
         tol = 1e-13 * max(1.0, n / 256)
         sig = np.arange(L + 1) / L
-        half = kernel_toarray(binomial_pmf_table(n, g_majority(sig[: L // 2 + 1], delta)))
+        maj, and_stage, or_stage = (sigma_mod._stage_g(model, delta, k) for model, k in (("maj3", 1), ("andor2", 2), ("andor2", 1)))
+        half = kernel_toarray(binomial_pmf_table(n, maj(sig[: L // 2 + 1])))
         mirrored = np.vstack((half, half[: (L + 1) // 2][::-1, ::-1]))
-        full = kernel_toarray(binomial_pmf_table(n, g_majority(sig, delta)))
+        full = kernel_toarray(binomial_pmf_table(n, maj(sig)))
         assert np.abs(full - mirrored).sum(axis=1).max() <= tol
-        flipped_and = kernel_toarray(binomial_pmf_table(n, g_and(sig, delta)))[::-1, ::-1]
-        direct_or = kernel_toarray(binomial_pmf_table(n, g_or(sig, delta)))
+        flipped_and = kernel_toarray(binomial_pmf_table(n, and_stage(sig)))[::-1, ::-1]
+        direct_or = kernel_toarray(binomial_pmf_table(n, or_stage(sig)))
         assert np.abs(direct_or - flipped_and).sum(axis=1).max() <= tol
 
     def test_blocks_do_not_depend_on_blas_threads(self):
         code = (
             "import hashlib, numpy as np\n"
             "from dagbroadcast.model import LayerSchedule\n"
-            "from dagbroadcast.sigma import binomial_pmf_table, exact_chain, g_majority\n"
+            "from dagbroadcast.sigma import _stage_g, binomial_pmf_table, exact_chain\n"
             "h = hashlib.sha256()\n"
             "for n in (64, 401, 4096):\n"
-            "    for block in binomial_pmf_table(n, g_majority(np.arange(301) / 300, 0.1)).blocks:\n"
+            "    for block in binomial_pmf_table(n, _stage_g('maj3', 0.1)(np.arange(301) / 300)).blocks:\n"
             "        h.update(block.tobytes())\n"
             "h.update(exact_chain('maj3', 0.15, LayerSchedule.linear(), 150)[-1].plus.tobytes())\n"
             "print(h.hexdigest())\n"
@@ -309,7 +307,7 @@ class TestBinomialPmf:
         assert len(digests[0]) == 65 and digests[0] == digests[1]
 
     def test_apply_matches_dense_product(self):
-        kernel = binomial_pmf_table(700, g_or(np.linspace(0, 1, 301), 0.07))
+        kernel = binomial_pmf_table(700, sigma_mod._stage_g("andor2", 0.07, 1)(np.linspace(0, 1, 301)))
         pair = np.random.default_rng(0).random((2, 301))
         np.testing.assert_allclose(kernel.apply(pair), pair @ kernel_toarray(kernel), rtol=1e-13, atol=1e-16)
 
@@ -325,13 +323,37 @@ class TestBandedChain:
     def test_matches_dense_oracle(self, model, spec, depth, delta):
         schedule = LayerSchedule.parse(spec)
         chain = exact_chain(model, delta, schedule, depth)
-        oracle = dense_chain(model, delta, schedule, depth)
+        oracle = dense_chain(MODEL_GATES[model], delta, schedule, depth)
         for dist, (plus, minus) in zip(chain, oracle):
             err = max(np.abs(dist.plus - plus).sum(), np.abs(dist.minus - minus).sum())
             assert err <= dist.dropped + 1e-13
             assert abs(tv(dist) - 0.5 * np.abs(plus - minus).sum()) <= dist.dropped + 1e-13
             if all(schedule.size(k) + 1 <= 2 * _window(schedule.size(k)) + 1 for k in range(1, dist.level + 1)):
                 assert dist.dropped == 0.0
+
+    # rows a model table may gain: a wider self-dual gate, andor2's stages swapped,
+    # a gate read through its dual, mixed arities, a repeated self-dual stage, and a
+    # gate that is neither self-dual nor read through its dual
+    NEW_ROWS = {
+        "maj5": (Gate.from_function("MAJ5", 5, lambda *bits: int(sum(bits) >= 3)),),
+        "andor2-swapped": (AND2, OR2),
+        "nand2": (NAND2,),
+        "maj3-and2": (MAJ3, AND2),
+        "maj3-maj3": (MAJ3, MAJ3),
+        "xor2": (XOR2,),
+    }
+
+    @pytest.mark.parametrize("row", NEW_ROWS)
+    @pytest.mark.parametrize("spec", ["const:33", "linear", "const:64"])
+    @pytest.mark.parametrize("delta", [0.03, 0.12, 0.25])
+    def test_new_stages_rows_match_dense_oracle(self, row, spec, delta, monkeypatch):
+        # a new model is one STAGES row: exact_chain reads its mirror classes from the gates
+        monkeypatch.setitem(sigma_mod.STAGES, row, self.NEW_ROWS[row])
+        schedule = LayerSchedule.parse(spec)
+        chain = exact_chain(row, delta, schedule, 30)
+        for dist, (plus, minus) in zip(chain, dense_chain(self.NEW_ROWS[row], delta, schedule, 30), strict=True):
+            err = max(np.abs(dist.plus - plus).sum(), np.abs(dist.minus - minus).sum())
+            assert err <= dist.dropped + 1e-13, (dist.level, err)
 
     def test_one_kernel_build_per_mirror_class_on_constant_schedules(self, monkeypatch):
         calls = []

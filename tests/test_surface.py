@@ -188,6 +188,38 @@ def test_cli_takes_dag_models_from_sigma_stages():
     assert not refs, f"cli.py refers to a sigma model constant on lines {refs}; read sigma.STAGES instead"
 
 
+def _model_constant_refs(tree: ast.AST) -> list[int]:
+    """Lines where ``MODEL_MAJ3`` or ``MODEL_ANDOR2`` is read outside their own
+    definitions and the ``STAGES`` and ``_CRITICAL`` tables."""
+    tables = ("MODEL_MAJ3", "MODEL_ANDOR2", "STAGES", "_CRITICAL")
+    allowed = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id in tables for t in node.targets)
+        for inner in ast.walk(node)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in ("MODEL_MAJ3", "MODEL_ANDOR2") and id(node) not in allowed
+    ]
+
+
+def test_sigma_states_each_model_once():
+    """In ``sigma.py`` a model is one ``STAGES`` row plus its critical delta in ``_CRITICAL``:
+    no other code names a model, so nothing branches on one."""
+    from dagbroadcast import sigma
+
+    lines = _model_constant_refs(ast.parse((ROOT / "src" / "dagbroadcast" / "sigma.py").read_text(encoding="utf-8")))
+    assert not lines, f"sigma.py names a model outside STAGES and _CRITICAL on lines {lines}"
+    assert set(sigma._CRITICAL) == set(sigma.STAGES)
+
+
+def test_model_guard_sees_a_model_branch():
+    code = "MODEL_MAJ3 = 'maj3'\nSTAGES = {MODEL_MAJ3: ()}\nif model == MODEL_MAJ3:\n    pass\n"
+    assert _model_constant_refs(ast.parse(code)) == [3]
+
+
 def test_package_root_reexports_nothing():
     init = ROOT / "src" / "dagbroadcast" / "__init__.py"
     tree = ast.parse(init.read_text(encoding="utf-8"))

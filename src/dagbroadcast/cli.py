@@ -19,6 +19,7 @@ import csv
 import io
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, fields
 
@@ -93,11 +94,12 @@ def _require_delta(value: float, field: str, model: str = "") -> None:
 
 
 def _require_writable(path: str, field: str) -> None:
-    """Refuse an output path that is a directory, or whose directory is missing or
-    not writable, before any work is done."""
+    """Refuse an output path that is a directory, or is neither a writable file nor in a
+    writable directory, before any work is done (a file is rewritten in place)."""
     _require(not os.path.isdir(path), field, f"{path} is a directory")
     folder = os.path.dirname(os.path.abspath(path))
-    _require(os.path.isdir(folder) and os.access(folder, os.W_OK), field, f"directory {folder} is missing or not writable")
+    writable = os.access(path, os.W_OK) or os.path.isdir(folder) and os.access(folder, os.W_OK)
+    _require(writable, field, f"directory {folder} is missing or not writable")
 
 
 @dataclass(frozen=True)
@@ -400,9 +402,17 @@ _SCHEDULE_MODELS = (*_DAG_MODELS, "bounds")
 
 
 def _write(path: str, text: str, field: str) -> None:
+    """Write ``text`` over a regular file in place, then cut it to length (truncating first
+    frees its blocks, which can cost more than the write); a failed write leaves it empty."""
+    data = memoryview(text.encode("utf-8"))
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
+            try:
+                while data:
+                    data = data[fh.write(data):]
+            finally:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a device or pipe has no length
+                    fh.truncate(0 if data else None)  # None: at the end written
     except OSError as exc:
         raise ConfigError(f"field {field}: {exc}") from None
 

@@ -170,7 +170,8 @@ def fixed_points(model: str, delta) -> FixedPointReport:
 
     model = _check_model(model)
     d = as_delta(delta, noiseless_ok=True)
-    critical = _CRITICAL[model]
+    if (critical := _CRITICAL.get(model)) is None:
+        raise ValueError(f"{model}: its critical delta is not stated in sigma._CRITICAL")
     if abs(d - critical) < 1e-12:
         raise DegenerateThresholdError(
             f"{d!r} lies within 1e-12 of the critical delta {critical!r} of {model}, where the fixed points merge"

@@ -1,6 +1,7 @@
 """Tests for configs, CSV serialization, experiment drivers, and the CLI."""
 
 import csv
+import errno
 import math
 import os
 import re
@@ -749,6 +750,101 @@ class TestExitCodes:
         assert main([*argv, str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"config error: field {field}: {tmp_path} is a directory\n"
+
+    def test_existing_file_in_unwritable_directory_accepted(self, tmp_path, monkeypatch, capsys):
+        # a file is rewritten in place, so only a new file needs a writable directory
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: os.path.abspath(p) != str(tmp_path) and access(p, mode))
+        existing = tmp_path / "rows.csv"
+        existing.write_text("old\n")
+        argv = ["exact-chain", "--model", "maj3", "--delta", "0.1", "--depth", "3", "--out"]
+        assert main([*argv, str(existing)]) == 0
+        assert existing.read_text().startswith(",".join(CSV_HEADER))
+        _assert_config_error([*argv, str(tmp_path / "new.csv")], "out", capsys)
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_CHAIN_OUT = ["exact-chain", "--model", "maj3", "--delta", "0.22", "--depth", "20", "--schedule", "const:32", "--out"]
+_EXPORT_H = ["grid-xor", "--k", "8", "--delta", "0.1", "--trials", "0", "--export-h"]
+
+
+class TestWriteInPlace:
+    """``--out`` and ``--export-h`` rewrite an existing file in place and cut it to length."""
+
+    @pytest.mark.parametrize("argv", [_CHAIN_OUT, _EXPORT_H], ids=["out", "export_h"])
+    @pytest.mark.parametrize("old_size", ["longer", "shorter", "equal"])
+    def test_bytes_match_a_fresh_write(self, argv, old_size, tmp_path, capsys):
+        fresh = tmp_path / "fresh"
+        assert main([*argv, str(fresh)]) == 0
+        want = fresh.read_bytes()
+        size = {"longer": 3 * len(want), "shorter": len(want) // 2, "equal": len(want)}[old_size]
+        target = tmp_path / "target"
+        target.write_bytes(b"z" * size)
+        assert main([*argv, str(target)]) == 0
+        assert target.read_bytes() == want
+
+    @pytest.mark.parametrize("argv", [_CHAIN_OUT, _EXPORT_H], ids=["out", "export_h"])
+    def test_new_file_mode_as_open_w(self, argv, tmp_path, capsys):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "by_open", "w"):
+                pass
+            assert main([*argv, str(tmp_path / "by_cli")]) == 0
+        finally:
+            os.umask(old)
+        assert (tmp_path / "by_cli").stat().st_mode == (tmp_path / "by_open").stat().st_mode
+
+    def test_opened_write_only_without_truncation(self, tmp_path, monkeypatch, capsys):
+        # truncating on open frees the old file's blocks before the write
+        calls = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            calls.append((str(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        target = tmp_path / "rows.csv"
+        target.write_bytes(b"z" * 100_000)
+        assert main([*_CHAIN_OUT, str(target)]) == 0
+        flags = [f for p, f in calls if p == str(target)]
+        assert len(flags) == 1
+        assert flags[0] & os.O_TRUNC == 0 and flags[0] & os.O_ACCMODE == os.O_WRONLY
+
+    def test_failed_write_leaves_file_empty(self, tmp_path):
+        # under a 4096-byte file-size limit the CSV cannot be written in full; no
+        # prefix of the new text, and no tail of the old file, may be left behind
+        target = tmp_path / "rows.csv"
+        target.write_bytes(b"z" * 20_000)
+        script = (
+            "import resource, signal, sys\n"
+            "from dagbroadcast.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *_CHAIN_OUT, str(target)],
+            env={**os.environ, "PYTHONPATH": _SRC}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: field out: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+        assert target.stat().st_size == 0
+
+    def test_dev_null(self, capsys):
+        assert main([*_CHAIN_OUT, os.devnull]) == 0
+        assert f"wrote 60 rows to {os.devnull}" in capsys.readouterr().out
+
+    def test_dev_stdout_into_a_pipe(self, tmp_path):
+        # a pipe can be neither sought in nor cut
+        proc = subprocess.run(
+            [sys.executable, "-m", "dagbroadcast.cli", *_CHAIN_OUT, "/dev/stdout"],
+            env={**os.environ, "PYTHONPATH": _SRC}, stdout=subprocess.PIPE, text=True,
+        )
+        assert proc.returncode == 0
+        assert main([*_CHAIN_OUT, str(tmp_path / "rows.csv")]) == 0
+        csv_text = (tmp_path / "rows.csv").read_text()
+        assert proc.stdout.startswith(csv_text) and "wrote 60 rows to /dev/stdout" in proc.stdout
 
 
 class TestBisectTermination:

@@ -140,6 +140,14 @@ class TestFixedPoints:
         with pytest.raises(DegenerateThresholdError):
             fixed_points("andor2", DELTA_ANDOR)
 
+    def test_row_without_critical_delta_refused(self, monkeypatch):
+        # a new STAGES row serves the g-curve analysis, but fixed_points needs its delta_c
+        monkeypatch.setitem(sigma_mod.STAGES, "maj5", (Gate.from_function("MAJ5", 5, lambda *b: int(sum(b) >= 3)),))
+        assert lipschitz("maj5", 0.1) == pytest.approx(1.5)
+        with pytest.raises(ValueError, match=r"^maj5: its critical delta is not stated") as exc:
+            fixed_points("maj5", 0.1)
+        assert not isinstance(exc.value, DegenerateThresholdError)
+
     @pytest.mark.parametrize("model,deltas", [
         ("maj3", np.linspace(0.01, 0.16, 20)),
         ("maj3", np.linspace(0.17, 0.49, 20)),

@@ -61,13 +61,13 @@ def _grid_level_step(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int,
     flips = flips.view(np.uint8).reshape(shape + (k, 2))
     noisy_right = prev ^ flips[..., 0]  # input to nodes 0..k-1 from parent j
     noisy_left = prev ^ flips[..., 1]  # input to nodes 1..k from parent j-1
-    f1_table = np.asarray(f1.table, dtype=np.uint8)
-    f2_table = np.asarray(f2.table, dtype=np.uint8)
+    # a gate's output on input word w is bit w of its truth table read as an int
+    f1_bits, f2_bits = (sum(b << w for w, b in enumerate(f.table)) for f in (f1, f2))
     out = np.empty(shape + (k + 1,), dtype=np.uint8)
-    out[..., 0] = np.take(f2_table, noisy_right[..., 0])
-    out[..., k] = np.take(f2_table, noisy_left[..., k - 1])
-    if k >= 2:
-        out[..., 1:k] = np.take(f1_table, noisy_left[..., :-1] | (noisy_right[..., 1:] << 1))
+    out[..., 0] = f2_bits >> noisy_right[..., 0]
+    out[..., k] = f2_bits >> noisy_left[..., k - 1]
+    out[..., 1:k] = f1_bits >> (noisy_left[..., :-1] | (noisy_right[..., 1:] << 1))
+    out &= 1
     return out
 
 

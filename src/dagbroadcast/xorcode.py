@@ -80,17 +80,17 @@ class BitMatrix:
             raise IndexError("bit index out of range")
         return (self.rows[r] >> c) & 1
 
+    def _bits(self) -> np.ndarray:
+        """The matrix as a (nrows, ncols) uint8 array of bits, unpacked from the rows' little-endian bytes."""
+        width = (self.ncols + 7) // 8
+        rows = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows), dtype=np.uint8)
+        return np.unpackbits(rows.reshape(self.nrows, width), axis=1, count=self.ncols, bitorder="little")
+
     @cached_property
     def columns(self) -> tuple[int, ...]:
-        """Every column as a bit-packed int over rows, transposed once.
-
-        The rows' little-endian bytes are unpacked to one bit per cell,
-        transposed and packed again, so no Python loop visits a set bit.
-        """
-        width, height = (self.ncols + 7) // 8, (self.nrows + 7) // 8
-        rows = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows), dtype=np.uint8)
-        bits = np.unpackbits(rows.reshape(self.nrows, width), axis=1, count=self.ncols, bitorder="little")
-        packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little").tobytes()
+        """Every column as a bit-packed int over rows: ``_bits`` transposed and packed again, once."""
+        height = (self.nrows + 7) // 8
+        packed = np.packbits(np.ascontiguousarray(self._bits().T), axis=1, bitorder="little").tobytes()
         return tuple([int.from_bytes(packed[c * height : (c + 1) * height], "little") for c in range(self.ncols)])
 
     def column(self, c: int) -> int:
@@ -105,21 +105,6 @@ class BitMatrix:
         for r, row in enumerate(self.rows):
             out |= ((row & vec).bit_count() & 1) << r
         return out
-
-
-def _reduce(vec: int, basis: list[int]) -> int:
-    """Reduce vec against a basis indexed by highest set bit; returns the remainder.
-
-    ``basis[b]`` is the basis vector whose highest set bit is b, or 0.  A
-    nonzero remainder is independent of the basis and has a highest set
-    bit that no basis vector owns.
-    """
-    while vec:
-        pivot = basis[vec.bit_length() - 1]
-        if not pivot:
-            return vec
-        vec ^= pivot
-    return 0
 
 
 def binom_parity(k: int, j: int) -> int:
@@ -204,40 +189,63 @@ def erasure_ml_fails(h: BitMatrix, erased: Iterable[int]) -> bool:
     """Decide ML failure for an erasure pattern over the edges.
 
     ``erased`` lists erased edge column indices (1-based, root excluded;
-    the root itself is never observed).  Recovery fails exactly when some
-    null-space vector has root coordinate 1 and support inside the erased
-    set, i.e. when the root column is in the span of the erased columns.
-    The erased columns are reduced into a basis, then the root column
-    against it; once the basis spans all rows the root is in the span.
-    Neither the span nor full rank depends on the order of reduction, so
-    the columns go in descending index, deepest level first: an edge into
-    level l touches at most k - l + 1 of the level-k nodes, so the deep
-    columns are the sparsest and reduce the cheapest.
+    the root itself is never observed), in any order.  Recovery fails
+    exactly when the root column is in the span of the erased columns.
+    One elimination decides it.  The erased columns are reduced into a
+    basis indexed by highest set bit, in descending index: the deepest
+    level's columns are the sparsest and reduce the cheapest.  The root
+    column is kept reduced against the basis; only a new basis vector on
+    its highest set bit changes it.  The root is in the span as soon as
+    it reduces to 0, at the latest when the basis spans all k + 1 rows,
+    and the loop stops there; no order changes the decision.  A trial
+    costs a sort, at most k + 1 XORs per column reduced before the stop,
+    and at most k + 1 XORs on the root.
     """
     erased = sorted(erased, reverse=True)
-    for c in (min(erased, default=1), max(erased, default=1)):
+    for c in erased[-1:] + erased[:1]:
         if not 1 <= c < h.ncols:
             raise ValueError(f"erased index {c} outside the edge columns 1..{h.ncols - 1}")
     cols = h.columns
     basis = [0] * h.nrows
-    rank = 0
+    root = h.column(0)
+    top = root.bit_length() - 1
     for c in erased:
-        vec = _reduce(cols[c], basis)
-        if vec:
-            basis[vec.bit_length() - 1] = vec
-            rank += 1
-            if rank == h.nrows:
+        vec = cols[c]
+        while vec:
+            b = vec.bit_length() - 1
+            if not basis[b]:
+                break
+            vec ^= basis[b]
+        else:
+            continue  # in the span already
+        basis[b] = vec
+        if b == top:
+            root ^= vec
+            while root:
+                top = root.bit_length() - 1
+                if not basis[top]:
+                    break
+                root ^= basis[top]
+            else:
                 return True
-    return _reduce(h.column(0), basis) == 0
+    return False
 
 
 def _erasure_patterns(n_edges: int, d: float, seed: int, start: int, stop: int) -> Iterator[list[int]]:
-    """Erased edge columns of trials start .. stop-1, one uniforms call (<= _PATTERN_CELLS cells) per batch."""
+    """Erased edge columns of trials start .. stop-1, each trial's ascending.
+
+    One uniforms call (<= _PATTERN_CELLS cells) and one ``np.flatnonzero``
+    decode a batch; only one trial's columns at a time become a Python list.
+    """
     step = max(_PATTERN_CELLS // n_edges, 1)
     for t0 in range(start, stop, step):
         seeds = np.array([derive_seed(seed, TAG_ERASE, t) for t in range(t0, min(t0 + step, stop))], dtype=np.uint64)
-        for erased in uniforms(seeds, n_edges, below=2.0 * d):
-            yield (np.flatnonzero(erased) + 1).tolist()
+        flat = np.flatnonzero(uniforms(seeds, n_edges, below=2.0 * d))
+        cols = flat % n_edges + 1
+        begin = 0
+        for end in np.searchsorted(flat, np.arange(1, len(seeds) + 1) * n_edges).tolist():
+            yield cols[begin:end].tolist()
+            begin = end
 
 
 def sample_erasure_pattern(idx: EdgeIndex, delta, seed: int, trial: int = 0) -> list[int]:
@@ -278,13 +286,5 @@ def erasure_mc_error_bound(k: int, delta, trials: int, seed: int) -> ErasureEsti
 def export_parity_check(h: BitMatrix) -> str:
     """Plain-text export: one row per line, column indices of ones."""
     lines = [f"# rows={h.nrows} cols={h.ncols}"]
-    for row in h.rows:
-        cols = []
-        c = 0
-        while row:
-            if row & 1:
-                cols.append(str(c))
-            row >>= 1
-            c += 1
-        lines.append(" ".join(cols))
+    lines += [" ".join(map(str, np.flatnonzero(bits).tolist())) for bits in h._bits()]
     return "\n".join(lines) + "\n"

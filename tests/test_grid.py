@@ -61,6 +61,17 @@ class TestGridPropagate:
             np.testing.assert_array_equal(got, grid_level_step_by_floats(f1, f2, delta, prev, k, seed=21))
             prev = got
 
+    @pytest.mark.parametrize("t1", range(16))
+    def test_step_reads_every_truth_table(self, t1):
+        # the step reads a gate's output as a bit of its truth table: every
+        # two-input table, with every one-input table at the boundary
+        f1 = Gate(f"table {t1}", 2, tuple((t1 >> w) & 1 for w in range(4)))
+        prev = np.random.default_rng(t1).integers(0, 2, size=(50, 6), dtype=np.uint8)
+        for t2 in range(4):
+            f2 = Gate(f"table {t2}", 1, tuple((t2 >> w) & 1 for w in range(2)))
+            got = _grid_level_step(f1, f2, 0.3, prev, 6, seed=t2)
+            np.testing.assert_array_equal(got, grid_level_step_by_floats(f1, f2, 0.3, prev, 6, seed=t2))
+
     def test_gate_arity_checked(self):
         for f1, f2 in ((IDENTITY, IDENTITY), (AND2, AND2)):
             with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for GF(2) linear algebra, XOR-grid parity checks, and erasures."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -319,6 +320,114 @@ class TestErasure:
         assert erasure_mc_error_bound(12, 0.05, 400, 7).failure_freq == 0.39
 
 
+class ColumnReads(tuple):
+    """A matrix's columns that log every index read from them."""
+
+    def __getitem__(self, c):
+        self.reads.append(c)
+        return super().__getitem__(c)
+
+
+def column_reads(h: BitMatrix) -> BitMatrix:
+    """A copy of h whose ``columns`` log their reads in ``.columns.reads``."""
+    logged = BitMatrix(h.nrows, h.ncols, h.rows)
+    logged.__dict__["columns"] = ColumnReads(h.columns)
+    logged.columns.reads = []
+    return logged
+
+
+class TestErasureEarlyStop:
+    """The elimination stops once the root is in the span, with the span's decision."""
+
+    KS = [3, 8, 12, 16, 32, 33, 64]
+
+    @staticmethod
+    def decision_by_rank(h, pattern):
+        erased = [h.column(c) for c in pattern]
+        return f2_rank(erased) == f2_rank([*erased, h.column(0)])
+
+    @staticmethod
+    def root_supports(k, idx):
+        # both edges out of the root: their columns sum to the root column
+        # (Pascal's rule); and for k a power of two the weight-3 certificate
+        supports = [[idx.column_of(1, 0, SLOT_RIGHT), idx.column_of(1, 1, SLOT_LEFT)]]
+        if k & (k - 1) == 0:
+            supports.append([idx.column_of(k, 0, SLOT_RIGHT), idx.column_of(k, k, SLOT_LEFT)])
+        return supports
+
+    @pytest.mark.parametrize("k", KS)
+    def test_root_in_span_before_full_rank(self, k):
+        h, idx = build_Hk(k)
+        rng = np.random.default_rng(500 + k)
+        for support in self.root_supports(k, idx):
+            for count in (0, 1, k // 2):  # at most k // 2 + 2 columns: short of the k + 1 rows
+                extras = rng.choice(np.arange(1, h.ncols), size=count, replace=False).tolist()
+                pattern = sorted(set(support + extras))
+                assert f2_rank([h.column(c) for c in pattern]) < h.nrows
+                assert self.decision_by_rank(h, pattern)
+                assert erasure_ml_fails(h, pattern)
+
+    @pytest.mark.parametrize("k", [8, 16, 32, 64])
+    def test_no_column_read_after_the_root_enters_the_span(self, k):
+        # the certificate's two edges are level k's first and last columns,
+        # the first two read; every shallower extra is left unread
+        h, idx = build_Hk(k)
+        first, last = idx.column_of(k, 0, SLOT_RIGHT), idx.column_of(k, k, SLOT_LEFT)
+        extras = list(range(1, first, 3))
+        logged = column_reads(h)
+        assert erasure_ml_fails(logged, [*extras, first, last])
+        assert sorted(logged.columns.reads) == [0, first, last]
+
+    @pytest.mark.parametrize("k", KS)
+    def test_root_never_in_span(self, k):
+        # every edge erased but the left boundary path, whose noise bits
+        # give node (k, 0) = root + their sum: the root stays recoverable
+        h, idx = build_Hk(k)
+        path = {idx.column_of(level, 0, SLOT_RIGHT) for level in range(1, k + 1)}
+        pattern = [c for c in range(1, h.ncols) if c not in path]
+        assert not self.decision_by_rank(h, pattern)
+        assert not erasure_ml_fails(h, pattern)
+        logged = column_reads(h)
+        erasure_ml_fails(logged, pattern)
+        assert sorted(logged.columns.reads) == [0, *pattern]
+
+    @pytest.mark.parametrize("k", KS)
+    def test_duplicates_unsorted_and_numpy_ints(self, k):
+        h, _ = build_Hk(k)
+        rng = np.random.default_rng(600 + k)
+        outcomes = set()
+        for _ in range(40):
+            rate = rng.uniform(0.0, 0.25)
+            pattern = [c for c in range(1, h.ncols) if rng.random() < rate]
+            fails = self.decision_by_rank(h, pattern)
+            outcomes.add(fails)
+            messy = pattern + pattern[: len(pattern) // 3]
+            rng.shuffle(messy)
+            for form in (messy, np.array(messy, dtype=np.int64), [np.uint16(c) for c in messy]):
+                assert erasure_ml_fails(h, form) == fails
+        assert outcomes == {False, True}
+
+    def test_patterns_are_ascending_python_ints_across_a_batch_boundary(self):
+        idx = EdgeIndex(64)
+        step = xorcode._PATTERN_CELLS // idx.n_edges
+        patterns = list(xorcode._erasure_patterns(idx.n_edges, 0.05, 9, step - 3, step + 3))
+        assert len(patterns) == 6
+        for pattern in patterns:
+            assert type(pattern) is list and pattern
+            assert all(type(c) is int for c in pattern)
+            assert pattern == sorted(set(pattern)) and 1 <= pattern[0] and pattern[-1] <= idx.n_edges
+
+    def test_empty_trial_inside_a_batch(self):
+        # delta 0 erases nothing: every trial of the batch yields []
+        assert list(xorcode._erasure_patterns(EdgeIndex(3).n_edges, 0.0, 1, 0, 5)) == [[]] * 5
+
+    @pytest.mark.parametrize("k, trials, failures", [(32, 400, 372), (64, 50, 50)])
+    def test_failures_pinned_at_benchmark_sizes(self, k, trials, failures):
+        # with test_mc_bound_pinned's k = 12, the three erasure runs of the benchmark
+        est = erasure_mc_error_bound(k, 0.05, trials, 7)
+        assert est.failure_freq == failures / trials
+
+
 class TestErasureBatches:
     """Patterns drawn a batch of trials at a time are the one-trial patterns, bit for bit."""
 
@@ -368,6 +477,17 @@ class TestExport:
     def test_trailing_newline(self):
         h, _ = build_Hk(2)
         assert export_parity_check(h).endswith("\n")
+
+    def test_h64_export_pinned(self):
+        text = export_parity_check(build_Hk(64)[0])
+        assert hashlib.sha256(text.encode()).hexdigest() == "08b15718b4c9db45ab4062a0bad07b1e1db0de5818f43dafcf2246d280a2093a"
+
+    @pytest.mark.parametrize("nrows, ncols", [(0, 0), (1, 0), (0, 5), (3, 1), (5, 17)])
+    def test_matches_bit_loop(self, nrows, ncols):
+        rng = random.Random(nrows * 31 + ncols)
+        rows = tuple(rng.getrandbits(ncols) for _ in range(nrows))
+        lines = export_parity_check(BitMatrix(nrows, ncols, rows)).split("\n")
+        assert lines[1:-1] == [" ".join(str(c) for c in range(ncols) if row >> c & 1) for row in rows]
 
 
 class TestCodingReduction:

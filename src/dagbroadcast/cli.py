@@ -446,10 +446,9 @@ def threshold_bisect(
     The exact chain's deep-level TV is (weakly) decreasing in delta, so
     the criterion is monotone and bisection brackets the crossing.  TV is
     read at the last multiple of the model's period in ``sigma.STAGES``.
-    Each chain stops at the first level whose TV is below the cutoff, and
-    the criterion then holds: every level passes both conditionals through
-    the same Markov kernel, so by data processing TV never rises with
-    depth, and the final level's TV is below the cutoff too.  Returns
+    Each chain stops once that verdict is certain (``sigma.exact_chain``),
+    and a chain that stopped early is judged by its last level's TV, which
+    is below the cutoff exactly when the criterion holds.  Returns
     (lo, hi) with criterion False at lo and True at hi; if the criterion
     holds nowhere the bracket collapses to the upper end, and if it holds
     everywhere to the lower end.  The loop also stops once lo and hi are
@@ -470,7 +469,7 @@ def threshold_bisect(
 
     def criterion(delta: float) -> bool:
         chain = sigma_mod.exact_chain(model, delta, schedule, depth, budget, stop_below=cutoff)
-        return chain[-1].level < depth or sigma_mod.tv(chain[depth - depth % period]) < cutoff
+        return sigma_mod.tv(chain[-1] if chain[-1].level < depth else chain[depth - depth % period]) < cutoff
 
     if criterion(delta_lo):
         return (delta_lo, delta_lo)

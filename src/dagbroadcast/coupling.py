@@ -45,9 +45,7 @@ from .rng import derive_seed, uniforms
 from .stats import wilson_interval
 
 __all__ = [
-    "SYM_0C",
     "SYM_1U",
-    "SYM_1C",
     "CouplingTvBound",
     "AlphaEstimate",
     "coupled_grid_runs",
@@ -55,9 +53,7 @@ __all__ = [
     "estimate_alpha",
 ]
 
-SYM_0C = 0  # (0, 0)
 SYM_1U = 1  # (0, 1)
-SYM_1C = 2  # (1, 1)
 
 TAG_COUPLE = 8
 TAG_PERC = 9

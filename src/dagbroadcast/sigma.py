@@ -282,13 +282,15 @@ class BinomialKernel:
     and 0 elsewhere.  ``drop[i]`` is a certified upper bound on the mass
     row i has outside its block's columns.  A kernel may hold only the rows
     its caller needs, such as the half of a self-dual kernel whose other
-    half is its mirror image (see ``exact_chain``).
+    half is its mirror image (see ``exact_chain``).  ``drift`` is the
+    largest raw |row sum - 1| the build measured, before any rescale.
     """
 
     n: int
     blocks: tuple[np.ndarray, ...]
     starts: tuple[int, ...]
     drop: np.ndarray
+    drift: float
 
     @property
     def size(self) -> int:
@@ -321,38 +323,38 @@ def binomial_pmf_table(n: int, p: np.ndarray) -> BinomialKernel:
     whose drift exceeds 1e-12 fires only from about n = 16384.
     """
     p = np.asarray(p, dtype=float)
-    k = np.arange(n + 1, dtype=float)
-    safe = np.clip(p, 1e-300, 1.0 - 1e-16)
-    terms = np.stack((np.log(safe), np.log1p(-safe), np.ones_like(safe)), axis=1)
-    cols = np.stack((k, n - k, _log_comb(n)))
+    safe = np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16)
+    terms, cols = np.ones((len(p), 3)), np.empty((3, n + 1))
+    terms[:, 0], terms[:, 1] = np.log(safe), np.log1p(-safe)
+    cols[0], cols[2] = np.arange(n + 1), _log_comb(n)
+    cols[1] = n - cols[0]
     mean = n * p
     t = math.ceil(math.sqrt(n * math.log(2.0 / BAND_EPS) / 2.0))
     if 2 * t >= n:
         t = n  # the windows cover at least half of each row: compute rows in full
-    lo = np.clip(np.floor(mean - t), 0, n).astype(np.int64)
-    hi = np.clip(np.ceil(mean + t), 0, n).astype(np.int64)
-    blocks, starts = [], []
-    edge_lo, edge_hi = np.empty_like(lo), np.empty_like(hi)
-    for r0 in range(0, len(p), BLOCK_ROWS):
-        rows = slice(r0, r0 + BLOCK_ROWS)
-        c0, c1 = int(lo[rows].min()), int(hi[rows].max()) + 1
-        block = terms[rows] @ cols[:, c0:c1]
-        blocks.append(np.exp(block, out=block))
-        starts.append(c0)
-        edge_lo[rows], edge_hi[rows] = c0, c1
-    # Hoeffding: P(X <= np - s) and P(X >= np + s) are each <= exp(-2 s^2 / n)
-    drop = np.where(edge_lo > 0, np.exp(-2.0 * (mean - edge_lo + 1) ** 2 / n), 0.0)
-    drop += np.where(edge_hi <= n, np.exp(-2.0 * (edge_hi - mean) ** 2 / n), 0.0)
-    for i in np.flatnonzero((p <= 0.0) | (p >= 1.0)):
-        b, r = divmod(i, BLOCK_ROWS)
-        blocks[b][r] = 0.0
-        blocks[b][r, (0 if p[i] <= 0.0 else n) - starts[b]] = 1.0
-        drop[i] = 0.0
+    heads = np.arange(0, len(p), BLOCK_ROWS)  # floor, ceil, clip are monotone: take a block's extreme means
+    edge_lo = np.clip(np.floor(np.minimum.reduceat(mean, heads) - t), 0, n).astype(np.int64)
+    edge_hi = np.clip(np.ceil(np.maximum.reduceat(mean, heads) + t), 0, n).astype(np.int64) + 1
+    blocks = [terms[r0:r0 + BLOCK_ROWS] @ cols[:, c0:c1] for r0, c0, c1 in zip(heads, edge_lo, edge_hi)]
+    for block in blocks:
+        np.exp(block, out=block)
+    starts, drop = edge_lo.tolist(), np.zeros(len(p))
+    if t < n:  # Hoeffding: P(X <= np - s) and P(X >= np + s) are each <= exp(-2 s^2 / n)
+        lo, hi = np.repeat(edge_lo, BLOCK_ROWS)[: len(p)], np.repeat(edge_hi, BLOCK_ROWS)[: len(p)]
+        drop = np.where(lo > 0, np.exp(-2.0 * (mean - lo + 1) ** 2 / n), 0.0)
+        drop += np.where(hi <= n, np.exp(-2.0 * (hi - mean) ** 2 / n), 0.0)
+    if p.min() <= 0.0 or p.max() >= 1.0:
+        for i in np.flatnonzero((p <= 0.0) | (p >= 1.0)):
+            b, r = divmod(i, BLOCK_ROWS)
+            blocks[b][r] = 0.0
+            blocks[b][r, (0 if p[i] <= 0.0 else n) - starts[b]] = 1.0
+            drop[i] = 0.0
     sums = [block.sum(axis=1) for block in blocks]
-    if max(np.abs(row_sums - 1.0).max() for row_sums in sums) > 1e-12:
+    drift = max(float(np.abs(row_sums - 1.0).max()) for row_sums in sums)
+    if drift > 1e-12:
         for block, row_sums in zip(blocks, sums):
             block /= row_sums[:, None]
-    return BinomialKernel(n, tuple(blocks), tuple(starts), drop)
+    return BinomialKernel(n, tuple(blocks), tuple(starts), drop, drift)
 
 
 def _renorm(pair: np.ndarray) -> np.ndarray:
@@ -380,10 +382,23 @@ def exact_chain(
     certified bound on what the bands left out.  Every level's size is
     checked against ``budget`` before any kernel is built.
 
-    With ``stop_below > 0`` the chain ends right after the first level
-    whose TV is below it, so it is a prefix of the full chain.  Every
-    level applies one Markov kernel to both conditionals, so by data
-    processing no later level, even or odd, has a larger TV.
+    With ``stop_below > 0`` the chain ends, as a prefix of the full chain,
+    once its verdict at the read level r = depth - depth % P (P the
+    ``STAGES`` period) is certain: after the first level whose TV is below
+    ``stop_below`` (by data processing no later level has a larger TV), or
+    at a level k = r - mP with TV_k - m (eps + (m+1) eta) / 2 >= stop_below
+    once levels k - P .. r have one size L.  With D = plus - minus,
+    eps = |D_k - D_{k-P}|_1 and A the stochastic P-step map, D_r - D_k =
+    sum_{j<m} (D_k - D_{k-P}) A^(j+1), so |D_r - D_k|_1 <= m eps as
+    |vA|_1 <= |v|_1 for signed v.  A computed step is v -> vA' + e, A' the
+    kernel with rows scaled to sum 1 (they miss 1 by <= drift + (L+2)u,
+    u = 2^-53; ``BinomialKernel.drift`` holds the banding drop), and the
+    GEMV's dot products of <= L + 2 terms and the renormalising give
+    |e|_1 <= 2 drift + (6L+12)u.  So each period's difference grows by
+    <= 4P max|e|_1 = 2 eta', |D_r - D_k|_1 <= m eps + m(m+1) eta', and
+    eta = 16P (drift + 8(L+4)u), over every kernel built, covers eta' and
+    the TV and eps sums' roundings: a stop implies the full chain's ``tv``
+    at r is >= stop_below.
 
     Kernels are built once per mirror class, read from each stage gate's
     ``Gate.dual``.  A gate ``via_dual``, such as OR, has
@@ -400,24 +415,27 @@ def exact_chain(
     d = as_delta(delta, noiseless_ok=True)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    sizes = [schedule.size(k) for k in range(1, depth + 1)]
-    for k, L_next in enumerate(sizes, start=1):
+    sizes = [schedule.size(k) for k in range(depth + 1)]
+    for k, L_next in enumerate(sizes[1:], start=1):
         if L_next > budget:
-            raise BudgetExceededError(
-                f"layer size {L_next} at level {k} exceeds budget {budget}"
-            )
+            raise BudgetExceededError(f"layer size {L_next} at level {k} exceeds budget {budget}")
+    read = steady = depth - depth % len(gates)  # levels steady .. read have one size
+    while steady > 0 and sizes[steady - 1] == sizes[read]:
+        steady -= 1
     half = all(gate.dual is gate for gate in gates)
     pair = np.array([[0.0, 1.0], [1.0, 0.0]])  # plus and minus as one array, unless half
     dist = SigmaDistribution(0, 1, *pair)
     dists = [dist]
     key = None  # (L_prev, L_next, table) of ``kernel``
-    for k, L_next in enumerate(sizes, start=1):
+    prior, drift = pair[0] - pair[1], 0.0  # D at the last level r - mP; largest kernel drift
+    for k, L_next in enumerate(sizes[1:], start=1):
         L, gate = dist.L, gates[(k - 1) % len(gates)]
         base = gate.dual if gate.via_dual else gate
         if key != (L, L_next, base.table):
             rows = L // 2 + 1 if half else L + 1
             kernel = binomial_pmf_table(L_next, base.curve(convolve(np.arange(rows) / L, d)))
-            key = L, L_next, base.table
+            key, drift = (L, L_next, base.table), max(drift, kernel.drift)
+            eta = 16 * len(gates) * (drift + 8 * (L_next + 4) * 2.0**-53)
             # truncation changes each conditional by <= max drop in L1, and
             # renormalizing it afterwards by as much again; a mirrored row
             # misses exactly the mass of the row it mirrors
@@ -438,8 +456,15 @@ def exact_chain(
             plus, minus = pair
         dist = SigmaDistribution(k, L_next, plus, minus, dist.dropped + step_drop)
         dists.append(dist)
-        if stop_below > 0.0 and tv(dist) < stop_below:
-            break
+        if stop_below > 0.0:
+            diff = plus - minus
+            level_tv = 0.5 * float(np.abs(diff).sum())  # tv(dist), bit for bit
+            m, off = divmod(read - k, len(gates))
+            if level_tv < stop_below or off == 0 and k - len(gates) >= steady and (
+                level_tv - 0.5 * m * (float(np.abs(diff - prior).sum()) + (m + 1) * eta) >= stop_below
+            ):
+                break
+            prior = diff if off == 0 else prior
     return dists
 
 

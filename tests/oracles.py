@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dagbroadcast.coupling import SYM_0C, SYM_1C, SYM_1U, TAG_COUPLE, TAG_PERC
+from dagbroadcast.coupling import SYM_1U, TAG_COUPLE, TAG_PERC
 from dagbroadcast.grid import TAG_GRID
 from dagbroadcast.model import AND2, MAJ3, OR2, TAG_TRIAL, Gate, LayerSchedule, as_delta
 from dagbroadcast.rng import derive_seed, uniforms
@@ -417,6 +417,10 @@ def random_block_instance(rng: np.random.Generator, max_cols: int = 10):
 
 # ---------------------------------------------------------------------------
 # Coupled AND grid on the symbols 0c = (0, 0) < 1u = (0, 1) < 1c = (1, 1)
+
+# the library names only 1u, the symbol it counts
+SYM_0C = 0
+SYM_1C = 2
 
 _DECODE = {SYM_0C: (0, 0), SYM_1U: (0, 1), SYM_1C: (1, 1)}
 

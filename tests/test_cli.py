@@ -220,6 +220,10 @@ class TestRunDrivers:
             run(cfg)
 
 
+# a schedule whose size changes for 7 levels, then stays at 96
+_GROWS_THEN_96 = "list:4,8,16,32,48,64,80"
+
+
 class TestThresholdBisect:
     def test_bracket_and_endpoint_consistency(self):
         sched = LayerSchedule.parse("const:16")
@@ -273,6 +277,33 @@ class TestThresholdBisect:
         sched = LayerSchedule.parse(spec)
         expect = threshold_bisect_full_depth(model, sched, depth, 2e-3, cutoff)
         assert threshold_bisect(model, sched, depth, cutoff=cutoff) == expect
+
+    @pytest.mark.parametrize(
+        "model, spec, depth, cutoff",
+        [
+            ("maj3", "const:128", 150, 0.01),
+            ("andor2", "const:128", 150, 0.01),
+            ("andor2", "const:128", 151, 0.01),
+            ("maj3", "const:512", 200, 0.005),
+            ("maj3", "const:512", 200, 0.02),
+            ("andor2", "const:512", 200, 0.005),
+            ("andor2", "const:512", 200, 0.02),
+            ("andor2", "const:512", 201, 0.02),
+            ("maj3", _GROWS_THEN_96 + ",96" * 53, 60, 0.01),
+            ("andor2", _GROWS_THEN_96 + ",96" * 53, 60, 0.01),
+            ("andor2", _GROWS_THEN_96 + ",96" * 54, 61, 0.02),
+        ],
+        ids=lambda v: "list" if str(v).startswith("list:") else str(v),
+    )
+    def test_early_stop_matches_full_depth_bisection_at_scale(self, model, spec, depth, cutoff):
+        sched = LayerSchedule.parse(spec)
+        expect = threshold_bisect_full_depth(model, sched, depth, 2e-3, cutoff)
+        assert threshold_bisect(model, sched, depth, cutoff=cutoff) == expect
+
+    def test_stay_above_exit_fires(self):
+        # far below the threshold TV stays near 1, which is certain long before level 200
+        chain = exact_chain("andor2", 0.05, LayerSchedule.parse("const:512"), 200, stop_below=0.02)
+        assert len(chain) < 201 and tv(chain[-1]) >= 0.02
 
     def test_budget_overrun_at_last_level_refused_despite_early_stop(self):
         # TV < 2.0 at level 1, so without the up-front size check the chain

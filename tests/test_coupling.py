@@ -8,8 +8,6 @@ from dagbroadcast.cli import ConfigError, ExperimentConfig
 from dagbroadcast.model import AND2, IDENTITY
 from dagbroadcast.grid import grid_exact_distribution
 from dagbroadcast.coupling import (
-    SYM_0C,
-    SYM_1C,
     SYM_1U,
     _NONE,
     _node_tails,
@@ -21,6 +19,8 @@ from dagbroadcast.coupling import (
 )
 from oracles import (
     NO_PARENT,
+    SYM_0C,
+    SYM_1C,
     coupled_and,
     coupled_channel_matrix,
     coupled_grid_coalesced,

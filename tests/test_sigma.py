@@ -1,5 +1,6 @@
 """Tests for the exact sufficient-statistic chain and its analysis."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -276,6 +277,24 @@ class TestBinomialPmf:
         assert (kernel.drop >= missing).all()
         assert kernel.drop.max() <= sigma_mod.BAND_EPS
 
+    @pytest.mark.parametrize("n", [40, 401, 4096])
+    def test_drift_is_the_raw_row_sum_error(self, n):
+        # no row drifts past 1e-12 here, so the blocks are the raw build and
+        # drift can be read off them; point-mass rows are exact
+        p = np.concatenate(([0.0, 1.0], sigma_mod._stage_g("maj3", 0.1)(np.linspace(0, 1, 300))))
+        kernel = binomial_pmf_table(n, p)
+        sums = np.concatenate([block.sum(axis=1) for block in kernel.blocks])
+        assert 0.0 < kernel.drift == np.abs(sums - 1.0).max() <= 1e-12
+
+    def test_drift_reports_the_rescale(self, monkeypatch):
+        # every entry scaled by e^1e-10: rows are rescaled, and drift says by how much
+        log_comb = sigma_mod._log_comb
+        monkeypatch.setattr(sigma_mod, "_log_comb", lambda n: log_comb(n) + 1e-10)
+        kernel = binomial_pmf_table(401, np.linspace(0.1, 0.9, 100))
+        sums = np.concatenate([block.sum(axis=1) for block in kernel.blocks])
+        assert kernel.drift == pytest.approx(1e-10, rel=1e-4)
+        assert np.abs(sums - 1.0).max() < 1e-13
+
     # Two log-space builds of one pmf differ by their round-off, whose relative
     # size per entry is about eps * |ln C(n, k)| <= eps * 0.7 n: the bound is
     # 1e-13 in row L1 up to n = 256 and grows with n beyond (6.1e-13 seen at 4096)
@@ -412,15 +431,40 @@ class TestExactChain:
     @pytest.mark.parametrize("depth", [40, 41])
     @pytest.mark.parametrize("cutoff", [0.005, 0.01, 0.02, 0.05])
     def test_stop_below_is_a_prefix(self, model, spec, depth, cutoff):
+        # a stopped chain ends at its first level with TV below the cutoff, or
+        # where the full chain's TV at the read level r stays at or above it
         schedule = LayerSchedule.parse(spec)
+        read = depth - depth % len(sigma_mod.STAGES[model])
         for d in (0.08, 0.1, 0.12, 0.16, 0.2):
             full = exact_chain(model, d, schedule, depth)
             stopped = exact_chain(model, d, schedule, depth, stop_below=cutoff)
-            first = next((c.level for c in full if tv(c) < cutoff), depth)
-            assert stopped[-1].level == first, (d, first)
-            for a, b in zip(stopped, full):
+            for a, b in zip(stopped, full, strict=False):
                 assert (a.level, a.L, a.dropped) == (b.level, b.L, b.dropped)
                 assert np.array_equal(a.plus, b.plus) and np.array_equal(a.minus, b.minus)
+            first = next((c.level for c in full if tv(c) < cutoff), None)
+            end = stopped[-1].level
+            if tv(stopped[-1]) < cutoff:
+                assert end == first, (d, first)
+            else:
+                assert end <= read and tv(full[read]) >= cutoff, (d, end)
+                assert first is None or first > end, (d, first)
+
+    def test_stay_above_waits_for_the_last_size_change(self):
+        # TV holds near 1 on the wide layers and decays on the one-node tail, so
+        # a stop certified before level 20 would be wrong
+        schedule = LayerSchedule.explicit([64] * 20 + [1] * 40)
+        full = exact_chain("maj3", 0.12, schedule, 60)
+        stopped = exact_chain("maj3", 0.12, schedule, 60, stop_below=0.1)
+        assert tv(full[19]) > 0.99 and tv(full[60]) < 0.1
+        assert stopped[-1].level == next(c.level for c in full if tv(c) < 0.1)
+
+    def test_kernel_drift_widens_the_stay_above_margin(self, monkeypatch):
+        # with drift 1e-3, eta = 16 * 2 * 1e-3 leaves room for m(m+1) eta / 2 < 1
+        # only within m <= 7 periods of level 200; the true drift stops at level 20
+        build = sigma_mod.binomial_pmf_table
+        monkeypatch.setattr(sigma_mod, "binomial_pmf_table", lambda n, p: dataclasses.replace(build(n, p), drift=1e-3))
+        chain = exact_chain("andor2", 0.05, LayerSchedule.parse("const:512"), 200, stop_below=0.02)
+        assert 186 <= chain[-1].level < 200 and tv(chain[-1]) >= 0.02
 
     def test_self_duality_reversal(self):
         for spec in ("const:16", "linear", "log:10"):

@@ -3,13 +3,13 @@
 A name in a module's ``__all__`` must be used, as a name, an attribute or
 an identifier string (the benchmark's tracer names its targets by string),
 in some library module, in the acceptance suite or in the benchmark.  Its
-own ``def``/``class`` statement, its ``__all__`` entry and its imports do
-not count, and neither do unit tests: a function only they call belongs
-in ``tests/oracles.py`` as a reference, or nowhere.  Likewise every public
-method of a library class must be reached as an attribute (``.name``) in
-those same files.  And a ``src/`` draw compared with a threshold asks
-``uniforms`` for ``below=`` rather than comparing the floats it returns,
-directly or through a name.
+own ``def``/``class`` statement, its ``__all__`` entry, its imports and
+assignments to it do not count, and neither do unit tests: a function
+only they call belongs in ``tests/oracles.py`` as a reference, or
+nowhere.  Likewise every public method of a library class must be reached
+as an attribute (``.name``) in those same files.  And a ``src/`` draw
+compared with a threshold asks ``uniforms`` for ``below=`` rather than
+comparing the floats it returns, directly or through a name.
 """
 
 import ast
@@ -47,7 +47,7 @@ def _used_names() -> set[str]:
             node = stack.pop()
             if _is_all(node):
                 continue
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)

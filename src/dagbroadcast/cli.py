@@ -383,10 +383,7 @@ def _run_bounds(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
 
 _DRIVERS = {
     **dict.fromkeys(_DAG_MODELS, _run_dag_model),
-    "grid-and": _run_grid_model,
-    "grid-or": _run_grid_model,
-    "grid-xor": _run_grid_model,
-    "grid-nand": _run_grid_model,
+    **{f"grid-{gate}": _run_grid_model for gate in GRID_GATES},
     "grid-and-couple": _run_coupling_model,
     "percolation": _run_percolation,
     "bounds": _run_bounds,
@@ -632,6 +629,7 @@ def _cmd_fixed_points(args) -> int:
     except sigma_mod.DegenerateThresholdError as exc:
         raise ConfigError(f"field delta: {exc}") from None
     print(f"model={report.model} delta={report.delta:g} lipschitz={report.lipschitz:.6f}")
+    print("critical delta in [{!r}, {!r}]".format(*sigma_mod.critical_delta(args.model)))
     for pt in report.points:
         kind = "stable" if pt.stable else "unstable"
         print(f"  fixed point {pt.value:.10f} ({kind})")

@@ -145,7 +145,7 @@ def _reach_probs(p: float) -> np.ndarray:
 
 
 def _percolation_reach(p: float, depth: int, trials: int, seed: int):
-    """Vectorized reachability; returns (reach mask final, R, L) arrays.
+    """Vectorized reachability; returns the (R, L) arrays, -1 where no node is reached.
 
     Only the trials alive at the previous level are stepped, over the columns
     from their leftmost reached node to one past their rightmost: no node
@@ -167,15 +167,13 @@ def _percolation_reach(p: float, depth: int, trials: int, seed: int):
         alive = new.any(axis=1)
         live, new = live[alive], new[alive]
         if live.size == 0:
-            return np.zeros((trials, k + 1), dtype=bool), right, left
+            break
         r = lo + w - new[:, ::-1].argmax(axis=1)
         l = lo + new.argmax(axis=1)
         right[live, k], left[live, k] = r, l
         base, lo, hi = lo, int(l.min()), int(r.max())
         reach = new[:, lo - base : hi - base + 1]
-    final = np.zeros((trials, depth + 1), dtype=bool)
-    final[live, lo : hi + 1] = reach
-    return final, right, left
+    return right, left
 
 
 @dataclass(frozen=True)
@@ -202,8 +200,8 @@ def estimate_alpha(p: float, depth: int, trials: int, seed: int) -> AlphaEstimat
         raise ValueError("depth must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    reach, right, left = _percolation_reach(p, depth, trials, seed)
-    alive = reach.any(axis=1)
+    right, left = _percolation_reach(p, depth, trials, seed)
+    alive = right[:, depth] >= 0
     n_alive = int(alive.sum())
     if n_alive == 0:
         return AlphaEstimate(float("nan"), float("nan"), 0, trials)

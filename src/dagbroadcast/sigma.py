@@ -7,9 +7,9 @@ gate's conditional-mean curve.  This module propagates the two
 root-conditional distributions of that chain exactly, analyzes the
 g-curves, and provides the coupled and quenched Monte Carlo estimators.
 
-A model is a row of ``STAGES`` plus its critical delta in ``_CRITICAL``.
-The row holds the model's ``model.Gate``s for one period, in level order.  A
-stage reads BSC(delta) and applies its gate's ``Gate.curve``, derived from
+A model is a row of ``STAGES`` alone, its critical delta derived from it
+(``critical_delta``): the model's ``model.Gate``s for one period, in level
+order.  A stage reads BSC(delta) and applies its gate's ``Gate.curve``, from
 the truth table, and ``exact_chain`` takes each stage's kernel mirror class
 from the gate's duality (``Gate.dual``).  ``maj3`` is 3-majority at every
 level; ``andor2`` is OR into odd and AND into even levels, read at even levels.
@@ -40,6 +40,7 @@ __all__ = [
     "CoupledChainStats",
     "QuenchedEstimate",
     "g_derivative",
+    "critical_delta",
     "fixed_points",
     "lipschitz",
     "BinomialKernel",
@@ -57,7 +58,7 @@ MODEL_MAJ3 = "maj3"
 MODEL_ANDOR2 = "andor2"
 
 DELTA_MAJ = 1.0 / 6.0
-DELTA_ANDOR = (3.0 - math.sqrt(7.0)) / 4.0
+DELTA_ANDOR = 0.5 / (3.0 + math.sqrt(7.0))  # (3 - sqrt 7) / 4, without the cancellation
 
 TAG_COUPLED = 4
 
@@ -66,7 +67,7 @@ DEFAULT_BUDGET = 4096
 
 
 class DegenerateThresholdError(ValueError):
-    """Raised when fixed points are requested within 1e-12 of a critical delta."""
+    """Raised when fixed points are requested within 1e-12 of a critical delta's bracket."""
 
 
 def _check_model(model: str) -> str:
@@ -82,10 +83,7 @@ def _check_model(model: str) -> str:
 # Each model's gates for one period, in level order: the step into level k
 # applies gate (k - 1) % len, and the model is read every len levels.
 STAGES = {MODEL_MAJ3: (MAJ3,), MODEL_ANDOR2: (OR2, AND2)}
-
-
-# Each model's critical delta, at which the period map's fixed points merge.
-_CRITICAL = {MODEL_MAJ3: DELTA_MAJ, MODEL_ANDOR2: DELTA_ANDOR}
+_BRACKETS: dict = {}  # critical_delta's, by STAGES row
 
 
 def _stage_g(model: str, delta, k: int | None = None):
@@ -107,9 +105,9 @@ def _stage_g(model: str, delta, k: int | None = None):
     return g
 
 
-def _period_poly(model: str, delta: float) -> np.poly1d:
-    """The period map as a polynomial in x, with float coefficients."""
-    return _stage_g(model, delta)(np.poly1d([1.0, 0.0]))
+def _period_poly(model: str, delta) -> np.poly1d:
+    """The period map as a polynomial in x: float coefficients, or exact ones for a ``Fraction`` delta."""
+    return _stage_g(model, delta)(np.poly1d([type(delta)(1), 0]))
 
 
 def g_derivative(model: str, sigma, delta):
@@ -151,6 +149,33 @@ def lipschitz(model: str, delta) -> float:
     return float(np.abs(slope(np.array([0.0, 1.0, *_in_unit(slope.deriv().roots)]))).max())
 
 
+def _fixed_point_count(model: str, delta: float) -> int:
+    """Distinct roots in (0, 1] of P(x) - x, P the period map at ``delta``: Sturm's theorem in rationals."""
+    from fractions import Fraction  # off start-up, as in fixed_points
+    h = _period_poly(model, Fraction(delta)) - np.poly1d([1, 0])
+    seq = [h, h.deriv()]
+    while seq[-1].order > 0:  # append -(seq[-2] mod seq[-1]), by long division (np.polydiv takes no Fractions)
+        r, b = list(seq[-2]), list(seq[-1])
+        while len(r) >= len(b):
+            q = r[0] / b[0]
+            r = [x - q * y for x, y in zip(r[1:], b[1:] + [0] * (len(r) - len(b)))]
+        seq.append(-np.poly1d(r))
+    at_0, at_1 = ([v > 0 for v in (p(x) for p in seq) if v] for x in (0, 1))  # nonzero signs at 0 and at 1
+    return int(np.count_nonzero(np.diff(at_0)) - np.count_nonzero(np.diff(at_1)))
+
+
+def critical_delta(model: str) -> tuple[float, float]:
+    """Adjacent floats lo < hi around the delta where the period map's fixed points merge,
+    bisected from [0, 1/2] on "more than one", which assumes the count falls once (a row
+    with one fixed point at every delta > 0 gets [0.0, 5e-324]).  Cached by gates, not name."""
+    gates = STAGES[_check_model(model)]
+    lo, hi = _BRACKETS.get(gates, (0.0, 0.5))  # a cached bracket is adjacent floats: no step runs
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if _fixed_point_count(model, mid) > 1 else (lo, mid)
+    _BRACKETS[gates] = lo, hi
+    return lo, hi
+
+
 def fixed_points(model: str, delta) -> FixedPointReport:
     """Fixed points of g, each a float next to a root of g(x) - x.
 
@@ -162,19 +187,18 @@ def fixed_points(model: str, delta) -> FixedPointReport:
     delta |g' - 1| falls to 1e-10, and float rounding of g(x) - x alone
     would move a float bisection's root by up to 1e-7.
 
-    Below the critical delta the map has three fixed points, above it one.
-    Within 1e-12 of the critical value the roots merge; that is refused as
-    degenerate rather than returning a near-singular list.
+    Below the critical delta the map has more than one fixed point, above it
+    one.  Within 1e-12 of ``critical_delta``'s bracket, where they merge, it
+    refuses as degenerate rather than return a near-singular list.
     """
     from fractions import Fraction  # only this exact search needs it; keeps it off start-up
 
     model = _check_model(model)
     d = as_delta(delta, noiseless_ok=True)
-    if (critical := _CRITICAL.get(model)) is None:
-        raise ValueError(f"{model}: its critical delta is not stated in sigma._CRITICAL")
-    if abs(d - critical) < 1e-12:
+    lo, hi = critical_delta(model)
+    if lo - 1e-12 < d < hi + 1e-12:
         raise DegenerateThresholdError(
-            f"{d!r} lies within 1e-12 of the critical delta {critical!r} of {model}, where the fixed points merge"
+            f"{d!r} lies within 1e-12 of the critical delta of {model}, in [{lo!r}, {hi!r}], where the fixed points merge"
         )
     exact = _stage_g(model, Fraction(d))
 

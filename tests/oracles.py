@@ -681,7 +681,7 @@ def coupled_grid_runs_dense(delta: float, max_depth: int, trials: int, seed: int
 
 def percolation_reach_dense(p: float, depth: int, trials: int, seed: int):
     """``coupling._percolation_reach`` drawing every trial's every node at every
-    level; returns (reach mask of the last level drawn, R, L)."""
+    level; returns (R, L)."""
     law = percolation_node_law(p)
     reach = np.ones((trials, 1), dtype=bool)
     right = np.full((trials, depth + 1), -1, dtype=np.int64)
@@ -699,7 +699,7 @@ def percolation_reach_dense(p: float, depth: int, trials: int, seed: int):
         left[alive, k] = np.where(reach, cols, k + 1).min(axis=1)[alive]
         if not alive.any():
             break
-    return reach, right, left
+    return right, left
 
 
 def threshold_bisect_full_depth(

@@ -326,6 +326,7 @@ class TestMain:
         out = capsys.readouterr().out
         assert "0.9419417" in out
         assert "lipschitz" in out
+        assert "\ncritical delta in [0.16666666666666666, 0.16666666666666669]\n" in out
 
     def test_exact_chain_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "chain.csv"

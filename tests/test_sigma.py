@@ -20,6 +20,7 @@ from dagbroadcast.sigma import (
     SigmaDistribution,
     binomial_pmf_table,
     coupled_mc,
+    critical_delta,
     exact_chain,
     fixed_points,
     g_derivative,
@@ -47,6 +48,17 @@ from oracles import (
 # Each model's stage gates for one period, stated here rather than read from
 # sigma.STAGES, so the dense oracle is an independent route.
 MODEL_GATES = {"maj3": (MAJ3,), "andor2": (OR2, AND2)}
+
+
+# Anchors for grids around each critical delta, as plain float expressions of
+# the closed forms.  The grids step at least 1e-10 away from them, so an anchor
+# a few ulp off (the andor2 one is 2.26 ulp low) serves; ``TestCriticalDelta``
+# checks the exact position.
+NEAR_CRITICAL = [("maj3", 1 / 6), ("andor2", (3 - math.sqrt(7)) / 4)]
+
+
+def _majority(d: int) -> Gate:
+    return Gate.from_function(f"MAJ{d}", d, lambda *b: int(sum(b) > d // 2))
 
 
 def make_dist(level, plus, minus):
@@ -141,13 +153,16 @@ class TestFixedPoints:
         with pytest.raises(DegenerateThresholdError):
             fixed_points("andor2", DELTA_ANDOR)
 
-    def test_row_without_critical_delta_refused(self, monkeypatch):
-        # a new STAGES row serves the g-curve analysis, but fixed_points needs its delta_c
-        monkeypatch.setitem(sigma_mod.STAGES, "maj5", (Gate.from_function("MAJ5", 5, lambda *b: int(sum(b) >= 3)),))
+    def test_new_row_needs_no_stated_critical_delta(self, monkeypatch):
+        # a STAGES row alone serves the whole analysis: its delta_c is derived
+        monkeypatch.setitem(sigma_mod.STAGES, "maj5", (_majority(5),))
         assert lipschitz("maj5", 0.1) == pytest.approx(1.5)
-        with pytest.raises(ValueError, match=r"^maj5: its critical delta is not stated") as exc:
-            fixed_points("maj5", 0.1)
-        assert not isinstance(exc.value, DegenerateThresholdError)
+        assert len(fixed_points("maj5", 0.1).points) == 3
+        assert len(fixed_points("maj5", 0.3).points) == 1
+        lo, hi = critical_delta("maj5")
+        for d in (lo - 5e-13, lo, hi, hi + 5e-13):
+            with pytest.raises(DegenerateThresholdError, match=r"critical delta of maj5, in \["):
+                fixed_points("maj5", d)
 
     @pytest.mark.parametrize("model,deltas", [
         ("maj3", np.linspace(0.01, 0.16, 20)),
@@ -161,7 +176,7 @@ class TestFixedPoints:
             for p in fixed_points(model, float(d)).points:
                 assert abs(g(p.value) - p.value) < 1e-12
 
-    @pytest.mark.parametrize("model, critical", [("maj3", DELTA_MAJ), ("andor2", DELTA_ANDOR)])
+    @pytest.mark.parametrize("model, critical", NEAR_CRITICAL)
     @pytest.mark.parametrize("offset", [-1e-8, -1e-9, -1e-10, 1e-10, 1e-9, 1e-8])
     def test_near_critical(self, model, critical, offset):
         report = fixed_points(model, critical + offset)
@@ -175,6 +190,59 @@ class TestFixedPoints:
         assert [p.stable for p in report.points] == [True, False, True]
         report = fixed_points("andor2", 0.05)
         assert [p.stable for p in report.points] == [True, False, True]
+
+
+def _exact_critical(model: str) -> Decimal:
+    """The closed-form critical delta, to 40 digits: (3 - sqrt 7) / 4 for andor2,
+    1/2 - 2^(d-2) / (c C(d, c)) with c = ceil(d/2) for d-majority."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        if model == "andor2":
+            return (3 - Decimal(7).sqrt()) / 4
+        d = int(model.removeprefix("maj"))
+        c = (d + 1) // 2
+        return Decimal(1) / 2 - Decimal(2 ** (d - 2)) / (c * math.comb(d, c))
+
+
+class TestCriticalDelta:
+    """``critical_delta`` derives each row's delta_c from the period map alone."""
+
+    @pytest.fixture(autouse=True)
+    def _majority_rows(self, monkeypatch):
+        for d in (5, 7, 9):
+            monkeypatch.setitem(sigma_mod.STAGES, f"maj{d}", (_majority(d),))
+
+    @pytest.mark.parametrize("model", ["maj3", "andor2", "maj5", "maj7", "maj9"])
+    def test_bracket_holds_the_closed_form(self, model):
+        lo, hi = critical_delta(model)
+        assert hi == np.nextafter(lo, 1.0)
+        assert Decimal(lo) < _exact_critical(model) < Decimal(hi)
+
+    def test_nand_row_gives_andor2_bracket(self, monkeypatch):
+        # NAND at every level is AND/OR alternation with every other layer complemented
+        monkeypatch.setitem(sigma_mod.STAGES, "nand2", (NAND2, NAND2))
+        assert critical_delta("nand2") == critical_delta("andor2")
+
+    def test_cached_by_row_not_name(self, monkeypatch):
+        before = critical_delta("maj3")
+        monkeypatch.setitem(sigma_mod.STAGES, "maj3", sigma_mod.STAGES["maj5"])
+        assert critical_delta("maj3") == critical_delta("maj5") != before
+
+    @pytest.mark.parametrize("model", ["maj3", "andor2", "maj5"])
+    def test_root_count_falls_once(self, model):
+        # the bisection's assumption: three fixed points below delta_c, one above
+        lo, hi = critical_delta(model)
+        assert sigma_mod._fixed_point_count(model, lo - 1e-6) == 3
+        assert sigma_mod._fixed_point_count(model, hi + 1e-6) == 1
+        counts = [sigma_mod._fixed_point_count(model, float(d)) for d in np.linspace(0.001, 0.499, 200)]
+        assert set(counts) == {3, 1} and counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("model, constant", [("maj3", DELTA_MAJ), ("andor2", DELTA_ANDOR)])
+    def test_exported_targets(self, model, constant):
+        # within half an ulp of the closed form, and inside the derived bracket
+        assert abs(Decimal(constant) - _exact_critical(model)) <= Decimal(math.ulp(constant)) / 2
+        lo, hi = critical_delta(model)
+        assert lo <= constant <= hi
 
 
 class TestLipschitz:
@@ -205,7 +273,7 @@ def _deltas_around(critical: float) -> list[float]:
 class TestClosedForms:
     """The analysis derived from the period map's polynomial agrees with the hand-worked closed forms."""
 
-    @pytest.mark.parametrize("model, critical", [("maj3", DELTA_MAJ), ("andor2", DELTA_ANDOR)])
+    @pytest.mark.parametrize("model, critical", NEAR_CRITICAL)
     def test_fixed_points_and_lipschitz(self, model, critical):
         for d in _deltas_around(critical):
             report = fixed_points(model, d)

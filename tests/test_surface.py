@@ -190,8 +190,8 @@ def test_cli_takes_dag_models_from_sigma_stages():
 
 def _model_constant_refs(tree: ast.AST) -> list[int]:
     """Lines where ``MODEL_MAJ3`` or ``MODEL_ANDOR2`` is read outside their own
-    definitions and the ``STAGES`` and ``_CRITICAL`` tables."""
-    tables = ("MODEL_MAJ3", "MODEL_ANDOR2", "STAGES", "_CRITICAL")
+    definitions and the ``STAGES`` table."""
+    tables = ("MODEL_MAJ3", "MODEL_ANDOR2", "STAGES")
     allowed = {
         id(inner)
         for node in tree.body
@@ -206,13 +206,10 @@ def _model_constant_refs(tree: ast.AST) -> list[int]:
 
 
 def test_sigma_states_each_model_once():
-    """In ``sigma.py`` a model is one ``STAGES`` row plus its critical delta in ``_CRITICAL``:
-    no other code names a model, so nothing branches on one."""
-    from dagbroadcast import sigma
-
+    """In ``sigma.py`` a model is one ``STAGES`` row: no other code names a model,
+    so nothing branches on one or states anything about it by hand."""
     lines = _model_constant_refs(ast.parse((ROOT / "src" / "dagbroadcast" / "sigma.py").read_text(encoding="utf-8")))
-    assert not lines, f"sigma.py names a model outside STAGES and _CRITICAL on lines {lines}"
-    assert set(sigma._CRITICAL) == set(sigma.STAGES)
+    assert not lines, f"sigma.py names a model outside STAGES on lines {lines}"
 
 
 def test_model_guard_sees_a_model_branch():

@@ -54,7 +54,7 @@ MODEL_GATES = {"maj3": (MAJ3,), "andor2": (OR2, AND2)}
 # the closed forms.  The grids step at least 1e-10 away from them, so an anchor
 # a few ulp off (the andor2 one is 2.26 ulp low) serves; ``TestCriticalDelta``
 # checks the exact position.
-NEAR_CRITICAL = [("maj3", 1 / 6), ("andor2", (3 - math.sqrt(7)) / 4)]
+CRITICAL_ANCHORS = [("maj3", 1 / 6), ("andor2", (3 - math.sqrt(7)) / 4)]
 
 
 def _majority(d: int) -> Gate:
@@ -176,7 +176,7 @@ class TestFixedPoints:
             for p in fixed_points(model, float(d)).points:
                 assert abs(g(p.value) - p.value) < 1e-12
 
-    @pytest.mark.parametrize("model, critical", NEAR_CRITICAL)
+    @pytest.mark.parametrize("model, critical", CRITICAL_ANCHORS)
     @pytest.mark.parametrize("offset", [-1e-8, -1e-9, -1e-10, 1e-10, 1e-9, 1e-8])
     def test_near_critical(self, model, critical, offset):
         report = fixed_points(model, critical + offset)
@@ -273,7 +273,7 @@ def _deltas_around(critical: float) -> list[float]:
 class TestClosedForms:
     """The analysis derived from the period map's polynomial agrees with the hand-worked closed forms."""
 
-    @pytest.mark.parametrize("model, critical", NEAR_CRITICAL)
+    @pytest.mark.parametrize("model, critical", CRITICAL_ANCHORS)
     def test_fixed_points_and_lipschitz(self, model, critical):
         for d in _deltas_around(critical):
             report = fixed_points(model, d)

@@ -302,10 +302,12 @@ def _run_grid_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str
     rows: list[ResultRow] = []
     dp_depth = min(config.depth, grid_mod.DEFAULT_DEPTH_CAP)
     summary = [f"{config.model}: exact DP to depth {dp_depth}"]
+    erasure_row = config.model == "grid-xor" and config.trials > 0
     if dp_depth < config.depth:
+        erasure = f", the erasure_fail row is at depth {config.depth}" if erasure_row else ""
         note = (
             f"requested depth {config.depth} exceeds the exact-DP cap; "
-            f"exact and MC rows reach depth {dp_depth} only"
+            f"tv_exact, ml_error and tv_mc rows reach depth {dp_depth} only{erasure}"
         )
         print(f"warning: {note}", file=sys.stderr)
         summary.append(note)
@@ -321,7 +323,7 @@ def _run_grid_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str
                 ci = max(0.0, est.tv - 3 * est.dev), min(1.0, est.tv + 3 * est.dev)
                 rows.append(_row(config, delta, est.level, est.level + 1, "tv_mc", est.tv, ci))
                 summary.append(f"  k={est.level:2d} tv_mc={est.tv:.6f} (+/- 3*{est.dev:.6f})")
-        if config.model == "grid-xor" and config.trials > 0:
+        if erasure_row:
             est = xorcode_mod.erasure_mc_error_bound(config.depth, float(delta), config.trials, config.seed)
             ci = 2 * est.ci_low, 2 * est.ci_high
             rows.append(_row(config, delta, config.depth, config.depth + 1, "erasure_fail", est.failure_freq, ci))

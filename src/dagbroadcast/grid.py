@@ -8,17 +8,20 @@ apply the one-input gate f2.
 
 The module contains an exact forward dynamic program over all 2^(k+1)
 level words, which serves as the oracle for the grid impossibility
-results, and a Monte Carlo TV estimator for cross-checking it.  The DP applies each level's kernel one node at a
-time (a transfer-matrix sweep), at O(k 2^k) cost per level.  Both refuse
-depths below 1 or beyond DEFAULT_DEPTH_CAP = 20.
+results, and a Monte Carlo TV estimator for cross-checking it.  The DP
+applies each level's kernel one node at a time (a transfer-matrix sweep),
+at O(k 2^k) cost per level.  The Monte Carlo is bit-sliced: row j of a
+batch is node j, with trial t at bit t % 8 of byte t // 8, so each array
+operation moves eight trials per byte.  Both refuse depths below 1 or
+beyond DEFAULT_DEPTH_CAP = 20.
 
 Level words are encoded with node j at bit j (node 0 least significant).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -53,21 +56,29 @@ def _check_args(f1: Gate, f2: Gate, depth: int) -> None:
         )
 
 
-def _grid_level_step(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Advance bit arrays of shape (..., k) to level k (shape (..., k + 1))."""
+def _on_planes(table: tuple[int, ...], *inputs: np.ndarray) -> np.ndarray:
+    """A gate on whole bit-planes: the OR of its truth table's minterms (input i is bit i of a word)."""
+    out = np.zeros_like(inputs[0])
+    for w, bit in enumerate(table):
+        if bit:
+            out |= reduce(np.bitwise_and, [x if w >> i & 1 else ~x for i, x in enumerate(inputs)])
+    return out
+
+
+def _grid_level_step(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, trials: int, k: int, seed: int) -> np.ndarray:
+    """Advance ``trials`` grids from bit-planes of shape (k, ceil(trials / 8)) to level k:
+    row j is node j, and trial t is bit t % 8 of byte t // 8 (``np.packbits(...,
+    bitorder="little")``).  The bits past ``trials`` are padding that no trial reads."""
     # parent j's two out-edges own positions 2j (to node j) and 2j + 1 (to node j + 1) of a trial's 2k
-    shape = prev.shape[:-1]
-    flips = uniforms(derive_seed(seed, TAG_GRID, k), math.prod(shape) * k * 2, below=delta)
-    flips = flips.view(np.uint8).reshape(shape + (k, 2))
-    noisy_right = prev ^ flips[..., 0]  # input to nodes 0..k-1 from parent j
-    noisy_left = prev ^ flips[..., 1]  # input to nodes 1..k from parent j-1
-    # a gate's output on input word w is bit w of its truth table read as an int
-    f1_bits, f2_bits = (sum(b << w for w, b in enumerate(f.table)) for f in (f1, f2))
-    out = np.empty(shape + (k + 1,), dtype=np.uint8)
-    out[..., 0] = f2_bits >> noisy_right[..., 0]
-    out[..., k] = f2_bits >> noisy_left[..., k - 1]
-    out[..., 1:k] = f1_bits >> (noisy_left[..., :-1] | (noisy_right[..., 1:] << 1))
-    out &= 1
+    flips = uniforms(derive_seed(seed, TAG_GRID, k), trials * k * 2, below=delta).reshape(trials, 2 * k)
+    planes = np.packbits(np.ascontiguousarray(flips.T), axis=1, bitorder="little")  # packs fastest on a contiguous axis
+    right = prev ^ planes[0::2]  # input to nodes 0..k-1 from parent j
+    left = prev ^ planes[1::2]  # input to nodes 1..k from parent j-1
+    # a two-input gate's input word is left | right << 1
+    out = np.empty((k + 1, prev.shape[1]), dtype=np.uint8)
+    out[0] = _on_planes(f2.table, right[0])
+    out[k] = _on_planes(f2.table, left[k - 1])
+    out[1:k] = _on_planes(f1.table, left[:-1], right[1:])
     return out
 
 
@@ -150,16 +161,16 @@ def grid_mc_tv_estimate(
     d = as_delta(delta, noiseless_ok=True)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    states = {
-        root: np.full((trials, 1), root, dtype=np.uint8) for root in (0, 1)
-    }
+    states = {root: np.full((1, -(-trials // 8)), 255 * root, dtype=np.uint8) for root in (0, 1)}
     out = []
     for k in range(1, depth + 1):
+        # a float32 GEMV sums the level words exactly: they stay below 2^(DEFAULT_DEPTH_CAP + 1) < 2^24
+        weights = np.exp2(np.arange(k + 1, dtype=np.float32))
         counts = {}
         for root in (0, 1):
-            states[root] = _grid_level_step(f1, f2, d, states[root], k, derive_seed(seed, TAG_GRID_MC, root))
-            packed = states[root] @ (1 << np.arange(k + 1))
-            counts[root] = np.bincount(packed, minlength=1 << (k + 1))
+            states[root] = _grid_level_step(f1, f2, d, states[root], trials, k, derive_seed(seed, TAG_GRID_MC, root))
+            bits = np.unpackbits(states[root], axis=1, count=trials, bitorder="little")
+            counts[root] = np.bincount((weights @ bits.astype(np.float32)).astype(np.intp), minlength=1 << (k + 1))
         # from the integer counts, so the TV is at most 1 after its one rounding
         tv_hat = float(np.abs(counts[1] - counts[0]).sum() / (2 * trials))
         fp = counts[1] / trials

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from dagbroadcast.coupling import SYM_1U, TAG_COUPLE, TAG_PERC
-from dagbroadcast.grid import TAG_GRID
+from dagbroadcast.grid import TAG_GRID, TAG_GRID_MC, GridTvEstimate, _check_args
 from dagbroadcast.model import AND2, MAJ3, OR2, TAG_TRIAL, Gate, LayerSchedule, as_delta
 from dagbroadcast.rng import derive_seed, uniforms
 from dagbroadcast.sigma import BLOCK_ROWS, BinomialKernel, exact_chain, tv
@@ -542,9 +542,12 @@ def percolation_edges_by_loop(p: float, depth: int, trials: int, seed: int):
 
 
 def grid_level_step_by_floats(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """``grid._grid_level_step`` node by node from the uniforms behind its Bernoulli
-    draws: node j's edge from parent j - 1 flips where u[..., j - 1, 1] < delta,
-    from parent j where u[..., j, 0] < delta."""
+    """``grid._grid_level_step`` on bit arrays, one byte per node: ``prev`` of shape
+    (..., k) gives level k of shape (..., k + 1), where the step itself takes and
+    returns bit-planes (row j is node j, trial t is bit t % 8 of byte t // 8).  It
+    works node by node from the uniforms behind the step's Bernoulli draws: node
+    j's edge from parent j - 1 flips where u[..., j - 1, 1] < delta, from parent j
+    where u[..., j, 0] < delta."""
     u = bernoulli_matrix(derive_seed(seed, TAG_GRID, k), prev.shape[:-1] + (k, 2))
     flip = (u < delta).astype(np.uint8)
     out = np.empty(prev.shape[:-1] + (k + 1,), dtype=np.uint8)
@@ -555,6 +558,55 @@ def grid_level_step_by_floats(f1: Gate, f2: Gate, delta: float, prev: np.ndarray
             out[..., j] = np.asarray(f2.table)[right if left is None else left]
         else:
             out[..., j] = np.asarray(f1.table)[left | (right << 1)]
+    return out
+
+
+def _grid_level_step_bytewise(f1: Gate, f2: Gate, delta: float, prev: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Advance bit arrays of shape (..., k) to level k (shape (..., k + 1))."""
+    # parent j's two out-edges own positions 2j (to node j) and 2j + 1 (to node j + 1) of a trial's 2k
+    shape = prev.shape[:-1]
+    flips = uniforms(derive_seed(seed, TAG_GRID, k), math.prod(shape) * k * 2, below=delta)
+    flips = flips.view(np.uint8).reshape(shape + (k, 2))
+    noisy_right = prev ^ flips[..., 0]  # input to nodes 0..k-1 from parent j
+    noisy_left = prev ^ flips[..., 1]  # input to nodes 1..k from parent j-1
+    # a gate's output on input word w is bit w of its truth table read as an int
+    f1_bits, f2_bits = (sum(b << w for w, b in enumerate(f.table)) for f in (f1, f2))
+    out = np.empty(shape + (k + 1,), dtype=np.uint8)
+    out[..., 0] = f2_bits >> noisy_right[..., 0]
+    out[..., k] = f2_bits >> noisy_left[..., k - 1]
+    out[..., 1:k] = f1_bits >> (noisy_left[..., :-1] | (noisy_right[..., 1:] << 1))
+    out &= 1
+    return out
+
+
+def grid_mc_tv_estimate_bytewise(
+    f1: Gate, f2: Gate, delta, depth: int, trials: int, seed: int
+) -> list[GridTvEstimate]:
+    """``grid.grid_mc_tv_estimate`` with one byte per node per trial, the level
+    words packed by an integer matmul: the bit-sliced estimator must equal it
+    exactly, as it draws the same stream."""
+    _check_args(f1, f2, depth)
+    d = as_delta(delta, noiseless_ok=True)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    states = {
+        root: np.full((trials, 1), root, dtype=np.uint8) for root in (0, 1)
+    }
+    out = []
+    for k in range(1, depth + 1):
+        counts = {}
+        for root in (0, 1):
+            states[root] = _grid_level_step_bytewise(f1, f2, d, states[root], k, derive_seed(seed, TAG_GRID_MC, root))
+            packed = states[root] @ (1 << np.arange(k + 1))
+            counts[root] = np.bincount(packed, minlength=1 << (k + 1))
+        # from the integer counts, so the TV is at most 1 after its one rounding
+        tv_hat = float(np.abs(counts[1] - counts[0]).sum() / (2 * trials))
+        fp = counts[1] / trials
+        fm = counts[0] / trials
+        dev = 0.5 * float(
+            (np.sqrt(fp * (1.0 - fp) / trials) + np.sqrt(fm * (1.0 - fm) / trials)).sum()
+        )
+        out.append(GridTvEstimate(k, tv_hat, dev))
     return out
 
 

@@ -180,6 +180,19 @@ class TestRunDrivers:
         assert max(r.k for r in rows if r.metric != "erasure_fail") == 4
         assert [r.k for r in rows if r.metric == "erasure_fail"] == [6]
 
+    @pytest.mark.parametrize("model, erasure", [("grid-xor", True), ("grid-and", False)])
+    def test_grid_depth_note_names_each_rows_depth(self, monkeypatch, capsys, model, erasure):
+        # the erasure row is not capped: the note gives its depth beside the capped rows'
+        monkeypatch.setattr(grid_mod, "DEFAULT_DEPTH_CAP", 4)
+        cfg = ExperimentConfig(model=model, delta_start=0.2, delta_stop=0.2, depth=6, trials=50)
+        rows, summary = run(cfg)
+        note = capsys.readouterr().err
+        assert note.removeprefix("warning: ").strip() in summary
+        assert "tv_exact, ml_error and tv_mc rows reach depth 4 only" in note
+        assert ("the erasure_fail row is at depth 6" in note) == erasure
+        assert {r.k for r in rows if r.metric == "tv_mc"} == {1, 2, 3, 4}
+        assert [r.k for r in rows if r.metric == "erasure_fail"] == ([6] if erasure else [])
+
     def test_percolation_rows(self):
         cfg = ExperimentConfig(
             model="percolation", delta_start=0.9, delta_stop=0.9, depth=30, trials=100

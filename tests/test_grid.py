@@ -1,5 +1,7 @@
 """Tests for the deterministic 2D grid engine and its exact DP."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,18 +13,34 @@ from dagbroadcast.grid import (
     grid_exact_distribution,
     grid_mc_tv_estimate,
 )
-from oracles import grid_dense_dp, grid_joint_by_enumeration, grid_level_step_by_floats
+from oracles import (
+    grid_dense_dp,
+    grid_joint_by_enumeration,
+    grid_level_step_by_floats,
+    grid_mc_tv_estimate_bytewise,
+)
 
 NOT = Gate("NOT", 1, (1, 0))
 # left parent AND NOT right parent: the one gate here that tells its inputs apart
 ANDN = Gate("ANDN", 2, (0, 1, 0, 0))
 
 
+def to_planes(bits):
+    """Bit arrays of shape (trials, k) as the step's bit-planes, shape (k, ceil(trials / 8))."""
+    return np.packbits(bits.T, axis=1, bitorder="little")
+
+
+def step_bits(f1, f2, delta, prev, k, seed):
+    """``_grid_level_step`` on bit arrays of shape (trials, k): pack, step, unpack."""
+    planes = _grid_level_step(f1, f2, delta, to_planes(prev), len(prev), k, seed)
+    return np.unpackbits(planes, axis=1, count=len(prev), bitorder="little").T
+
+
 def grid_levels(f1, f2, delta, root, depth, seed):
     """Bit arrays of levels 0..depth of one grid run, one level step at a time."""
     levels = [np.array([root], dtype=np.uint8)]
     for k in range(1, depth + 1):
-        levels.append(_grid_level_step(f1, f2, delta, levels[-1], k, seed))
+        levels.append(step_bits(f1, f2, delta, levels[-1][None], k, seed)[0])
     return levels
 
 
@@ -57,7 +75,7 @@ class TestGridPropagate:
         # the step's noise is exactly the float compare of the level's (trials, k, 2) stream
         prev = np.random.default_rng(4).integers(0, 2, size=(300, 1), dtype=np.uint8)
         for k in range(1, 9):
-            got = _grid_level_step(f1, f2, delta, prev, k, seed=21)
+            got = step_bits(f1, f2, delta, prev, k, seed=21)
             np.testing.assert_array_equal(got, grid_level_step_by_floats(f1, f2, delta, prev, k, seed=21))
             prev = got
 
@@ -69,8 +87,16 @@ class TestGridPropagate:
         prev = np.random.default_rng(t1).integers(0, 2, size=(50, 6), dtype=np.uint8)
         for t2 in range(4):
             f2 = Gate(f"table {t2}", 1, tuple((t2 >> w) & 1 for w in range(2)))
-            got = _grid_level_step(f1, f2, 0.3, prev, 6, seed=t2)
+            got = step_bits(f1, f2, 0.3, prev, 6, seed=t2)
             np.testing.assert_array_equal(got, grid_level_step_by_floats(f1, f2, 0.3, prev, 6, seed=t2))
+
+    def test_step_ignores_padding_bits(self):
+        # 13 trials leave bits 5..7 of the last byte as padding: setting them moves no trial's bits
+        clean = to_planes(np.random.default_rng(2).integers(0, 2, size=(13, 5), dtype=np.uint8))
+        dirty = clean | np.array([0, 0xE0], dtype=np.uint8)
+        for f1 in (AND2, XOR2, ANDN):
+            a, b = (_grid_level_step(f1, NOT, 0.2, prev, 13, 5, seed=3) for prev in (clean, dirty))
+            np.testing.assert_array_equal(*(np.unpackbits(x, axis=1, count=13, bitorder="little") for x in (a, b)))
 
     def test_gate_arity_checked(self):
         for f1, f2 in ((IDENTITY, IDENTITY), (AND2, AND2)):
@@ -156,6 +182,32 @@ class TestExactDp:
             np.testing.assert_allclose(o.minus, a.plus[complement], rtol=0, atol=4e-15)
             assert abs(o.tv() - a.tv()) <= 4e-15
 
+    @pytest.mark.parametrize("delta", [0.05, 0.1])
+    def test_gates_reading_both_inputs_fall_into_four_tv_classes(self, delta):
+        # duality (x -> 1 - f(1 - x)) and the left-right mirror keep the TV;
+        # tables list f(left, right) at word left | right << 1
+        classes = [
+            [(0, 0, 0, 1), (0, 1, 1, 1)],  # AND, OR
+            [(1, 1, 1, 0), (1, 0, 0, 0)],  # NAND, NOR
+            [(0, 1, 1, 0), (1, 0, 0, 1)],  # XOR, XNOR
+            [(0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1)],  # one input negated
+        ]
+        both = [
+            t
+            for t in itertools.product((0, 1), repeat=4)
+            if (t[0] != t[1] or t[2] != t[3]) and (t[0] != t[2] or t[1] != t[3])  # reads left, reads right
+        ]
+        assert sorted(t for c in classes for t in c) == both
+        tvs = [
+            [[d.tv() for d in grid_exact_distribution(Gate(str(t), 2, t), IDENTITY, delta, 12)] for t in c]
+            for c in classes
+        ]
+        for c in tvs:
+            for other in c[1:]:
+                np.testing.assert_allclose(other, c[0], rtol=0, atol=1e-14)
+        last = sorted(c[0][-1] for c in tvs)
+        assert min(b - a for a, b in zip(last, last[1:])) > 1e-5
+
 
 class TestMcTvEstimate:
     def test_agrees_with_dp(self):
@@ -179,6 +231,22 @@ class TestMcTvEstimate:
     def test_depth_guard(self):
         with pytest.raises(BudgetExceededError):
             grid_mc_tv_estimate(XOR2, IDENTITY, 0.2, 21, 10, seed=1)
+
+    @pytest.mark.parametrize("t1", range(16))
+    def test_equals_bytewise_estimator_for_every_truth_table(self, t1):
+        # bit-planes draw the stream the byte-per-node oracle draws, so every
+        # estimate is the same float; 1, 7, 9 and 2003 trials end in a partial byte
+        f1 = Gate(f"table {t1}", 2, tuple((t1 >> w) & 1 for w in range(4)))
+        for t2 in range(4):
+            f2 = Gate(f"table {t2}", 1, tuple((t2 >> w) & 1 for w in range(2)))
+            for i, (delta, trials) in enumerate(itertools.product((0.0, 0.05, 0.3, 0.45), (1, 7, 8, 9, 2003))):
+                args = (f1, f2, delta, 1 + (t1 + t2 + i) % 6, trials, 16 * t1 + t2)
+                assert grid_mc_tv_estimate(*args) == grid_mc_tv_estimate_bytewise(*args)
+
+    @pytest.mark.parametrize("f1, delta, trials", [(AND2, 0.05, 2003), (XOR2, 0.45, 9), (ANDN, 0.3, 7)])
+    def test_equals_bytewise_estimator_to_the_depth_cap(self, f1, delta, trials):
+        args = (f1, IDENTITY, delta, grid_mod.DEFAULT_DEPTH_CAP, trials, 5)
+        assert grid_mc_tv_estimate(*args) == grid_mc_tv_estimate_bytewise(*args)
 
     @pytest.mark.parametrize(
         "gate, seed",

@@ -54,19 +54,6 @@ METRICS = (
     "survival_prob",
 )
 
-CSV_HEADER = [
-    "model",
-    "delta",
-    "k",
-    "L_k",
-    "metric",
-    "value",
-    "ci_low",
-    "ci_high",
-    "seed",
-    "trials",
-]
-
 GRID_GATES = {"and": AND2, "or": OR2, "xor": XOR2, "nand": NAND2}
 
 # The random-DAG models, one per row of sigma.STAGES: CLI name -> sigma model.
@@ -156,8 +143,6 @@ class ExperimentConfig:
             raise ConfigError(f"field schedule: {exc}") from exc
 
     def deltas(self) -> np.ndarray:
-        if self.delta_count == 1:
-            return np.array([self.delta_start])
         return np.linspace(self.delta_start, self.delta_stop, self.delta_count)
 
 
@@ -172,10 +157,7 @@ def _read_text(path: str) -> str:
 def _fields_of_text(text: str) -> dict:
     """The typed field values a config text sets, without defaults."""
     kwargs = {}
-    types = {
-        f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
-        for f in fields(ExperimentConfig)
-    }
+    types = {f.name: f.type for f in fields(ExperimentConfig)}  # annotations are strings here
     casts = {"float": float, "int": int, "str": str}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -212,6 +194,9 @@ class ResultRow:
             raise ValueError(f"unknown metric {self.metric!r}")
         if not (self.ci_low <= self.value <= self.ci_high) and not math.isnan(self.value):
             raise ValueError("value must lie inside its confidence interval")
+
+
+CSV_HEADER = [f.name for f in fields(ResultRow)]
 
 
 def _row(config: ExperimentConfig, delta, k, L_k, metric: str, value, ci=None, model: str = "") -> ResultRow:
@@ -495,6 +480,9 @@ _SHARED_FLAGS = {
     "--seed": {"type": int, "help": "master seed (default: the config file's, else NBL_SEED, else 0)"},
     "--out": {"help": "CSV output path"},
     "--budget": {"type": int, "help": f"max layer size for exact kernels (default {DEFAULT_BUDGET})"},
+    # the table itself, not a copy: a row added to sigma.STAGES is offered
+    "--model": {"choices": sigma_mod.STAGES, "required": True},
+    "--delta": {"type": float, "required": True},
 }
 
 
@@ -510,19 +498,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
         return p
 
-    p = add("fixed-points", "fixed points and Lipschitz constant of the g-curve", handler=_cmd_fixed_points)
-    p.add_argument("--model", choices=list(sigma_mod.STAGES), required=True)
-    p.add_argument("--delta", type=float, required=True)
+    add("fixed-points", "fixed points and Lipschitz constant of the g-curve", "--model", "--delta", handler=_cmd_fixed_points)
 
-    p = add("exact-chain", "exact conditional chain for one delta", "--seed", "--out", "--budget")
-    p.add_argument("--model", choices=list(sigma_mod.STAGES), required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p = add("exact-chain", "exact conditional chain for one delta", "--seed", "--out", "--budget", "--model", "--delta")
     p.add_argument("--schedule", default="const:64")
     p.add_argument("--depth", type=int, default=50)
 
-    p = add("mc-chain", "exact chain plus the coupled Monte Carlo bound P(T > k)", "--seed", "--out", "--budget")
-    p.add_argument("--model", choices=list(sigma_mod.STAGES), required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p = add("mc-chain", "exact chain plus the coupled Monte Carlo bound P(T > k)", "--seed", "--out", "--budget", "--model", "--delta")
     p.add_argument("--schedule", default="const:64")
     p.add_argument("--depth", type=int, default=30)
     p.add_argument("--trials", type=int, default=1000)
@@ -533,8 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--trials", type=int, default=0, help="also run the MC cross-check with this many trials")
 
-    p = add("grid-and-couple", "coupled AND-grid coalescence bound", "--seed", "--out")
-    p.add_argument("--delta", type=float, required=True)
+    p = add("grid-and-couple", "coupled AND-grid coalescence bound", "--seed", "--out", "--delta")
     p.add_argument("--depth", type=int, default=200)
     p.add_argument("--trials", type=int, default=1000)
 
@@ -565,8 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule")
     p.add_argument("--trials", type=int)
 
-    p = add("bisect", "bisect the reconstruction threshold", "--budget", handler=_cmd_bisect)
-    p.add_argument("--model", choices=list(sigma_mod.STAGES), required=True)
+    p = add("bisect", "bisect the reconstruction threshold", "--budget", "--model", handler=_cmd_bisect)
     p.add_argument("--schedule", default="const:128")
     p.add_argument("--depth", type=int, default=150)
     p.add_argument("--tol", type=float, default=2e-3)

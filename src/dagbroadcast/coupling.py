@@ -73,41 +73,31 @@ def _node_tails(delta: float) -> np.ndarray:
     return (tail[:, None] * tail[None, :]).reshape(16, 2).T
 
 
-def coupled_grid_runs(
-    delta, max_depth: int, trials: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run many coupled grids; returns (coalescence times, 1u counts).
-
-    Times are -1 for runs that have not coalesced by ``max_depth``.  The
-    counts array has shape (trials, max_depth + 1).
-    """
+def coupled_grid_runs(delta, max_depth: int, trials: int, seed: int) -> np.ndarray:
+    """Run many coupled grids; returns their coalescence times, -1 for a run
+    that has not coalesced by ``max_depth``."""
     d = as_delta(delta, noiseless_ok=True)
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     at_least_1u, at_least_1c = _node_tails(d)
-    # a coalesced run holds no 1u and never regains one, so its counts stay 0
-    # and only the live runs are stepped
+    # a coalesced run holds no 1u and never regains one, so only the live runs are stepped
     live = np.arange(trials)
     state = np.full((trials, 1), SYM_1U, dtype=np.int8)
     times = np.full(trials, -1, dtype=np.int64)
-    counts = np.zeros((trials, max_depth + 1), dtype=np.int32)
-    counts[:, 0] = 1
     for k in range(1, max_depth + 1):
         pair = np.full((live.size, k + 1), 5 * _NONE, dtype=np.int8)
         pair[:, :k] += state - _NONE  # right parent of nodes 0 .. k-1
         pair[:, 1:] += 4 * (state - _NONE)  # left parent of nodes 1 .. k
         rows = (_stride(k) * live, k + 1)
         new = uniforms(derive_seed(seed, TAG_COUPLE, k), rows, below=(at_least_1u, at_least_1c), at=pair).view(np.int8)
-        ones = np.count_nonzero(new == SYM_1U, axis=1)
-        counts[live, k] = ones
-        done = ones == 0
+        done = np.count_nonzero(new == SYM_1U, axis=1) == 0
         times[live[done]] = k
         live, state = live[~done], new[~done]
         if live.size == 0:
             break
-    return times, counts
+    return times
 
 
 @dataclass(frozen=True)
@@ -123,16 +113,10 @@ class CouplingTvBound:
 
 def coupling_tv_bound(delta, depth: int, trials: int, seed: int) -> CouplingTvBound:
     """Estimate the coupling upper bound P(T > k) on grid TV per level."""
-    times, _ = coupled_grid_runs(delta, depth, trials, seed)
-    levels = np.arange(depth + 1)
-    bound = np.empty(depth + 1)
-    lo = np.empty(depth + 1)
-    hi = np.empty(depth + 1)
-    for k in levels:
-        surviving = int(((times < 0) | (times > k)).sum())
-        bound[k] = surviving / trials
-        lo[k], hi[k] = wilson_interval(surviving, trials)
-    return CouplingTvBound(levels, bound, lo, hi, trials)
+    times = coupled_grid_runs(delta, depth, trials, seed)
+    surviving = trials - np.bincount(times[times >= 0], minlength=depth + 1).cumsum()
+    lo, hi = np.array([wilson_interval(int(n), trials) for n in surviving]).T
+    return CouplingTvBound(np.arange(depth + 1), surviving / trials, lo, hi, trials)
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,9 @@ def convolve(sigma, delta):
 
     Internal and unchecked, so it is not exported: the constants are
     integers, so the same code evaluates floats, arrays, ``Fraction``s and
-    polynomials, which no range check could take.  The public g-curves in
-    ``sigma`` check sigma in [0, 1] and delta in [0, 1/2) before they call it.
+    polynomials, which no range check could take.  Its callers are
+    ``sigma._stage_g`` and ``sigma.exact_chain``'s kernel grid, and every
+    public entry point above them passes its delta through ``as_delta``.
     """
     return sigma * (1 - delta) + delta * (1 - sigma)
 

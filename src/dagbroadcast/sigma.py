@@ -166,9 +166,11 @@ def _fixed_point_count(model: str, delta: float) -> int:
 
 def critical_delta(model: str) -> tuple[float, float]:
     """Adjacent floats lo < hi around the delta where the period map's fixed points merge,
-    bisected from [0, 1/2] on "more than one", which assumes the count falls once (a row
-    with one fixed point at every delta > 0 gets [0.0, 5e-324]).  Cached by gates, not name."""
+    bisected from [0, 1/2] on "more than one", which assumes the count falls once, so a row
+    with one at delta = 5e-324 gets [0.0, 5e-324] at once.  Cached by gates, not name."""
     gates = STAGES[_check_model(model)]
+    if gates not in _BRACKETS and _fixed_point_count(model, 5e-324) <= 1:
+        _BRACKETS[gates] = 0.0, 5e-324
     lo, hi = _BRACKETS.get(gates, (0.0, 0.5))  # a cached bracket is adjacent floats: no step runs
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if _fixed_point_count(model, mid) > 1 else (lo, mid)
@@ -189,14 +191,15 @@ def fixed_points(model: str, delta) -> FixedPointReport:
 
     Below the critical delta the map has more than one fixed point, above it
     one.  Within 1e-12 of ``critical_delta``'s bracket, where they merge, it
-    refuses as degenerate rather than return a near-singular list.
+    refuses as degenerate rather than return a near-singular list; a row
+    with no transition (bracket [0.0, 5e-324]) has nothing to merge.
     """
     from fractions import Fraction  # only this exact search needs it; keeps it off start-up
 
     model = _check_model(model)
     d = as_delta(delta, noiseless_ok=True)
     lo, hi = critical_delta(model)
-    if lo - 1e-12 < d < hi + 1e-12:
+    if lo > 0.0 and lo - 1e-12 < d < hi + 1e-12:
         raise DegenerateThresholdError(
             f"{d!r} lies within 1e-12 of the critical delta of {model}, in [{lo!r}, {hi!r}], where the fixed points merge"
         )

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from dagbroadcast import cli as cli_mod
 from dagbroadcast import grid as grid_mod
 from dagbroadcast import sigma as sigma_mod
 from dagbroadcast import xorcode as xorcode_mod
-from dagbroadcast.model import BudgetExceededError, LayerSchedule
+from dagbroadcast.model import BudgetExceededError, Gate, LayerSchedule
 from dagbroadcast.sigma import exact_chain, tv
 from dagbroadcast.cli import (
     CSV_HEADER,
@@ -30,6 +31,9 @@ from dagbroadcast.cli import (
     threshold_bisect,
 )
 from oracles import threshold_bisect_full_depth
+
+# a STAGES row the library does not ship, for the tests that add one
+MAJ5 = Gate.from_function("MAJ5", 5, lambda *b: int(sum(b) > 2))
 
 
 def _sweep_file_error(text, tmp_path, capsys) -> str:
@@ -119,6 +123,10 @@ class TestCsv:
             ResultRow("bounds", 0.1, 1, 4, "bound_value", 0.7, 0.7, 0.7, 1, 0),
             ResultRow("bounds", 0.1, 1, 4, "tv_exact", 0.2, 0.2, 0.2, 1, 0),
         ]
+
+    def test_header_pinned(self):
+        # the header follows ResultRow's fields, so reordering them would reorder every CSV
+        assert CSV_HEADER == ["model", "delta", "k", "L_k", "metric", "value", "ci_low", "ci_high", "seed", "trials"]
 
     def test_sorted_and_headered(self):
         text = rows_to_csv(self.rows())
@@ -706,6 +714,27 @@ class TestExitCodes:
         # without trials there is no erasure row, so the cap does not apply
         monkeypatch.setattr(grid_mod, "grid_exact_distribution", lambda *a: [])
         assert main([*argv, "--depth", "65", "--trials", "0"]) == 0
+
+    MODEL_ARGV = {
+        "fixed-points": ["--delta", "0.1"],
+        "exact-chain": ["--delta", "0.1"],
+        "mc-chain": ["--delta", "0.1"],
+        "bisect": [],
+    }
+
+    @pytest.mark.parametrize("command", sorted(MODEL_ARGV))
+    def test_model_flag_offers_a_new_stages_row(self, command, monkeypatch, capsys):
+        argv = [command, "--model", "maj5", *self.MODEL_ARGV[command]]
+        with pytest.raises(SystemExit) as exc:
+            cli_mod._build_parser().parse_args(argv)
+        assert exc.value.code == 2 and "invalid choice: 'maj5'" in capsys.readouterr().err
+        monkeypatch.setitem(sigma_mod.STAGES, "maj5", (MAJ5,))
+        assert cli_mod._build_parser().parse_args(argv).model == "maj5"
+
+    def test_fixed_points_runs_a_new_stages_row(self, monkeypatch, capsys):
+        monkeypatch.setitem(sigma_mod.STAGES, "maj5", (MAJ5,))
+        assert main(["fixed-points", "--model", "maj5", "--delta", "0.1"]) == 0
+        assert capsys.readouterr().out.startswith("model=maj5 delta=0.1 lipschitz=1.500000\n")
 
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

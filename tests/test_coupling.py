@@ -101,20 +101,27 @@ class TestCoupledChannel:
                 np.testing.assert_allclose(tails[:, left, right], at_least[1:], rtol=0, atol=1e-15)
 
     def test_step_frequencies_match_matrix(self):
-        # level 1's two boundary nodes each read the root 1u through one channel
+        # level 1's two boundary nodes each read the root 1u through one channel;
+        # the library gives P(T = 1), the dense oracle the whole count law
         delta = 0.15
         m = coupled_channel_matrix(delta)
         n = 40_000
-        _, counts = coupled_grid_runs(delta, 1, n, seed=31)
-        freq = np.bincount(counts[:, 1], minlength=3) / n
         stay = m[SYM_1U, SYM_1U]
-        for ones, p in enumerate([(1 - stay) ** 2, 2 * stay * (1 - stay), stay**2]):
+        law = [(1 - stay) ** 2, 2 * stay * (1 - stay), stay**2]
+        times = coupled_grid_runs(delta, 1, n, seed=31)
+        freq = (times == 1).mean()
+        assert abs(freq - law[0]) < 4 * np.sqrt(law[0] * (1 - law[0]) / n)
+        _, counts = coupled_grid_runs_dense(delta, 1, n, seed=31)
+        freq = np.bincount(counts[:, 1], minlength=3) / n
+        for ones, p in enumerate(law):
             assert abs(freq[ones] - p) < 4 * np.sqrt(p * (1 - p) / n)
 
 
 class TestCoupledGrid:
     def test_absorbing_after_coalescence(self):
-        times, counts = coupled_grid_runs(0.3, 25, 500, seed=2)
+        # the oracle steps coalesced runs too: they regain no 1u after T
+        times = coupled_grid_runs(0.3, 25, 500, seed=2)
+        _, counts = coupled_grid_runs_dense(0.3, 25, 500, seed=2)
         for i in range(500):
             t = times[i]
             if t >= 0:
@@ -122,29 +129,26 @@ class TestCoupledGrid:
                 assert (counts[i, :t] > 0).all()
 
     def test_single_run_wrapper(self):
-        times, counts = coupled_grid_runs(0.3, 30, 1, seed=7)
-        assert counts.shape == (1, 31) and counts[0, 0] == 1
-        if times[0] >= 0:
-            assert counts[0, times[0]] == 0
+        times = coupled_grid_runs(0.3, 30, 1, seed=7)
+        assert times.shape == (1,) and (times[0] == -1 or 1 <= times[0] <= 30)
 
     def test_coalescence_matches_exact_law(self):
         # the channel draws and the np.minimum AND together against the exact law
         n = 40_000
         exact = coupled_grid_coalesced(0.2, 4)
-        _, counts = coupled_grid_runs(0.2, 4, n, seed=19)
+        times = coupled_grid_runs(0.2, 4, n, seed=19)
         for k in range(1, 5):
-            freq = (counts[:, k] == 0).mean()
+            freq = ((0 < times) & (times <= k)).mean()
             assert abs(freq - exact[k]) < 4 * np.sqrt(exact[k] * (1 - exact[k]) / n)
 
     def test_noiseless_never_coalesces(self):
-        times, counts = coupled_grid_runs(0.0, 10, 50, seed=3)
-        assert (times == -1).all()
         # without noise the single disagreement propagates deterministically
-        assert (counts > 0).all()
+        times = coupled_grid_runs(0.0, 10, 50, seed=3)
+        assert (times == -1).all()
 
     def test_deterministic(self):
-        a, _ = coupled_grid_runs(0.2, 15, 300, seed=5)
-        b, _ = coupled_grid_runs(0.2, 15, 300, seed=5)
+        a = coupled_grid_runs(0.2, 15, 300, seed=5)
+        b = coupled_grid_runs(0.2, 15, 300, seed=5)
         np.testing.assert_array_equal(a, b)
 
     def test_bound_dominates_exact_tv(self):
@@ -162,7 +166,7 @@ class TestCoupledGrid:
         assert (bound.bound <= bound.ci_high).all()
 
     def test_high_noise_coalesces_fast(self):
-        times, _ = coupled_grid_runs(0.45, 40, 400, seed=17)
+        times = coupled_grid_runs(0.45, 40, 400, seed=17)
         assert (times >= 0).mean() > 0.95
 
 
@@ -245,11 +249,10 @@ class TestMatchesDense:
 
     @staticmethod
     def _grid(delta, depth, trials, seed):
-        times, counts = coupled_grid_runs(delta, depth, trials, seed)
-        want_times, want_counts = coupled_grid_runs_dense(delta, depth, trials, seed)
-        assert times.dtype == want_times.dtype and counts.dtype == want_counts.dtype
+        times = coupled_grid_runs(delta, depth, trials, seed)
+        want_times, _ = coupled_grid_runs_dense(delta, depth, trials, seed)
+        assert times.dtype == want_times.dtype
         np.testing.assert_array_equal(times, want_times)
-        np.testing.assert_array_equal(counts, want_counts)
         return times
 
     @staticmethod

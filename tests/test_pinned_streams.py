@@ -14,6 +14,7 @@ import pytest
 from dagbroadcast import coupling, model, sigma, xorcode
 from dagbroadcast import grid
 from dagbroadcast.rng import uniforms as rng_uniforms
+from oracles import coupled_grid_runs_dense
 
 
 def _sha(a: np.ndarray) -> str:
@@ -38,11 +39,14 @@ def test_coupled_mc():
 
 
 def test_coupled_grid_runs():
-    times, counts = coupling.coupled_grid_runs(0.05, 30, 40, 4)
+    times = coupling.coupled_grid_runs(0.05, 30, 40, 4)
     assert times.tolist() == [
         4, 16, 11, 7, 9, 13, 17, 13, -1, 16, 7, 17, 6, 8, 18, -1, 13, -1, 3, 11,
         8, 10, 23, -1, 19, -1, 19, 15, 21, 12, 20, 14, -1, 17, 2, 10, -1, 6, 18, 2,
     ]
+    # the per-level 1u counts come from the dense oracle, which draws the same stream
+    dense_times, counts = coupled_grid_runs_dense(0.05, 30, 40, 4)
+    np.testing.assert_array_equal(dense_times, times)
     assert counts.dtype == np.int32 and counts.shape == (40, 31)
     assert _sha(counts) == "83548a527fed4854d38972fb9afa8fc97d5947c39ffb9fb674f611f773da820a"
 
@@ -118,7 +122,7 @@ def test_propagate_many_draws_one_per_node(monkeypatch):
 
 
 def test_coupled_grid_draws_one_per_live_node(monkeypatch):
-    times, _ = coupling.coupled_grid_runs(0.05, 25, 60, 3)
+    times = coupling.coupled_grid_runs(0.05, 25, 60, 3)
     assert 0 < (times >= 0).sum() < 60  # some runs stop being stepped, some never do
     sizes = _count_draws(monkeypatch, coupling)
     coupling.coupled_grid_runs(0.05, 25, 60, 3)

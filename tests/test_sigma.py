@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dagbroadcast.model import AND2, MAJ3, NAND2, OR2, XOR2, BudgetExceededError, Gate, LayerSchedule
+from dagbroadcast.model import AND2, IDENTITY, MAJ3, NAND2, OR2, XOR2, BudgetExceededError, Gate, LayerSchedule
 from dagbroadcast.sigma import (
     DELTA_ANDOR,
     DELTA_MAJ,
@@ -236,6 +236,29 @@ class TestCriticalDelta:
         assert sigma_mod._fixed_point_count(model, hi + 1e-6) == 1
         counts = [sigma_mod._fixed_point_count(model, float(d)) for d in np.linspace(0.001, 0.499, 200)]
         assert set(counts) == {3, 1} and counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("gates", [(AND2,), (XOR2,), (IDENTITY,), (AND2, AND2)])
+    def test_row_without_transition_takes_one_count(self, gates, monkeypatch):
+        # one fixed point at the least delta > 0: the bracket the full bisection
+        # would reach, from a single Sturm count instead of about 1,075
+        monkeypatch.setitem(sigma_mod.STAGES, "flat", gates)
+        monkeypatch.setattr(sigma_mod, "_BRACKETS", {})
+        calls = []
+        count = sigma_mod._fixed_point_count
+        monkeypatch.setattr(sigma_mod, "_fixed_point_count", lambda m, d: calls.append(d) or count(m, d))
+        assert critical_delta("flat") == (0.0, 5e-324)
+        assert calls == [5e-324]
+
+    @pytest.mark.parametrize("gates, noiseless", [((AND2,), [0.0, 1.0]), ((XOR2,), [0.0, 0.5]), ((IDENTITY,), [0.0, 1.0])])
+    def test_row_without_transition_is_never_degenerate(self, gates, noiseless, monkeypatch):
+        # nothing merges on such a row, so delta = 0 and deltas below 1e-12 are answered
+        monkeypatch.setitem(sigma_mod.STAGES, "flat", gates)
+        assert [p.value for p in fixed_points("flat", 0.0).points] == noiseless
+        assert len(fixed_points("flat", 1e-13).points) == 1
+
+    @pytest.mark.parametrize("model", ["maj3", "andor2"])
+    def test_rows_with_a_transition_count_more_at_the_least_delta(self, model):
+        assert sigma_mod._fixed_point_count(model, 5e-324) == 3
 
     @pytest.mark.parametrize("model, constant", [("maj3", DELTA_MAJ), ("andor2", DELTA_ANDOR)])
     def test_exported_targets(self, model, constant):

@@ -9,7 +9,8 @@ only they call belongs in ``tests/oracles.py`` as a reference, or
 nowhere.  Likewise every public method of a library class must be reached
 as an attribute (``.name``) in those same files.  And a ``src/`` draw
 compared with a threshold asks ``uniforms`` for ``below=`` rather than
-comparing the floats it returns, directly or through a name.
+comparing the floats it returns, directly or through a name.  A flag in
+``cli._SHARED_FLAGS`` is requested by at least two subcommands.
 """
 
 import ast
@@ -229,3 +230,34 @@ def test_cli_import_leaves_out_scipy_and_fractions():
     code = "import sys, dagbroadcast.cli; print(sorted({'scipy', 'fractions', 'numpy.polynomial'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _shared_flag_requests(tree: ast.AST) -> dict[str, int]:
+    """Each ``_SHARED_FLAGS`` key, with the number of ``add(...)`` subcommand calls that request it."""
+    keys = [
+        key.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_SHARED_FLAGS" for t in node.targets)
+        for key in node.value.keys
+    ]
+    requests = dict.fromkeys(keys, 0)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "add":
+            for arg in node.args[2:]:
+                if isinstance(arg, ast.Constant) and arg.value in requests:
+                    requests[arg.value] += 1
+    return requests
+
+
+def test_shared_flags_are_shared():
+    """A flag in ``cli._SHARED_FLAGS`` is requested by two subcommands or more;
+    a flag only one subcommand reads is declared with that subcommand."""
+    requests = _shared_flag_requests(ast.parse((ROOT / "src" / "dagbroadcast" / "cli.py").read_text(encoding="utf-8")))
+    assert requests, "cli.py has no _SHARED_FLAGS table"
+    lonely = sorted(flag for flag, n in requests.items() if n < 2)
+    assert not lonely, f"cli.py shares flags that fewer than two subcommands request: {lonely}"
+
+
+def test_shared_flag_guard_sees_a_lonely_flag():
+    code = '_SHARED_FLAGS = {"--seed": {}, "--tol": {}}\nadd("a", "x", "--seed", "--tol")\nadd("b", "y", "--seed")\n'
+    assert _shared_flag_requests(ast.parse(code)) == {"--seed": 2, "--tol": 1}

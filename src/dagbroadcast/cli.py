@@ -56,8 +56,12 @@ METRICS = (
 
 GRID_GATES = {"and": AND2, "or": OR2, "xor": XOR2, "nand": NAND2}
 
-# The random-DAG models, one per row of sigma.STAGES: CLI name -> sigma model.
-_DAG_MODELS = {f"random-dag-{m}": m for m in sigma_mod.STAGES}
+
+def _dag_row(model: str) -> str | None:
+    """The row of the live sigma.STAGES table that ``random-dag-<row>`` runs, or None."""
+    row = model.removeprefix("random-dag-")
+    return row if row != model and row in sigma_mod.STAGES else None
+
 
 # The exact-chain summary reports where the final-level TV crosses this value.
 TV_EPSILON = 0.01
@@ -99,7 +103,7 @@ class ExperimentConfig:
     ``percolation`` are Monte Carlo only and need ``trials >= 1``.
     """
 
-    model: str = next(iter(_DAG_MODELS))
+    model: str = f"random-dag-{next(iter(sigma_mod.STAGES))}"
     delta_start: float = 0.1
     delta_stop: float = 0.1
     delta_count: int = 1
@@ -112,7 +116,8 @@ class ExperimentConfig:
     d: int = 3
 
     def validate(self) -> None:
-        if self.model not in MODELS:
+        model = _dag_row(self.model)
+        if not model and self.model not in _DRIVERS:
             raise ConfigError(f"field model: unknown model {self.model!r}")
         if self.delta_count < 1:
             raise ConfigError("field delta_count: must be >= 1")
@@ -120,7 +125,6 @@ class ExperimentConfig:
             _require_delta(getattr(self, name), name, self.model)
         if self.depth < 1:
             raise ConfigError("field depth: must be >= 1")
-        model = _DAG_MODELS.get(self.model)
         if model and self.depth < (period := len(sigma_mod.STAGES[model])):
             raise ConfigError(f"field depth: must be >= {period} for {model}, which is read every {period} levels")
         if self.trials < 0:
@@ -138,7 +142,7 @@ class ExperimentConfig:
             _require_writable(self.out, "out")
         # every model's schedule must parse; the models that read it need a size at every level
         try:
-            LayerSchedule.parse(self.schedule).size(self.depth if self.model in _SCHEDULE_MODELS else 0)
+            LayerSchedule.parse(self.schedule).size(self.depth if model or self.model == "bounds" else 0)
         except ValueError as exc:
             raise ConfigError(f"field schedule: {exc}") from exc
 
@@ -236,7 +240,7 @@ def _run_dag_model(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]
     stay equal: the fraction of unequal pairs at level k estimates P(T > k),
     an upper bound on TV(k).
     """
-    model = _DAG_MODELS[config.model]
+    model = _dag_row(config.model)
     period = len(sigma_mod.STAGES[model])
     schedule = LayerSchedule.parse(config.schedule)
     rows: list[ResultRow] = []
@@ -368,21 +372,16 @@ def _run_bounds(config: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     return rows, summary
 
 
+# The drivers of every model but the random-DAG ones, which all run _run_dag_model.
 _DRIVERS = {
-    **dict.fromkeys(_DAG_MODELS, _run_dag_model),
     **{f"grid-{gate}": _run_grid_model for gate in GRID_GATES},
     "grid-and-couple": _run_coupling_model,
     "percolation": _run_percolation,
     "bounds": _run_bounds,
 }
 
-MODELS = tuple(_DRIVERS)
-
 # Models that only run Monte Carlo, so they need at least one trial.
 _MC_MODELS = ("grid-and-couple", "percolation")
-
-# Models that read the layer schedule.
-_SCHEDULE_MODELS = (*_DAG_MODELS, "bounds")
 
 
 def _write(path: str, text: str, field: str) -> None:
@@ -404,7 +403,7 @@ def _write(path: str, text: str, field: str) -> None:
 def run(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     """Execute a config, write CSV if requested, return rows and summary."""
     config.validate()
-    rows, summary_lines = _DRIVERS[config.model](config)
+    rows, summary_lines = (_run_dag_model if _dag_row(config.model) else _DRIVERS[config.model])(config)
     if config.out:
         _write(config.out, rows_to_csv(rows), "out")
         summary_lines.append(f"wrote {len(rows)} rows to {config.out}")
@@ -538,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", "run a config file (flags override fields)", "--seed", "--out", "--budget")
     p.add_argument("--config", default="")
-    p.add_argument("--model", choices=MODELS)
+    p.add_argument("--model", choices=[*(f"random-dag-{m}" for m in sigma_mod.STAGES), *_DRIVERS])
     p.add_argument("--delta-start", type=float)
     p.add_argument("--delta-stop", type=float)
     p.add_argument("--delta-count", type=int)

@@ -291,12 +291,14 @@ def propagate_many(
     so the result is a pure function of (dag, gates, delta, roots, seed).
 
     Node v of trial t at level k owns position t * L_k + v of the level's stream.
+    The level below is kept node-major, so a parent gather copies whole rows;
+    a level is drawn trial-major (``at=`` the words transposed), then transposed.
     """
     dval = as_delta(delta, noiseless_ok=True)
     gate_at = (lambda k: gates) if isinstance(gates, Gate) else gates
     trials = len(roots)
     probs: dict[Gate, np.ndarray] = {}
-    bits = np.asarray(roots, dtype=np.uint8).reshape(trials, 1)
+    drawn = np.asarray(roots, dtype=np.uint8).reshape(trials, 1)
     for k in range(1, dag.depth + 1):
         gate = gate_at(k)
         if gate.arity != dag.d:
@@ -304,8 +306,10 @@ def propagate_many(
         if gate not in probs:
             probs[gate] = gate.noisy_output_probs(dval)
         parents = dag.parents[k - 1]
-        word = bits.take(parents[:, 0], axis=1).astype(np.min_scalar_type((1 << gate.arity) - 1), copy=False)
+        bits = np.ascontiguousarray(drawn.T)
+        word = bits.take(parents[:, 0], axis=0).astype(np.min_scalar_type((1 << gate.arity) - 1), copy=False)
         for i in range(1, gate.arity):
-            word |= np.left_shift(bits.take(parents[:, i], axis=1), i, dtype=word.dtype)
-        bits = uniforms(derive_seed(seed, TAG_TRIAL, k), word.shape, below=probs[gate], at=word).view(np.uint8)
-    return bits
+            word |= np.left_shift(bits.take(parents[:, i], axis=0), i, dtype=word.dtype)
+        drawn = bits = None  # free the level below before the draw
+        drawn = uniforms(derive_seed(seed, TAG_TRIAL, k), word.T.shape, below=probs[gate], at=word.T).view(np.uint8)
+    return drawn

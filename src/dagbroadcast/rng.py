@@ -41,9 +41,11 @@ Scheme
   returns the uint8 rank [m < T1] + [m < T2] of one draw against two
   nested cuts, so samplers coupled through it stay monotone at ties.
 
-Both streams come from one loop that mixes each word they read once, in
-cache-resident blocks with in-place array steps, and a consumer evaluates
-only the positions it reads; neither changes a value.
+Both streams come from one loop over blocks of whole result rows, about
+``_BLOCK`` words each, mixed in place into one word buffer per call (a word
+two blocks share is mixed twice).  A Bernoulli block is compared in place
+with its cuts (a per-row cut as a broadcast view, a table cut gathered per
+block): no temporary is the size of the result; blocking changes no value.
 
 By convention a seed value is used either as a stream (via ``uniforms``,
 floats or Bernoulli draws but not both) or for further derivation, never
@@ -124,9 +126,9 @@ def uniforms(seed: "int | np.ndarray", n, below=None, at=None) -> np.ndarray:
     if isinstance(seed, np.ndarray):
         raise TypeError("a seed array draws Bernoulli rows and needs below=")
     out = np.empty(_check_size(n, "n"), dtype=np.float64)
-    for _, j0, words in _word_blocks(np.array([int(seed) & MASK64], dtype=np.uint64), out.size):
+    for (_, cs), _, words, _ in _word_blocks(np.array([int(seed) & MASK64], dtype=np.uint64), 0, 1, out.size, 1):
         np.right_shift(words, np.uint64(11), out=words)
-        np.multiply(words[0], 2.0**-53, out=out[j0 : j0 + words.size])
+        np.multiply(words[0], 2.0**-53, out=out[cs])
     return out
 
 
@@ -142,27 +144,41 @@ def _mix_in_place(z: np.ndarray, t: np.ndarray) -> None:
     np.bitwise_xor(z, t, out=z)
 
 
-def _word_blocks(bases: np.ndarray, n: int):
-    """Yield (r0, j0, words): ``words[i, j]`` is word j0 + j of the stream of
-    base ``bases[r0 + i]``, mixed, for words 0 .. n - 1 of every base.
-
-    A block holds as many whole rows as fit in ``_BLOCK`` words, or a part
-    of one row; the blocks share one scratch buffer, so each is read before
-    the next is asked for.
-    """
-    if not bases.size or not n:
+def _word_blocks(bases: np.ndarray, off: int, rows: int, cols: int, per: int, prepare=lambda block: None):
+    """Yield (block, prepare(block), items, scratch) over a rows x cols result:
+    ``items[i, j]`` is entry (i, j) of ``block`` (a pair of slices), item q of a
+    stream being its word q div ``per`` read as ``per`` little-endian lanes (1:
+    the word; 4: uint16 lanes).  One base: row r reads items off + r * cols ..
+    of its stream; a base per row: items off .. of its own.  A block holds as
+    many whole rows as fit in ``_BLOCK`` words, or a part of one row, mixed in
+    place into one word buffer of the call, so each is read before the next is
+    asked for; ``scratch`` (8 bytes a word) is free once it is mixed, and
+    ``prepare`` runs before, so the first block's temporaries are gone first."""
+    if not rows or not cols:
         return
-    chunk, per = min(n, _BLOCK), max(1, _BLOCK // n)
-    z = np.empty(min(bases.size, per) * chunk, dtype=np.uint64)
-    t = np.empty_like(z)
-    for r0 in range(0, bases.size, per):
-        rows = bases[r0 : r0 + per]
-        for j0 in range(0, n, chunk):
-            w = z[: rows.size * min(chunk, n - j0)]
-            words = w.reshape(rows.size, -1)
-            np.add((rows + np.uint64((GOLDEN * j0) & MASK64))[:, None], _WEYL[: words.shape[1]], out=words)
-            _mix_in_place(w, t[: w.size])
-            yield r0, j0, words
+    stride = cols if bases.size == 1 else 0  # items from one row's start to the next's in one stream
+    span = per * (_BLOCK - 1) + 1  # items a block reads: at most _BLOCK words at any lane offset
+    row_words = (off + cols - 1) // per + 1
+    per_block = span // cols if stride else _BLOCK // row_words
+    step, width = (per_block, cols) if per_block else (1, span)
+    z = t = None
+    for r0 in range(0, rows, step):
+        for c0 in range(0, cols, width):
+            r1, c1 = min(rows, r0 + step), min(cols, c0 + width)
+            block = np.s_[r0:r1, c0:c1]
+            prepared = prepare(block)
+            if z is None:
+                z = np.empty(min(_BLOCK, (off + rows * cols - 1) // per + 1 if stride else rows * row_words), dtype=np.uint64)
+                t = np.empty_like(z)
+            # the items of the block's rows, and the words w0 .. w0 + nw - 1 they lie in
+            q0, q1 = off + c0 + r0 * stride, off + c1 + (r1 - 1) * stride
+            w0, nw = q0 // per, (q1 - 1) // per + 1 - q0 // per
+            b = bases if stride else bases[r0:r1]
+            words = z[: b.size * nw].reshape(b.size, nw)
+            np.add((b + np.uint64((GOLDEN * w0) & MASK64))[:, None], _WEYL[:nw], out=words)
+            _mix_in_place(words.reshape(-1), t[: words.size])
+            items = words.view(np.uint16 if per == 4 else np.uint64)
+            yield block, prepared, items[:, q0 - per * w0 : q1 - per * w0].reshape(r1 - r0, c1 - c0), t[: words.size]
 
 
 # ---------------------------------------------------------------------------
@@ -203,51 +219,47 @@ def _lane_rows(seed, n) -> tuple[np.ndarray, int, int, tuple]:
     return np.array([seed], dtype=np.uint64), 0, math.prod(shape), shape
 
 
-def _cut(p, at, shape):
-    """One threshold over a result of ``shape``: (hi, t, whole), with hi the
-    lane cut of each draw, flat or one scalar, t the converted thresholds
-    (one per table entry), and whole(i) the thresholds T of the draws at
-    flat indices i."""
+def _cut(p, at, shape, grid):
+    """One threshold over a result of ``shape`` seen as a ``grid``: (hi, t, whole), with hi(block)
+    the lane cuts of a block of the grid (a scalar, a view of the broadcast cut or a table
+    gather), t the thresholds T (one per table entry) and whole(i) the T of the draws at flat i."""
     t = _threshold(p)
     hi = np.minimum(t >> np.uint64(37), 0xFFFF).astype(np.uint16)
     if at is not None:
         index = np.asarray(at)
-        if index.shape != shape:
-            index = np.broadcast_to(index, shape)
-        return hi.take(index).reshape(-1), t, lambda i: t.take(index.flat[i])
+        index = (index if index.shape == shape else np.broadcast_to(index, shape)).reshape(grid)
+        return lambda b: hi.take(index[b]), t, lambda i: t.take(index.flat[i])
     if t.ndim == 0:
-        return hi, t, lambda i: t
-    return np.broadcast_to(hi, shape).reshape(-1), t, lambda i: np.broadcast_to(t, shape).flat[i]
+        return lambda b: hi, t, lambda i: t
+    his = np.broadcast_to(hi, shape).reshape(grid)
+    return lambda b: his[b], t, lambda i: np.broadcast_to(t, shape).flat[i]
 
 
 def _bernoulli(bases: np.ndarray, off: int, width: int, shape: tuple, below, at) -> np.ndarray:
-    """The draws of the rows against ``below`` (and ``at``): each lane is compared
-    with its lane cut, and the ties are settled by their refinements at the end."""
+    """The draws of the rows against ``below`` (and ``at``), in blocks of whole
+    result rows: each lane is compared with its lane cut, and the ties are
+    settled by their refinements at the end."""
     nested = isinstance(below, tuple)
     if nested and len(below) != 2:
         raise ValueError(f"nested cuts come as a pair (t1, t2), got {len(below)}")
-    cuts = [_cut(p, at, shape) for p in (below if nested else (below,))]
+    grid = (shape[0], math.prod(shape[1:])) if shape else (1, 1)
+    cuts = [_cut(p, at, shape, grid) for p in (below if nested else (below,))]
     if nested and not np.all(cuts[0][1] >= cuts[1][1]):
         raise ValueError("nested cuts need t1 >= t2")
     out = np.empty(shape, dtype=np.uint8 if nested else bool)
-    flat = out.reshape(-1)
     ties = []
-    for r0, j0, words in _word_blocks(bases, (off + width + 3) >> 2):
-        # this block's lanes: columns c0 .. c1 - 1 of rows r0 .., at flat indices f, f + 1, ...
-        c0, c1 = max(0, 4 * j0 - off), min(width, 4 * (j0 + words.shape[1]) - off)
-        lanes = words.view(np.uint16)[:, c0 + off - 4 * j0 : c1 + off - 4 * j0]
-        f = r0 * width + c0
-        o = flat[f : f + lanes.size].reshape(lanes.shape)
-        his = [hi if hi.ndim == 0 else hi[f : f + lanes.size].reshape(lanes.shape) for hi, _, _ in cuts]
+    for block, his, lanes, scratch in _word_blocks(bases, off, *grid, 4, lambda b: [hi(b) for hi, _, _ in cuts]):
+        o = out.reshape(grid)[block]
+        tie, second = scratch.view(bool)[: 2 * lanes.size].reshape(2, *lanes.shape)
         np.less(lanes, his[0], out=o.view(bool))
-        tie = lanes == his[0]
+        np.equal(lanes, his[0], out=tie)
         if nested:
-            o += lanes < his[1]
-            tie |= lanes == his[1]
-        ties.append(np.flatnonzero(tie) + f)
+            o += np.less(lanes, his[1], out=second).view(np.uint8)
+            tie |= np.equal(lanes, his[1], out=second)
+        ties.append(np.flatnonzero(tie) + (block[0].start * grid[1] + block[1].start))
     if ties and (i := ties[0] if len(ties) == 1 else np.concatenate(ties)).size:
         m = _tie_draws(bases, off, width, i)
-        flat[i] = sum((m < whole(i)).astype(np.uint8) for _, _, whole in cuts)
+        out.reshape(-1)[i] = sum((m < whole(i)).astype(np.uint8) for _, _, whole in cuts)
     return out
 
 

@@ -582,9 +582,11 @@ def coupled_mc(
         pm = np.minimum(g(sm), pp)
         # a node's rank is 2 where both chains hold a 1, 1 where only the plus chain does
         rank = uniforms(derive_seed(seed, TAG_COUPLED, k), (trials, L), below=(pp[:, None], pm[:, None]))
-        # a count of 0/1 values is exact, so this equals the mean bit for bit
-        sp = np.count_nonzero(rank, axis=1) / L
-        sm = np.count_nonzero(rank == 2, axis=1) / L
+        # the row sums of rank and of rank >> 1, in the least type that holds 2 L, count the nodes
+        # at rank >= 1 plus those at rank 2, and those at rank 2; count / L is the mean bit for bit
+        ranks = np.add.reduce(rank, axis=1, dtype=(wide := np.min_scalar_type(2 * L)))
+        twos = np.add.reduce(np.right_shift(rank, 1, out=rank), axis=1, dtype=wide)
+        sp, sm = (ranks - twos) / L, twos / L
         gap = sp - sm
         prob_unequal[k - 1] = float((gap != 0).mean())
         mean_gap[k - 1] = float(gap.mean())
@@ -626,6 +628,8 @@ def quenched_error_estimate(
 
     The root prior is made exactly uniform by alternating root bits across
     trials.  Used to certify a sampled DAG as a reconstruction witness.
+    ``rule`` must be a pure function of the fraction: it is called once for
+    each fraction c / L_depth, c = 0 .. L_depth, not once per trial.
     """
     from .model import propagate_many
 
@@ -633,8 +637,9 @@ def quenched_error_estimate(
         raise ValueError("trials must be >= 1")
     roots = (np.arange(trials) % 2).astype(np.uint8)
     final = propagate_many(dag, gates, delta, roots, seed)
-    sig = final.mean(axis=1)
-    guesses = np.fromiter((rule(s) for s in sig), dtype=np.int64, count=trials)
+    # a row's mean is its count c over L_depth, the same float as c / L_depth
+    L = final.shape[1]
+    guesses = np.fromiter((rule(s) for s in np.arange(L + 1) / L), dtype=np.int64, count=L + 1)[final.sum(axis=1)]
     errors = int((guesses != roots).sum())
     lo, hi = wilson_interval(errors, trials)
     return QuenchedEstimate(errors / trials, lo, hi, trials)

@@ -722,6 +722,13 @@ class TestExitCodes:
         "bisect": [],
     }
 
+    # small sizes for the subcommands that run a random-DAG model through run or bisection
+    RUN_ARGV = {
+        "exact-chain": ["--schedule", "const:8", "--depth", "4"],
+        "mc-chain": ["--schedule", "const:8", "--depth", "4", "--trials", "20"],
+        "bisect": ["--schedule", "const:8", "--depth", "10"],
+    }
+
     @pytest.mark.parametrize("command", sorted(MODEL_ARGV))
     def test_model_flag_offers_a_new_stages_row(self, command, monkeypatch, capsys):
         argv = [command, "--model", "maj5", *self.MODEL_ARGV[command]]
@@ -730,6 +737,9 @@ class TestExitCodes:
         assert exc.value.code == 2 and "invalid choice: 'maj5'" in capsys.readouterr().err
         monkeypatch.setitem(sigma_mod.STAGES, "maj5", (MAJ5,))
         assert cli_mod._build_parser().parse_args(argv).model == "maj5"
+        # the row is resolved against the live table, so the driver runs it too
+        if command in self.RUN_ARGV:
+            assert main([*argv, *self.RUN_ARGV[command]]) == 0, capsys.readouterr().err
 
     def test_fixed_points_runs_a_new_stages_row(self, monkeypatch, capsys):
         monkeypatch.setitem(sigma_mod.STAGES, "maj5", (MAJ5,))

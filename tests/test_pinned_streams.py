@@ -38,6 +38,57 @@ def test_coupled_mc():
     ]
 
 
+# coupled_mc at the benchmark's size (a level of 1000 x 256 draws spans two
+# blocks of the Bernoulli loop) and on log:10, where L_k % 4 != 0 at most
+# levels, so rows start at every lane offset: sha256 of each per-level array
+# and of the final fractions, with min_gap and monotone_fraction exactly
+COUPLED_MC_AT_SIZE = {
+    "const:256": (
+        {
+            "final_plus": "93b96f90468a3b43e1f03fccee25dc793c728407645562ba2e365cafc122f2b7",
+            "final_minus": "ad1643bf64b8c356f6b2ecc8ee6312693bcce1d690ffda5d9942a74b55e83567",
+            "prob_unequal": "41e09ab16161976ef905e3c39d7c6542759631afa4fff8d624fa0f56be7cf958",
+            "mean_gap": "00abb40a29a9c3d6c0f99556f1dea11eaa45de8dbb907db021068dc5ab6488e8",
+            "sem_gap": "9ddbb4f66861cbba18820f564814b983b553cfe8375013cd2808ccc62b36600e",
+        },
+        0.73828125,
+    ),
+    "log:10": (
+        {
+            "final_plus": "d935cacedc5951ff19dddc51b7ea5e5ec1df2920bb5ecc9303e139898a26b257",
+            "final_minus": "4dc767c9dc96817cde80056c17ca77cd6354ffff9d0a49d1c673baf1ad25ce62",
+            "prob_unequal": "ece34f6b06aca94151351e42db8385e5864314b80f84b18783180e3f81f640ce",
+            "mean_gap": "4516c00ebab2cc236f904ce216c3d0cde3a95a802a5e4e6e8908796b19a66652",
+            "sem_gap": "9f1a66a2aaabfbf684b9d917ed79d145b7d1a5ec19a27d1b7d470d93b800cf9b",
+        },
+        0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(COUPLED_MC_AT_SIZE))
+def test_coupled_mc_at_size(schedule):
+    stats = sigma.coupled_mc("maj3", 0.1, model.LayerSchedule.parse(schedule), 60, 1000, 11)
+    digests, min_gap = COUPLED_MC_AT_SIZE[schedule]
+    assert {name: _sha(getattr(stats, name)) for name in digests} == digests
+    assert (stats.min_gap, stats.monotone_fraction) == (min_gap, 1.0)
+
+
+def test_propagate_many_at_size():
+    # 3000 trials on log:10 to depth 60: each level is one block of the
+    # Bernoulli loop, and most rows start inside a word
+    roots = (np.arange(3000) % 2).astype(np.uint8)
+    dag = model.sample_random_dag(12, 3, model.LayerSchedule.parse("log:10"), 60)
+    final = model.propagate_many(dag, model.MAJ3, 0.1, roots, 13)
+    assert final.dtype == np.uint8 and final.shape == (3000, dag.layer_sizes[-1])
+    assert _sha(final) == "0dd1d21a5c1484695e3b0feada2af0f7f3acd6f7a2d644473531ce9d08ef3df0"
+    # a gate function on a d = 2 DAG: AND at odd levels, OR at even ones
+    dag = model.sample_random_dag(12, 2, model.LayerSchedule.parse("log:10"), 60)
+    final = model.propagate_many(dag, lambda k: model.AND2 if k % 2 else model.OR2, 0.05, roots, 14)
+    assert final.shape == (3000, 42)
+    assert _sha(final) == "6a5f9a8a2e6d3e82009c1e19da74b17750c87583d5a935cd4f71ac6d594aa0c3"
+
+
 def test_coupled_grid_runs():
     times = coupling.coupled_grid_runs(0.05, 30, 40, 4)
     assert times.tolist() == [

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,39 @@ class TestSeedArray:
     def test_float_rows_refused(self, seeds):
         with pytest.raises(TypeError, match="seed array .* needs below="):
             uniforms(seeds, 5)
+
+
+class TestTracedPeak:
+    """A Bernoulli call holds its result and one block's word buffers, never a
+    temporary the size of the result.  numpy reports its buffers to
+    ``tracemalloc``, so the bound does not depend on how the heap is laid out."""
+
+    @staticmethod
+    def _peak(call) -> int:
+        call()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    def test_nested_per_row_cut(self):
+        # two blocks of whole rows, each cut a (1000, 1) column broadcast against its block
+        pp = np.linspace(0.2, 0.9, 1000)[:, None]
+        peak = self._peak(lambda: uniforms(5, (1000, 256), below=(pp, 0.5 * pp)))
+        assert peak < 1000 * 256 + 4 * 256 * 1024
+
+    def test_scalar_cut(self):
+        # four blocks of whole rows: the call holds the result, the word buffer and its
+        # scratch (256 KiB each) and a few small arrays
+        peak = self._peak(lambda: uniforms(5, 400_000, below=0.05))
+        assert peak < 400_000 + 3 * 256 * 1024
 
 
 class TestWilsonInterval:

@@ -31,7 +31,7 @@ from dagbroadcast.sigma import (
     quenched_error_estimate,
     tv,
 )
-from dagbroadcast.model import sample_random_dag
+from dagbroadcast.model import propagate_many, sample_random_dag
 from dagbroadcast import sigma as sigma_mod
 
 from oracles import (
@@ -681,6 +681,22 @@ class TestQuenched:
         dag = sample_random_dag(13, 3, LayerSchedule.constant(7), 10)
         est = quenched_error_estimate(dag, MAJ3, 0.1, majority_rule, 1000, seed=5)
         assert est.ci_low <= est.p_err <= est.ci_high
+
+    def test_rule_called_once_per_fraction(self):
+        dag = sample_random_dag(14, 3, LayerSchedule.logarithmic(10), 30)
+        seen = []
+
+        def counting_rule(s):
+            seen.append(s)
+            return majority_rule(s)
+
+        est = quenched_error_estimate(dag, MAJ3, 0.1, counting_rule, 3000, seed=4)
+        assert len(seen) == len(set(seen)) <= dag.layer_sizes[-1] + 1
+        # the same error count as the rule read trial by trial
+        roots = (np.arange(3000) % 2).astype(np.uint8)
+        final = propagate_many(dag, MAJ3, 0.1, roots, 4)
+        errors = sum(majority_rule(s) != r for s, r in zip(final.mean(axis=1), roots))
+        assert (round(est.p_err * est.trials), est.trials) == (errors, 3000)
 
 
 class TestAlmostSureLimit:
